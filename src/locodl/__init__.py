@@ -3,8 +3,8 @@
 from .algorithms import (AlgoParams, LoCoDLState, ReferenceSolution, RngBundle,
                          default_params, diana_step, gd_step, locodl_step, lyapunov,
                          rand_k_params, rate_bound, scaffnew_step)
-from .compressors import (CompressedMessage, CompressorSpec, bit_cost, compress,
-                          empirical_variance_ratio, make_spec, omega, omega_av)
+from .compressors import (CompressedMessage, CompressorSpec, compress,
+                          empirical_variance_ratio, make_spec)
 from .data import Dataset, dirichlet_synthetic, parse_libsvm, partition, serialize_libsvm
 from .harness import (ExperimentConfig, ExperimentTrace, bits_to_target,
                       fit_communication_exponent, run_experiment, solve_reference)

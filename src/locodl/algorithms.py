@@ -15,30 +15,25 @@ absorbed into every local function).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import compress, compress_round
+from .compressors import compress_round
 from .errors import ConfigurationError, InputError
 
 
 @dataclass
 class RngBundle:
-    """Pre-split streams: a shared coin, a round-level compression stream,
-    and one stream per client for anything a client draws on its own."""
+    """Pre-split streams: a shared coin and a round-level compression stream."""
 
     coin: np.random.Generator
     rounds: np.random.Generator
-    clients: list
 
     @classmethod
-    def from_seed(cls, seed, n):
-        ss = np.random.SeedSequence(seed)
-        children = ss.spawn(n + 2)
-        return cls(np.random.default_rng(children[0]),
-                   np.random.default_rng(children[1]),
-                   [np.random.default_rng(c) for c in children[2:]])
+    def from_seed(cls, seed):
+        coin, rounds = np.random.SeedSequence(seed).spawn(2)
+        return cls(np.random.default_rng(coin), np.random.default_rng(rounds))
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ class ReferenceSolution:
     f_star: float
 
 
-def locodl_step(state, problem, specs, params, rng, active=None):
+def locodl_step(state, problem, spec, params, rng, active=None):
     """One iteration; mutates and returns `state`.
 
     `active`, if given, is a participation mask: inactive clients contribute
@@ -147,39 +142,25 @@ def locodl_step(state, problem, specs, params, rng, active=None):
     y_hat = state.y - gamma * problem.grad_g(state.y) + gamma * state.v
 
     if rng.coin.random() < params.p:
-        n = state.n
         diff = x_hat - y_hat[None, :]
-        spec = specs[0]
-        if active is None and all(s is spec for s in specs):
-            msgs, sat = compress_round(spec, diff, rng.rounds)
-            state.saturation_events += sat
-            bits = spec.bits_per_message
-        else:
-            msgs = np.zeros_like(diff)
-            bits = None
-            for i in range(n):
-                if active is not None and not active[i]:
-                    continue
-                msg = compress(specs[i], diff[i], rng.clients[i])
-                msgs[i] = msg.payload
-                state.saturation_events += msg.saturated
-                if bits is None:
-                    bits = msg.bits
-        d_bar = msgs.sum(axis=0) / (2.0 * n)
+        if active is not None:
+            diff[~np.asarray(active, dtype=bool)] = 0.0   # compresses to a zero message
+        msgs, sat = compress_round(spec, diff, rng.rounds)
+        state.saturation_events += sat
+        d_bar = msgs.sum(axis=0) / (2.0 * state.n)
         lam = params.dual_step
         state.x = (1.0 - params.rho) * x_hat + params.rho * (y_hat + d_bar)[None, :]
         state.u = state.u + lam * (d_bar[None, :] - msgs)
         state.y = y_hat + params.rho * d_bar
         state.v = state.v + lam * d_bar
         state.rounds += 1
-        state.bits_uplink += bits if bits is not None else 0
+        state.bits_uplink += spec.bits_per_message
+        # u and v move only on rounds, so the residual can only change here
+        state.max_dual_residual = max(state.max_dual_residual, state.dual_residual())
     else:
         state.x = x_hat
         state.y = y_hat
     state.t += 1
-    res = state.dual_residual()
-    if res > state.max_dual_residual:
-        state.max_dual_residual = res
     return state
 
 
@@ -240,30 +221,18 @@ def diana_gamma(L, mu, omega, n):
     return min(1.0 / (L * (1.0 + 2.0 * omega / n)), alpha / (2.0 * mu))
 
 
-def diana_step(state, problem, specs, gamma, rng, alpha=None):
+def diana_step(state, problem, spec, gamma, rng, alpha=None):
     """Compressed gradient differences with control variates; one round per iteration."""
     if alpha is None:
-        alpha = 1.0 / (1.0 + specs[0].omega)
-    n = state.h.shape[0]
+        alpha = 1.0 / (1.0 + spec.omega)
     grads = problem.grads_locals(state.x)
-    deltas = grads - state.h
-    spec = specs[0]
-    if all(s is spec for s in specs):
-        msgs, _ = compress_round(spec, deltas, rng.rounds)
-        bits = spec.bits_per_message
-    else:
-        msgs = np.empty_like(deltas)
-        bits = 0
-        for i in range(n):
-            msg = compress(specs[i], deltas[i], rng.clients[i])
-            msgs[i] = msg.payload
-            bits = msg.bits
+    msgs, _ = compress_round(spec, grads - state.h, rng.rounds)
     g_hat = state.h.mean(axis=0) + msgs.mean(axis=0)
     state.x = state.x - gamma * g_hat
     state.h = state.h + alpha * msgs
     state.t += 1
     state.rounds += 1
-    state.bits_uplink += bits
+    state.bits_uplink += spec.bits_per_message
     return state
 
 

@@ -103,13 +103,7 @@ def _run_configs(configs, out_dir):
     rows = []
     cache = {}
     for config in configs:
-        key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
-        if key not in cache:
-            problem, baseline, _ = harness.build_problem(config)
-            cache[key] = (problem, baseline, harness.solve_reference(problem))
-        problem, baseline, ref = cache[key]
-        traces = [harness.run_single(config, problem, baseline, ref, seed)
-                  for seed in config.seeds]
+        traces = harness.run_experiment(config, cache)
         for trace, seed in zip(traces, config.seeds):
             name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
             harness.write_trace(trace, os.path.join(out_dir, name))
@@ -155,6 +149,7 @@ def cmd_sweep(args):
 
     summary = []
     bits_by_label = {}
+    cache = {}
     for value in values:
         for base in base_configs:
             fields = dict(base.__dict__)
@@ -163,7 +158,7 @@ def cmd_sweep(args):
             else:
                 fields["n"] = int(value)
             config = harness.ExperimentConfig(**fields)
-            traces = harness.run_experiment(config)
+            traces = harness.run_experiment(config, cache)
             bits = [harness.bits_to_target(
                 tr, config.stop_ratio,
                 "lyapunov" if config.stop_metric == "psi" else "sqdist_mean")

@@ -8,7 +8,6 @@ quantization, their composition, and l1-magnitude selection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +79,6 @@ def make_spec(kind, d, n=1, k=None):
     return CompressorSpec(kind, d, k, n, w, w / n, _bits(kind, d, k))
 
 
-def omega(spec):
-    return spec.omega
-
-
-def omega_av(spec, n):
-    if n < 1:
-        raise InputError("n must be positive")
-    return spec.omega / n
-
-
-def bit_cost(spec):
-    return spec.bits_per_message
-
-
 @dataclass(frozen=True)
 class CompressedMessage:
     payload: np.ndarray
@@ -101,90 +86,25 @@ class CompressedMessage:
     saturated: bool = False
 
 
-def floyd_sample(rng, d, k):
-    """Uniform k-subset of {0, ..., d-1} without replacement, O(k) draws."""
-    chosen = set()
-    for j in range(d - k, d):
-        t = int(rng.integers(0, j + 1))
-        chosen.add(j if t in chosen else t)
-    return np.fromiter(sorted(chosen), dtype=np.intp, count=k)
-
-
 def _natural_round(values, rng):
-    """Unbiased rounding of each value to a signed power of two (or zero)."""
-    out = np.zeros_like(values)
-    saturated = False
+    """Unbiased rounding of each entry to a signed power of two (or zero).
+
+    Returns (rounded, saturated), where `saturated` flags each row with an
+    entry clipped to the 8-bit exponent range.
+    """
+    out = np.zeros(values.shape)
+    saturated = np.zeros(values.shape[0], dtype=bool)
     nonzero = values != 0.0
-    if not np.any(nonzero):
-        return out, saturated
-    v = values[nonzero]
-    mant, exp = np.frexp(np.abs(v))  # |v| = mant * 2^exp, mant in [0.5, 1)
-    lo_exp = exp - 1                 # 2^lo_exp <= |v| <= 2^(lo_exp+1)
-    p_up = 2.0 * mant - 1.0          # (|v| - 2^a) / 2^a
-    up = rng.random(v.shape) < p_up
-    result_exp = lo_exp + up
-    clipped = np.clip(result_exp, _EXP_MIN, _EXP_MAX)
-    saturated = bool(np.any(clipped != result_exp))
-    out[nonzero] = np.sign(v) * np.ldexp(1.0, clipped)
-    return out, saturated
-
-
-def compress(spec, x, rng):
-    """Apply the compressor once; returns the full-precision payload and metered bits."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.d,):
-        raise InputError(f"x has shape {x.shape}, spec dimension is {spec.d}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("input coordinates must be finite")
-
-    if spec.kind == "identity":
-        return CompressedMessage(x.copy(), spec.bits_per_message)
-
-    if spec.kind == "rand_k":
-        idx = floyd_sample(rng, spec.d, spec.k)
-        payload = np.zeros_like(x)
-        payload[idx] = x[idx] * (spec.d / spec.k)
-        return CompressedMessage(payload, spec.bits_per_message)
-
-    if spec.kind == "natural":
-        payload, sat = _natural_round(x, rng)
-        return CompressedMessage(payload, spec.bits_per_message, sat)
-
-    if spec.kind == "rand_k_natural":
-        idx = floyd_sample(rng, spec.d, spec.k)
-        scaled = x[idx] * (spec.d / spec.k)
-        rounded, sat = _natural_round(scaled, rng)
-        payload = np.zeros_like(x)
-        payload[idx] = rounded
-        return CompressedMessage(payload, spec.bits_per_message, sat)
-
-    if spec.kind == "l1_selection":
-        norm1 = float(np.sum(np.abs(x)))
-        payload = np.zeros_like(x)
-        if norm1 == 0.0:
-            return CompressedMessage(payload, spec.bits_per_message)
-        cdf = np.cumsum(np.abs(x)) / norm1
-        j = int(np.searchsorted(cdf, rng.random(), side="right"))
-        j = min(j, spec.d - 1)
-        payload[j] = math.copysign(norm1, x[j])
-        return CompressedMessage(payload, spec.bits_per_message)
-
-    raise InputError(f"unknown compressor kind {spec.kind!r}")
-
-
-def _natural_round_matrix(values, rng):
-    """Row-vectorized unbiased power-of-two rounding; returns (rounded, saturated)."""
-    out = np.zeros_like(values)
-    nonzero = values != 0.0
-    saturated = False
-    if np.any(nonzero):
+    if nonzero.any():
         v = values[nonzero]
-        mant, exp = np.frexp(np.abs(v))
-        p_up = 2.0 * mant - 1.0
+        mant, exp = np.frexp(np.abs(v))  # |v| = mant * 2^exp, mant in [0.5, 1)
+        p_up = 2.0 * mant - 1.0          # (|v| - 2^(exp-1)) / 2^(exp-1)
         result_exp = (exp - 1) + (rng.random(v.shape) < p_up)
-        clipped = np.clip(result_exp, _EXP_MIN, _EXP_MAX)
-        saturated = bool(np.any(clipped != result_exp))
-        out[nonzero] = np.sign(v) * np.ldexp(1.0, clipped)
+        clipped = (result_exp < _EXP_MIN) | (result_exp > _EXP_MAX)
+        if clipped.any():
+            saturated[np.nonzero(nonzero)[0][clipped]] = True
+            result_exp = np.clip(result_exp, _EXP_MIN, _EXP_MAX)
+        out[nonzero] = np.copysign(np.ldexp(1.0, result_exp), v)
     return out, saturated
 
 
@@ -194,56 +114,64 @@ def _rand_subsets(rng, n, d, k):
 
 
 def compress_round(spec, X, rng):
-    """Compress one row per client in a single vectorized draw.
+    """Compress one row per client, each with its own independent draw.
 
-    Statistically identical to calling `compress` on each row, but consumes a
-    single round-level random stream so that a whole communication round costs
-    a handful of numpy operations.  Returns (payloads, saturated_count).
+    One round consumes a single round-level random stream, so a whole
+    communication round costs a handful of numpy operations.  Returns
+    (payloads, saturated), where `saturated` counts the clients whose
+    message hit the natural exponent range.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if d != spec.d:
-        raise InputError(f"X has dimension {d}, spec dimension is {spec.d}")
-    if not np.all(np.isfinite(X)):
+    if X.ndim != 2 or X.shape[1] != spec.d:
+        raise InputError(f"X has shape {X.shape}, spec dimension is {spec.d}")
+    if not np.isfinite(X).all():
         raise InputError("input coordinates must be finite")
+    n, d = X.shape
 
     if spec.kind == "identity":
         return X.copy(), 0
 
     if spec.kind == "rand_k":
         idx = _rand_subsets(rng, n, d, spec.k)
-        payload = np.zeros_like(X)
+        payload = np.zeros(X.shape)
         rows = np.arange(n)[:, None]
         payload[rows, idx] = X[rows, idx] * (spec.d / spec.k)
         return payload, 0
 
     if spec.kind == "natural":
-        payload, sat = _natural_round_matrix(X, rng)
-        return payload, n if sat else 0
+        payload, sat = _natural_round(X, rng)
+        return payload, int(sat.sum())
 
     if spec.kind == "rand_k_natural":
         idx = _rand_subsets(rng, n, d, spec.k)
         rows = np.arange(n)[:, None]
         scaled = X[rows, idx] * (spec.d / spec.k)
-        rounded, sat = _natural_round_matrix(scaled, rng)
-        payload = np.zeros_like(X)
+        rounded, sat = _natural_round(scaled, rng)
+        payload = np.zeros(X.shape)
         payload[rows, idx] = rounded
-        return payload, int(sat)
+        return payload, int(sat.sum())
 
     if spec.kind == "l1_selection":
-        absx = np.abs(X)
-        cum = np.cumsum(absx, axis=1)
+        cum = np.cumsum(np.abs(X), axis=1)
         norms = cum[:, -1]
-        payload = np.zeros_like(X)
+        payload = np.zeros(X.shape)
         alive = norms > 0.0
-        if np.any(alive):
+        if alive.any():
+            # u <= norms = cum[:, -1], so the selected index j is at most d - 1
             u = rng.random(n) * norms
-            j = np.minimum((cum < u[:, None]).sum(axis=1), d - 1)
-            rows = np.flatnonzero(alive)
-            payload[rows, j[rows]] = np.copysign(norms[rows], X[rows, j[rows]])
+            j = (cum < u[:, None]).sum(axis=1)
+            rows = np.arange(n)
+            payload[rows, j] = np.copysign(norms, X[rows, j])
+            payload[~alive] = 0.0   # a zero row sends a zero message
         return payload, 0
 
     raise InputError(f"unknown compressor kind {spec.kind!r}")
+
+
+def compress(spec, x, rng):
+    """One client's message: row 0 of a one-client `compress_round`."""
+    payload, sat = compress_round(spec, np.asarray(x, dtype=np.float64)[None], rng)
+    return CompressedMessage(payload[0], spec.bits_per_message, bool(sat))
 
 
 def empirical_variance_ratio(spec, x, trials, rng):

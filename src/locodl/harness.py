@@ -182,78 +182,33 @@ def _stop_value(recorder, metric):
     return recorder.columns["sqdist_mean"][-1]
 
 
-def run_single(config, problem, baseline, ref, seed):
-    """One seeded trajectory of the configured algorithm; returns an ExperimentTrace."""
+def _stepper(config, problem, baseline, ref, spec, rng, extra):
+    """(objective, state, step, observe) of the configured algorithm.
+
+    `step()` advances the state one iteration; `observe()` returns the record
+    fields beyond the counters: (x_mean, x_clients, y, psi).  The algorithm's
+    resolved schedule is added to `extra`.
+    """
     n, d = config.n, problem.d
-    spec = make_spec(config.compressor, d, n, config.k)
-    specs = [spec] * n
-    rng = alg.RngBundle.from_seed(seed, n)
-
-    meta = {"algorithm": config.algorithm, "dataset": config.problem.get("path", config.problem["source"]),
-            "n": n, "d": d, "kappa": problem.kappa, "compressor": _compressor_name(config),
-            "seed": seed}
-    extra = {"config_hash": config.content_hash(), "stop_metric": config.stop_metric,
-             "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin"}
-
     if config.algorithm == "locodl":
         params = resolve_params(config, problem, spec)
         tau = alg.rate_bound(params, problem.L, problem.mu)
         extra.update(gamma=params.gamma, chi=params.chi, rho=params.rho, p=params.p,
                      omega=params.omega, omega_av=params.omega_av, tau=tau)
-        rec = _Recorder(config, meta, ref, problem)
         state = alg.LoCoDLState.zeros(n, d)
-        rec.record(0, 0, 0, state.x.mean(axis=0), state.x, state.y,
-                   alg.lyapunov(state, ref, params))
-        initial = _stop_value(rec, config.stop_metric)
-        rounds_seen = 0
-        while state.t < config.max_iters:
-            alg.locodl_step(state, problem, specs, params, rng)
-            new_round = state.rounds != rounds_seen
-            rounds_seen = state.rounds
-            due = (new_round and state.rounds % config.round_cadence == 0) \
-                or state.t % config.cadence == 0
-            if due:
-                rec.record(state.t, state.rounds, state.bits_uplink,
-                           state.x.mean(axis=0), state.x, state.y,
-                           alg.lyapunov(state, ref, params))
-                if _stop_value(rec, config.stop_metric) <= config.stop_ratio * initial:
-                    break
-        extra.update(max_dual_residual=state.max_dual_residual,
-                     max_dual_scale=float(np.max(np.abs(state.u))) if state.u.size else 0.0,
-                     natural_saturation_events=state.saturation_events)
-        return rec.trace(extra)
+
+        def step():
+            alg.locodl_step(state, problem, spec, params, rng)
+
+        def observe():
+            return state.x.mean(axis=0), state.x, state.y, alg.lyapunov(state, ref, params)
+        return problem, state, step, observe
 
     # baselines run on the folded problem
     if config.stop_metric == "psi":
         raise ConfigurationError("stop metric 'psi' is only defined for locodl runs")
     prob = baseline
-    rec = _Recorder(config, meta, ref, prob)
-    if config.algorithm == "gd":
-        gamma = float(config.overrides.get("gamma", 1.0 / prob.L))
-        extra.update(gamma=gamma)
-        state = alg.GDState.zeros(d)
-
-        def step():
-            alg.gd_step(state, prob, gamma)
-
-        def snapshot():
-            x2 = state.x[None, :]
-            rec.record(state.t, state.rounds, state.bits_uplink, state.x, x2, state.x,
-                       float("nan"))
-    elif config.algorithm == "diana":
-        gamma = float(config.overrides.get("gamma",
-                                           alg.diana_gamma(prob.L, prob.mu, spec.omega, n)))
-        extra.update(gamma=gamma, omega=spec.omega)
-        state = alg.DianaState.zeros(n, d)
-
-        def step():
-            alg.diana_step(state, prob, specs, gamma, rng)
-
-        def snapshot():
-            x2 = state.x[None, :]
-            rec.record(state.t, state.rounds, state.bits_uplink, state.x, x2, state.x,
-                       float("nan"))
-    else:  # scaffnew
+    if config.algorithm == "scaffnew":
         gamma = float(config.overrides.get("gamma", 1.0 / prob.L))
         p = float(config.overrides.get("p", min(1.0, 1.0 / np.sqrt(prob.kappa))))
         extra.update(gamma=gamma, p=p)
@@ -262,12 +217,44 @@ def run_single(config, problem, baseline, ref, seed):
         def step():
             alg.scaffnew_step(state, prob, gamma, p, rng)
 
-        def snapshot():
+        def observe():
             xm = state.x.mean(axis=0)
-            rec.record(state.t, state.rounds, state.bits_uplink, xm, state.x, xm,
-                       float("nan"))
+            return xm, state.x, xm, float("nan")
+        return prob, state, step, observe
 
-    snapshot()
+    if config.algorithm == "gd":
+        gamma = float(config.overrides.get("gamma", 1.0 / prob.L))
+        extra.update(gamma=gamma)
+        state = alg.GDState.zeros(d)
+
+        def step():
+            alg.gd_step(state, prob, gamma)
+    else:  # diana
+        gamma = float(config.overrides.get("gamma",
+                                           alg.diana_gamma(prob.L, prob.mu, spec.omega, n)))
+        extra.update(gamma=gamma, omega=spec.omega)
+        state = alg.DianaState.zeros(n, d)
+
+        def step():
+            alg.diana_step(state, prob, spec, gamma, rng)
+
+    def observe():
+        return state.x, state.x[None, :], state.x, float("nan")
+    return prob, state, step, observe
+
+
+def run_single(config, problem, baseline, ref, seed):
+    """One seeded trajectory of the configured algorithm; returns an ExperimentTrace."""
+    spec = make_spec(config.compressor, problem.d, config.n, config.k)
+    meta = {"algorithm": config.algorithm, "dataset": config.problem.get("path", config.problem["source"]),
+            "n": config.n, "d": problem.d, "kappa": problem.kappa,
+            "compressor": _compressor_name(config), "seed": seed}
+    extra = {"config_hash": config.content_hash(), "stop_metric": config.stop_metric,
+             "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin"}
+    objective, state, step, observe = _stepper(config, problem, baseline, ref, spec,
+                                               alg.RngBundle.from_seed(seed), extra)
+    rec = _Recorder(config, meta, ref, objective)
+    rec.record(state.t, state.rounds, state.bits_uplink, *observe())
     initial = _stop_value(rec, config.stop_metric)
     rounds_seen = 0
     while state.t < config.max_iters:
@@ -276,9 +263,13 @@ def run_single(config, problem, baseline, ref, seed):
         rounds_seen = state.rounds
         if (new_round and state.rounds % config.round_cadence == 0) \
                 or state.t % config.cadence == 0:
-            snapshot()
+            rec.record(state.t, state.rounds, state.bits_uplink, *observe())
             if _stop_value(rec, config.stop_metric) <= config.stop_ratio * initial:
                 break
+    if config.algorithm == "locodl":
+        extra.update(max_dual_residual=state.max_dual_residual,
+                     max_dual_scale=float(np.max(np.abs(state.u))) if state.u.size else 0.0,
+                     natural_saturation_events=state.saturation_events)
     return rec.trace(extra)
 
 
@@ -288,13 +279,18 @@ def _compressor_name(config):
     return config.compressor
 
 
-def run_experiment(config, problem=None, baseline=None, ref=None):
-    """Run every seed of the config; returns one ExperimentTrace per seed."""
-    if problem is None:
-        problem, baseline, name = build_problem(config)
-    if ref is None:
-        ref = solve_reference(problem)
-    return [run_single(config, problem, baseline, ref, seed) for seed in config.seeds]
+def run_experiment(config, cache=None):
+    """Run every seed of the config; returns one ExperimentTrace per seed.
+
+    `cache` maps a problem's identity to its (problem, baseline, reference),
+    so configs that share a problem build and solve it only once.
+    """
+    cache = {} if cache is None else cache
+    key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
+    if key not in cache:
+        problem, baseline, _ = build_problem(config)
+        cache[key] = (problem, baseline, solve_reference(problem))
+    return [run_single(config, *cache[key], seed) for seed in config.seeds]
 
 
 def bits_to_target(trace, target_ratio, metric="sqdist_mean"):

@@ -3,8 +3,9 @@
 Every local function exposes `value`, `grad`, and its smoothness / strong
 convexity constants.  A `Problem` bundles n local functions with a shared
 function g and the common (L, mu) constants used by all stepsize schedules.
-Gradient evaluation across clients is batched with numpy whenever the locals
-are homogeneous (all logistic with equal shard size, or all quadratic).
+Gradient evaluation across clients is always batched with numpy: a problem's
+locals must be all logistic with equal shard size or all quadratic, each
+family with one regularization weight.
 """
 
 from __future__ import annotations
@@ -199,63 +200,48 @@ class ShiftedFunction(LocalFunction):
 
 
 class _BatchedLogistic:
-    """Vectorized per-client gradients for homogeneous logistic locals.
+    """Vectorized per-client gradients for logistic locals with equal shard sizes.
 
-    Sparse feature matrices (typical for one-hot encoded data) get a
-    block-diagonal CSR representation so that one sparse matvec computes every
-    client's margins against its own model.
+    The features are stored once: dense data as one (n, m, d) stack, sparse
+    data (typical for one-hot encodings) as a block-diagonal CSR matrix and
+    its transpose, so that one sparse matvec computes every client's margins
+    against its own model.
     """
 
     _SPARSE_DENSITY = 0.25
 
     def __init__(self, A, b, reg):
-        self.A = A          # (n, m, d)
-        self.At = np.ascontiguousarray(A.transpose(0, 2, 1))  # (n, d, m)
         self.b = b          # (n, m)
         self.reg = reg
-        self.m = A.shape[1]
-        # flat views for the common-point fast path
-        n, m, d = A.shape
-        self.A_flat = A.reshape(n * m, d)
-        self.b_flat = b.reshape(n * m)
+        self.n, self.m, self.d = A.shape
+        self.A = A          # (n, m, d), or None once the sparse block replaces it
         self._block = None
         if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
             from scipy import sparse
-            self._block = sparse.block_diag(
-                [sparse.csr_matrix(A[i]) for i in range(n)], format="csr")
+            self._block = sparse.block_diag([sparse.csr_matrix(a) for a in A], format="csr")
             self._block_t = self._block.T.tocsr()
-            self._flat_sparse = sparse.csr_matrix(self.A_flat)
+            self.A = None
 
-    def _coeffs(self, margins):
-        return -self.b * expit(-self.b * margins) / self.m
+    def _margins(self, X):
+        """(n, m) margins of each client's rows at its own point, or at a common (d,) point."""
+        if self._block is not None:
+            flat = X.ravel() if X.ndim == 2 else X[None].repeat(self.n, axis=0).ravel()
+            return (self._block @ flat).reshape(self.b.shape)
+        if X.ndim == 1:
+            return (self.A.reshape(-1, self.d) @ X).reshape(self.b.shape)
+        return np.matmul(self.A, X[..., None])[..., 0]
 
     def grads(self, X):
-        n, d = self.A.shape[0], self.A.shape[2]
+        c = -self.b * expit(-self.b * self._margins(X)) / self.m
         if self._block is not None:
-            if X.ndim == 1:
-                margins = (self._flat_sparse @ X).reshape(self.b.shape)
-                reg_term = self.reg * X[None, :]
-            else:
-                margins = (self._block @ X.ravel()).reshape(self.b.shape)
-                reg_term = self.reg * X
-            c = self._coeffs(margins)
-            return (self._block_t @ c.ravel()).reshape(n, d) + reg_term
-        if X.ndim == 1:
-            margins = (self.A_flat @ X).reshape(self.b.shape)
-            c = self._coeffs(margins)
-            g = np.matmul(self.At, c[:, :, None])[:, :, 0]
-            return g + self.reg * X[None, :]
-        margins = np.matmul(self.A, X[:, :, None])[:, :, 0]
-        c = self._coeffs(margins)
-        g = np.matmul(self.At, c[:, :, None])[:, :, 0]
+            g = (self._block_t @ c.ravel()).reshape(self.n, self.d)
+        else:
+            g = np.matmul(c[:, None, :], self.A)[:, 0, :]
         return g + self.reg * X
 
     def mean_value(self, x):
-        if self._block is not None:
-            margins = self._flat_sparse @ x
-        else:
-            margins = self.A_flat @ x
-        loss = float(np.mean(np.logaddexp(0.0, -self.b_flat * margins)))
+        margins = self._margins(x).ravel()
+        loss = float(np.mean(np.logaddexp(0.0, -self.b.ravel() * margins)))
         return loss + 0.5 * self.reg * float(x @ x)
 
 
@@ -278,28 +264,29 @@ class _BatchedQuadratic:
         return float(0.5 * x @ (A_bar @ x) - b_bar @ x + 0.5 * self.reg * (x @ x))
 
 
-def _try_batch(locals_):
-    if all(isinstance(f, LogisticFunction) for f in locals_):
-        ms = {f.shard.m for f in locals_}
-        regs = {f.reg for f in locals_}
-        if len(ms) == 1 and len(regs) == 1:
-            A = np.stack([f.shard.features for f in locals_])
-            b = np.stack([f.shard.labels for f in locals_])
-            return _BatchedLogistic(A, b, regs.pop())
-    if all(isinstance(f, ShiftedFunction) and isinstance(f.base, LogisticFunction) for f in locals_):
-        ms = {f.base.shard.m for f in locals_}
-        regs = {f.base.reg - f.c for f in locals_}
-        if len(ms) == 1 and len(regs) == 1:
-            A = np.stack([f.base.shard.features for f in locals_])
-            b = np.stack([f.base.shard.labels for f in locals_])
-            return _BatchedLogistic(A, b, regs.pop())
-    if all(isinstance(f, QuadraticFunction) for f in locals_):
-        regs = {f.reg for f in locals_}
-        if len(regs) == 1:
-            A = np.stack([f.A for f in locals_])
-            b = np.stack([f.b for f in locals_])
-            return _BatchedQuadratic(A, b, regs.pop())
-    return None
+def _stack(locals_):
+    """One vectorized batch for all locals.
+
+    A ShiftedFunction stacks as its base with regularization weight reg - c.
+    Raises InputError for locals that do not stack: mixed families, unequal
+    shard sizes or unequal regularization weights.
+    """
+    bases = [f.base if isinstance(f, ShiftedFunction) else f for f in locals_]
+    shifts = [f.c if isinstance(f, ShiftedFunction) else 0.0 for f in locals_]
+    families = {type(f) for f in bases}
+    if families not in ({LogisticFunction}, {QuadraticFunction}):
+        names = sorted(t.__name__ for t in families)
+        raise InputError(f"locals must be all logistic or all quadratic, got {names}")
+    regs = {f.reg - c for f, c in zip(bases, shifts)}
+    if len(regs) != 1:
+        raise InputError("locals must share one regularization weight")
+    if families == {QuadraticFunction}:
+        return _BatchedQuadratic(np.stack([f.A for f in bases]),
+                                 np.stack([f.b for f in bases]), regs.pop())
+    if len({f.shard.m for f in bases}) != 1:
+        raise InputError("logistic locals must have equal shard sizes")
+    return _BatchedLogistic(np.stack([f.shard.features for f in bases]),
+                            np.stack([f.shard.labels for f in bases]), regs.pop())
 
 
 @dataclass
@@ -311,7 +298,7 @@ class Problem:
     d: int
     L: float
     mu: float
-    _batch: object = field(default=None, repr=False)
+    _batch: object = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 < self.mu <= self.L):
@@ -323,8 +310,7 @@ class Problem:
         if self.shared_g.L > 0.0 or self.shared_g.mu > 0.0:
             if self.shared_g.L > self.L * (1 + 1e-12) or self.shared_g.mu < self.mu * (1 - 1e-12):
                 raise InputError("shared function violates the common (L, mu) constants")
-        if self._batch is None:
-            self._batch = _try_batch(self.locals)
+        self._batch = _stack(self.locals)
 
     @property
     def n(self):
@@ -336,12 +322,7 @@ class Problem:
 
     def grads_locals(self, X):
         """Per-client gradients.  X is (n, d) for distinct points or (d,) for a common one."""
-        X = np.asarray(X, dtype=np.float64)
-        if self._batch is not None:
-            return self._batch.grads(X)
-        if X.ndim == 1:
-            return np.stack([f.grad(X) for f in self.locals])
-        return np.stack([f.grad(X[i]) for i, f in enumerate(self.locals)])
+        return self._batch.grads(np.asarray(X, dtype=np.float64))
 
     def grad_g(self, y):
         return self.shared_g.grad(y)
@@ -349,9 +330,7 @@ class Problem:
     def value_mean(self, x):
         """(1/n) sum_i f_i(x) + g(x)."""
         x = np.asarray(x, dtype=np.float64)
-        if self._batch is not None:
-            return self._batch.mean_value(x) + self.shared_g.value(x)
-        return float(np.mean([f.value(x) for f in self.locals]) + self.shared_g.value(x))
+        return self._batch.mean_value(x) + self.shared_g.value(x)
 
     def grad_mean(self, x):
         return self.grads_locals(np.asarray(x, dtype=np.float64)).mean(axis=0) + self.grad_g(x)

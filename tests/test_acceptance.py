@@ -53,7 +53,7 @@ def quad_setup(quad_problem):
     params = alg.default_params(quad_problem.L, quad_problem.mu,
                                 spec.omega, spec.omega / quad_problem.n)
     tau = alg.rate_bound(params, quad_problem.L, quad_problem.mu)
-    return quad_problem, ref, [spec] * quad_problem.n, params, tau
+    return quad_problem, ref, spec, params, tau
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +116,12 @@ def _copy_state(state):
 
 def test_criterion_2_one_step_contraction(quad_setup):
     start = time.perf_counter()
-    problem, ref, specs, params, tau = quad_setup
+    problem, ref, spec, params, tau = quad_setup
     # reach a generic feasible non-optimal state first
     base = alg.LoCoDLState.zeros(problem.n, problem.d)
-    rng = alg.RngBundle.from_seed(1234, problem.n)
+    rng = alg.RngBundle.from_seed(1234)
     for _ in range(50):
-        alg.locodl_step(base, problem, specs, params, rng)
+        alg.locodl_step(base, problem, spec, params, rng)
     register_locodl_state("criterion2/warmup", base)
     psi0 = alg.lyapunov(base, ref, params)
     assert psi0 > 0.0
@@ -130,8 +130,8 @@ def test_criterion_2_one_step_contraction(quad_setup):
     total = 0.0
     for i in range(trials):
         state = _copy_state(base)
-        alg.locodl_step(state, problem, specs, params,
-                        alg.RngBundle.from_seed(100_000 + i, problem.n))
+        alg.locodl_step(state, problem, spec, params,
+                        alg.RngBundle.from_seed(100_000 + i))
         total += alg.lyapunov(state, ref, params)
     mean_psi1 = total / trials
     elapsed = time.perf_counter() - start
@@ -142,15 +142,15 @@ def test_criterion_2_one_step_contraction(quad_setup):
 
 def test_criterion_3_trajectory_bound(quad_setup):
     start = time.perf_counter()
-    problem, ref, specs, params, tau = quad_setup
+    problem, ref, spec, params, tau = quad_setup
     n_seeds = 20
     histories = []
     for seed in range(n_seeds):
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
-        rng = alg.RngBundle.from_seed(seed, problem.n)
+        rng = alg.RngBundle.from_seed(seed)
         psi = [alg.lyapunov(state, ref, params)]
         while psi[-1] > 1e-8 * psi[0]:
-            alg.locodl_step(state, problem, specs, params, rng)
+            alg.locodl_step(state, problem, spec, params, rng)
             psi.append(alg.lyapunov(state, ref, params))
         register_locodl_state(f"criterion3/seed{seed}", state)
         histories.append(np.array(psi))
@@ -229,9 +229,9 @@ def test_criterion_7_g_zero_reduction():
     spec = comp.make_spec("rand_k", d, n, k=2)
     params = alg.default_params(reduced.L, reduced.mu, spec.omega, spec.omega / n)
     state = alg.LoCoDLState.zeros(n, d)
-    bundle = alg.RngBundle.from_seed(7, n)
+    bundle = alg.RngBundle.from_seed(7)
     for _ in range(500_000):
-        alg.locodl_step(state, reduced, [spec] * n, params, bundle)
+        alg.locodl_step(state, reduced, spec, params, bundle)
         if float(np.max(np.sum((state.x - ref.x_star) ** 2, axis=1))) <= 1e-16:
             break
     register_locodl_state("criterion7", state)

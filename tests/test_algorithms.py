@@ -16,12 +16,12 @@ def identity_params(L, mu):
 
 @pytest.fixture(scope="module")
 def quad_setup(quad_problem):
-    """Problem, reference, rand-1 specs and default params for the 10x5 quadratic."""
+    """Problem, reference, rand-1 spec and default params for the 10x5 quadratic."""
     ref = harness.solve_reference(quad_problem)
     spec = make_spec("rand_k", quad_problem.d, quad_problem.n, k=1)
     params = alg.default_params(quad_problem.L, quad_problem.mu,
                                 spec.omega, spec.omega / quad_problem.n)
-    return quad_problem, ref, [spec] * quad_problem.n, params
+    return quad_problem, ref, spec, params
 
 
 class TestSchedules:
@@ -93,46 +93,46 @@ class TestLoCoDLStep:
         params = alg.AlgoParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(1, 3)
         state.x[0] = state.y = np.array([1.0, -2.0, 0.5])
-        specs = [make_spec("identity", 3)]
-        alg.locodl_step(state, problem, specs, params, alg.RngBundle.from_seed(0, 1))
+        spec = make_spec("identity", 3)
+        alg.locodl_step(state, problem, spec, params, alg.RngBundle.from_seed(0))
         assert np.allclose(state.x, 0.0)
         assert np.allclose(state.y, 0.0)
 
     def test_fixed_point_is_invariant(self, quad_setup):
-        problem, ref, specs, params = quad_setup
+        problem, ref, spec, params = quad_setup
         n = problem.n
         state = alg.LoCoDLState(np.tile(ref.x_star, (n, 1)), ref.x_star.copy(),
                                 ref.u_star.copy(), ref.v_star.copy())
-        rng = alg.RngBundle.from_seed(1, n)
+        rng = alg.RngBundle.from_seed(1)
         for _ in range(50):
-            alg.locodl_step(state, problem, specs, params, rng)
+            alg.locodl_step(state, problem, spec, params, rng)
         assert np.allclose(state.x, ref.x_star[None, :], atol=1e-10)
         assert np.allclose(state.y, ref.x_star, atol=1e-10)
         assert np.allclose(state.u, ref.u_star, atol=1e-10)
 
     def test_dual_feasibility_over_long_run(self, quad_setup):
-        problem, _, specs, params = quad_setup
+        problem, _, spec, params = quad_setup
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
-        rng = alg.RngBundle.from_seed(2, problem.n)
+        rng = alg.RngBundle.from_seed(2)
         for _ in range(1000):
-            alg.locodl_step(state, problem, specs, params, rng)
+            alg.locodl_step(state, problem, spec, params, rng)
         scale = 1.0 + float(np.max(np.abs(state.u)))
         assert state.max_dual_residual <= 1e-9 * scale
 
     def test_no_communication_keeps_duals_constant(self, quad_setup):
-        problem, _, specs, params = quad_setup
+        problem, _, spec, params = quad_setup
 
         class NeverHeads:
             def random(self):
                 return 1.0
 
-        rng = alg.RngBundle.from_seed(3, problem.n)
+        rng = alg.RngBundle.from_seed(3)
         rng.coin = NeverHeads()
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
         state.x += 1.0
         u0, v0 = state.u.copy(), state.v.copy()
         for _ in range(20):
-            alg.locodl_step(state, problem, specs, params, rng)
+            alg.locodl_step(state, problem, spec, params, rng)
         assert np.array_equal(state.u, u0)
         assert np.array_equal(state.v, v0)
         assert state.rounds == 0
@@ -140,45 +140,57 @@ class TestLoCoDLStep:
 
     def test_identity_round_reaches_consensus(self, quad_problem):
         n, d = quad_problem.n, quad_problem.d
-        specs = [make_spec("identity", d, n)] * n
+        spec = make_spec("identity", d, n)
         params = alg.AlgoParams(1.0 / quad_problem.L, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(n, d)
         state.x += np.random.default_rng(4).standard_normal((n, d))
-        alg.locodl_step(state, quad_problem, specs, params, alg.RngBundle.from_seed(4, n))
+        alg.locodl_step(state, quad_problem, spec, params, alg.RngBundle.from_seed(4))
         assert state.rounds == 1
         for i in range(n):
             assert np.allclose(state.x[i], state.y, atol=1e-12)
 
     def test_partial_participation_requires_rho_one(self, quad_setup):
-        problem, _, specs, params = quad_setup
+        problem, _, spec, params = quad_setup
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
         mask = np.array([True, False, True, True, False])
         with pytest.raises(ConfigurationError, match="rho"):
-            alg.locodl_step(state, problem, specs, params,
-                            alg.RngBundle.from_seed(5, problem.n), active=mask)
+            alg.locodl_step(state, problem, spec, params,
+                            alg.RngBundle.from_seed(5), active=mask)
 
     def test_partial_participation_keeps_feasibility(self, quad_problem):
         n, d = quad_problem.n, quad_problem.d
-        specs = [make_spec("identity", d, n)] * n
+        spec = make_spec("identity", d, n)
         params = alg.AlgoParams(1.0 / quad_problem.L, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(n, d)
-        rng = alg.RngBundle.from_seed(6, n)
+        rng = alg.RngBundle.from_seed(6)
         mask = np.array([True, True, False, True, False])
         for _ in range(200):
-            alg.locodl_step(state, quad_problem, specs, params, rng, active=mask)
+            alg.locodl_step(state, quad_problem, spec, params, rng, active=mask)
         scale = 1.0 + float(np.max(np.abs(state.u)))
         assert state.max_dual_residual <= 1e-9 * scale
 
+    def test_inactive_clients_send_zero_messages(self, quad_problem):
+        n, d = quad_problem.n, quad_problem.d
+        spec = make_spec("identity", d, n)
+        params = alg.AlgoParams(1.0 / quad_problem.L, 1.0, 1.0, 1.0, 0.0, 0.0)
+        state = alg.LoCoDLState.zeros(n, d)
+        state.x += 1.0
+        alg.locodl_step(state, quad_problem, spec, params, alg.RngBundle.from_seed(6),
+                        active=np.zeros(n, dtype=bool))
+        assert state.rounds == 1
+        assert np.array_equal(state.u, np.zeros((n, d)))
+        assert np.array_equal(state.v, np.zeros(d))
+
     def test_bits_accounting(self, quad_setup):
-        problem, _, specs, params = quad_setup
+        problem, _, spec, params = quad_setup
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
-        rng = alg.RngBundle.from_seed(7, problem.n)
+        rng = alg.RngBundle.from_seed(7)
         for _ in range(500):
-            alg.locodl_step(state, problem, specs, params, rng)
-        assert state.bits_uplink == state.rounds * specs[0].bits_per_message
+            alg.locodl_step(state, problem, spec, params, rng)
+        assert state.bits_uplink == state.rounds * spec.bits_per_message
 
     def test_rejects_invalid_params_before_running(self, quad_setup):
-        problem, _, specs, _ = quad_setup
+        problem, _, spec, _ = quad_setup
         bad = alg.AlgoParams(3.0 / problem.L, 1.0, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             alg.rate_bound(bad, problem.L, problem.mu)
@@ -199,11 +211,11 @@ class TestLyapunov:
         assert alg.lyapunov(state, ref, params) == pytest.approx(2.0)
 
     def test_nonnegative(self, quad_setup):
-        problem, ref, specs, params = quad_setup
+        problem, ref, spec, params = quad_setup
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
-        rng = alg.RngBundle.from_seed(8, problem.n)
+        rng = alg.RngBundle.from_seed(8)
         for _ in range(100):
-            alg.locodl_step(state, problem, specs, params, rng)
+            alg.locodl_step(state, problem, spec, params, rng)
             assert alg.lyapunov(state, ref, params) >= 0.0
 
 
@@ -252,37 +264,37 @@ class TestDiana:
 
     def test_identity_reduces_to_gd(self):
         problem = self._two_client_quadratic()
-        specs = [make_spec("identity", 4, 2)] * 2
+        spec = make_spec("identity", 4, 2)
         gamma = 0.5 / problem.L
         diana = alg.DianaState.zeros(2, 4)
         gd = alg.GDState.zeros(4)
-        rng = alg.RngBundle.from_seed(9, 2)
+        rng = alg.RngBundle.from_seed(9)
         for _ in range(100):
-            alg.diana_step(diana, problem, specs, gamma, rng)
+            alg.diana_step(diana, problem, spec, gamma, rng)
             alg.gd_step(gd, problem, gamma)
             assert np.allclose(diana.x, gd.x, atol=1e-12)
 
     def test_fixed_point_invariant(self):
         problem = self._two_client_quadratic()
         ref = harness.solve_reference(problem)
-        specs = [make_spec("rand_k", 4, 2, k=1)] * 2
+        spec = make_spec("rand_k", 4, 2, k=1)
         state = alg.DianaState(ref.x_star.copy(), ref.u_star.copy())
-        rng = alg.RngBundle.from_seed(10, 2)
+        rng = alg.RngBundle.from_seed(10)
         for _ in range(50):
-            alg.diana_step(state, problem, specs, alg.diana_gamma(problem.L, problem.mu, 3.0, 2), rng)
+            alg.diana_step(state, problem, spec, alg.diana_gamma(problem.L, problem.mu, 3.0, 2), rng)
         assert np.allclose(state.x, ref.x_star, atol=1e-10)
         assert np.allclose(state.h, ref.u_star, atol=1e-10)
 
     def test_linear_convergence_with_rand_one(self):
         problem = self._two_client_quadratic()
         ref = harness.solve_reference(problem)
-        specs = [make_spec("rand_k", 4, 2, k=1)] * 2
-        gamma = alg.diana_gamma(problem.L, problem.mu, specs[0].omega, 2)
+        spec = make_spec("rand_k", 4, 2, k=1)
+        gamma = alg.diana_gamma(problem.L, problem.mu, spec.omega, 2)
         state = alg.DianaState.zeros(2, 4)
-        rng = alg.RngBundle.from_seed(11, 2)
+        rng = alg.RngBundle.from_seed(11)
         log_err = []
         for t in range(10_000):
-            alg.diana_step(state, problem, specs, gamma, rng)
+            alg.diana_step(state, problem, spec, gamma, rng)
             if t % 100 == 0:
                 err = float(np.sum((state.x - ref.x_star) ** 2))
                 if err < 1e-24:
@@ -304,7 +316,7 @@ class TestScaffnew:
         problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 1.0, 0.5)
         scaff = alg.ScaffnewState.zeros(1, 2)
         gd = alg.GDState.zeros(2)
-        rng = alg.RngBundle.from_seed(12, 1)
+        rng = alg.RngBundle.from_seed(12)
         for _ in range(50):
             alg.scaffnew_step(scaff, problem, 1.0, 1.0, rng)
             alg.gd_step(gd, problem, 1.0)
@@ -317,7 +329,7 @@ class TestScaffnew:
         n = folded.n
         h_star = ref.u_star - ref.u_star.mean(axis=0)[None, :]
         state = alg.ScaffnewState(np.tile(ref.x_star, (n, 1)), h_star.copy())
-        rng = alg.RngBundle.from_seed(13, n)
+        rng = alg.RngBundle.from_seed(13)
         gamma = 1.0 / folded.L
         for _ in range(100):
             alg.scaffnew_step(state, folded, gamma, 0.3, rng)
@@ -338,7 +350,7 @@ class TestScaffnew:
         target = 1e-9 * float(np.sum(ref.x_star ** 2))
 
         state = alg.ScaffnewState.zeros(n, d)
-        rng = alg.RngBundle.from_seed(14, n)
+        rng = alg.RngBundle.from_seed(14)
         for _ in range(100_000):
             if float(np.mean(np.sum((state.x - ref.x_star) ** 2, axis=1))) <= target:
                 break
@@ -355,15 +367,17 @@ class TestScaffnew:
 
 class TestRngBundle:
     def test_deterministic_streams(self):
-        a = alg.RngBundle.from_seed(99, 3)
-        b = alg.RngBundle.from_seed(99, 3)
+        a = alg.RngBundle.from_seed(99)
+        b = alg.RngBundle.from_seed(99)
         assert a.coin.random() == b.coin.random()
         assert a.rounds.random() == b.rounds.random()
-        for ga, gb in zip(a.clients, b.clients):
-            assert ga.random() == gb.random()
 
     def test_streams_are_distinct(self):
-        bundle = alg.RngBundle.from_seed(100, 2)
-        draws = {bundle.coin.random(), bundle.rounds.random(),
-                 bundle.clients[0].random(), bundle.clients[1].random()}
-        assert len(draws) == 4
+        bundle = alg.RngBundle.from_seed(100)
+        assert bundle.coin.random() != bundle.rounds.random()
+
+    def test_streams_are_seed_sequence_children_0_and_1(self):
+        bundle = alg.RngBundle.from_seed(101)
+        children = np.random.SeedSequence(101).spawn(5)
+        assert bundle.coin.random() == np.random.default_rng(children[0]).random()
+        assert bundle.rounds.random() == np.random.default_rng(children[1]).random()

@@ -130,6 +130,23 @@ class TestSweep:
         assert any(ln.startswith("loco,slope") for ln in lines)
         assert "fitted log-log slope" in capsys.readouterr().out
 
+    def test_reference_is_solved_once_per_kappa(self, quad_config_path, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "two_blocks.ini"
+        path.write_text(QUAD_CONFIG + "\n[algo:plain]\nalgorithm = locodl\n"
+                        "compressor = identity\n")
+        calls = []
+        solve = harness.solve_reference
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem.kappa)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_reference", counting)
+        assert run_cli(["sweep", str(path), "--vary", "kappa=20,60,200",
+                        "--out", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 3
+
     def test_empty_vary_exits_2(self, quad_config_path):
         assert run_cli(["sweep", quad_config_path, "--vary", "kappa="]) == cli.EXIT_INPUT
 

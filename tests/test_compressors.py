@@ -25,15 +25,14 @@ class TestSpecs:
     def test_omega_av_is_omega_over_n(self):
         spec = comp.make_spec("rand_k", 50, n=25, k=2)
         assert spec.omega_av == pytest.approx(spec.omega / 25)
-        assert comp.omega_av(spec, 5) == pytest.approx(spec.omega / 5)
         assert comp.make_spec("identity", 7, n=3).omega_av == 0.0
 
     def test_bit_costs(self):
-        assert comp.bit_cost(comp.make_spec("rand_k", 122, k=2)) == 78
-        assert comp.bit_cost(comp.make_spec("l1_selection", 122)) == 39
-        assert comp.bit_cost(comp.make_spec("natural", 8)) == 72
-        assert comp.bit_cost(comp.make_spec("identity", 122)) == 32 * 122
-        assert comp.bit_cost(comp.make_spec("rand_k_natural", 122, k=2)) == 9 * 2 + 2 * 7
+        assert comp.make_spec("rand_k", 122, k=2).bits_per_message == 78
+        assert comp.make_spec("l1_selection", 122).bits_per_message == 39
+        assert comp.make_spec("natural", 8).bits_per_message == 72
+        assert comp.make_spec("identity", 122).bits_per_message == 32 * 122
+        assert comp.make_spec("rand_k_natural", 122, k=2).bits_per_message == 9 * 2 + 2 * 7
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InputError):
@@ -178,31 +177,22 @@ class TestVarianceRatio:
             comp.empirical_variance_ratio(spec, np.ones(3), 0, rng_())
 
 
-class TestFloydSample:
-    def test_returns_sorted_distinct_subset(self):
-        r = rng_(10)
-        for _ in range(200):
-            d = int(r.integers(1, 20))
-            k = int(r.integers(1, d + 1))
-            s = comp.floyd_sample(r, d, k)
-            assert len(s) == k
-            assert len(set(s.tolist())) == k
-            assert np.all((0 <= s) & (s < d))
-            assert np.all(np.diff(s) > 0)
-
-    def test_roughly_uniform_inclusion(self):
-        r = rng_(11)
-        counts = np.zeros(6)
-        trials = 30_000
-        for _ in range(trials):
-            counts[comp.floyd_sample(r, 6, 2)] += 1
-        assert np.allclose(counts / trials, 2.0 / 6.0, atol=0.02)
+KINDS_AND_K = [("identity", None), ("rand_k", 2), ("natural", None),
+               ("rand_k_natural", 2), ("l1_selection", None)]
 
 
 class TestCompressRound:
-    @pytest.mark.parametrize("kind,k", [("identity", None), ("rand_k", 2),
-                                        ("natural", None), ("rand_k_natural", 2),
-                                        ("l1_selection", None)])
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
+    def test_compress_is_row_zero_of_a_one_client_round(self, kind, k):
+        spec = comp.make_spec(kind, 10, k=k)
+        x = rng_(16).standard_normal(10)
+        msg = comp.compress(spec, x, rng_(17))
+        payload, sat = comp.compress_round(spec, x[None], rng_(17))
+        assert np.array_equal(msg.payload, payload[0])
+        assert msg.bits == spec.bits_per_message
+        assert msg.saturated == bool(sat)
+
+    @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_unbiased_and_structured(self, kind, k):
         n, d = 6, 10
         spec = comp.make_spec(kind, d, n=n, k=k)
@@ -244,6 +234,15 @@ class TestCompressRound:
         X = np.array([[2.0 ** 200, 1.0], [1.0, 1.0]])
         _, sat = comp.compress_round(spec, X, rng_(0))
         assert sat > 0
+
+    @pytest.mark.parametrize("kind,k", [("natural", None), ("rand_k_natural", 2)])
+    def test_saturation_counts_clients(self, kind, k):
+        # k = d keeps every coordinate, so only client 0's message saturates
+        spec = comp.make_spec(kind, 2, n=3, k=k)
+        X = np.array([[2.0 ** 200, 2.0 ** 200], [1.0, 3.0], [-2.0, 0.5]])
+        for seed in range(5):
+            _, sat = comp.compress_round(spec, X, rng_(seed))
+            assert sat == 1
 
     def test_rejects_non_finite(self):
         spec = comp.make_spec("identity", 2, n=2)

@@ -183,6 +183,19 @@ class TestReduceGZero:
         with pytest.raises(InputError):
             obj.reduce_g_zero(self._locals(), 0.0)
 
+    def test_quadratic_reduction_is_batched(self):
+        locals_ = self._locals()
+        mu = min(f.mu for f in locals_)
+        reduced = obj.reduce_g_zero(locals_, mu)
+        assert isinstance(reduced._batch, obj._BatchedQuadratic)
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((len(locals_), 3))
+        manual = np.stack([f.grad(X[i]) for i, f in enumerate(reduced.locals)])
+        assert np.allclose(reduced.grads_locals(X), manual, atol=1e-12)
+        x = X[0]
+        manual = np.stack([f.grad(x) for f in reduced.locals])
+        assert np.allclose(reduced.grads_locals(x), manual, atol=1e-12)
+
     def test_preserves_minimizer(self):
         locals_ = self._locals()
         mu = min(f.mu for f in locals_)
@@ -198,6 +211,21 @@ class TestProblem:
         f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)   # L = mu = 1
         with pytest.raises(InputError):
             obj.Problem([f], obj.ScaledNormFunction(0.1), 2, 0.5, 0.1)
+
+    def test_rejects_locals_that_do_not_stack(self):
+        rng = np.random.default_rng(33)
+        quad = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.1)
+        logistic = obj.LogisticFunction(obj.Shard(rng.standard_normal((4, 3)),
+                                                  [1.0, -1.0, 1.0, -1.0]), 0.1)
+        short = obj.LogisticFunction(obj.Shard(rng.standard_normal((2, 3)), [1.0, -1.0]), 0.1)
+        other_reg = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.2)
+        g = obj.ScaledNormFunction(0.0)
+        with pytest.raises(InputError, match="all logistic or all quadratic"):
+            obj.Problem([quad, logistic], g, 3, 10.0, 0.1)
+        with pytest.raises(InputError, match="shard sizes"):
+            obj.Problem([logistic, short], g, 3, 10.0, 0.1)
+        with pytest.raises(InputError, match="regularization weight"):
+            obj.Problem([quad, other_reg], g, 3, 10.0, 0.1)
 
     def test_kappa(self, quad_problem):
         assert quad_problem.kappa == pytest.approx(100.0)
