@@ -126,6 +126,7 @@ class ReferenceSolution:
     u_star: np.ndarray   # (n, d), gradient of each local at x_star
     v_star: np.ndarray
     f_star: float
+    grad_norm: float     # ||grad f(x_star)||, the accuracy the solve reached
 
 
 def locodl_step(state, problem, spec, params, rng, active=None):

@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from . import harness
-from .compressors import KINDS, compress, make_spec
+from . import compressors, harness
+from .compressors import KINDS, compress_round, make_spec
 from .errors import ConfigurationError, ConvergenceError, InputError
 
 EXIT_OK = 0
@@ -30,6 +30,10 @@ EXIT_CONFIG = 3
 EXIT_CONVERGENCE = 4
 
 OUT_ENV_VAR = "LOCODL_OUT"
+CERTIFY_BATCH = 500     # trials compressed per round
+
+# perfbench's layer tracer wraps `cli.compress`; certify itself batches through compress_round
+compress = compressors.compress
 
 
 def _parse_seeds(text):
@@ -37,6 +41,23 @@ def _parse_seeds(text):
         return tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise InputError(f"bad seed list {text!r}") from None
+
+
+def _value(section, key, convert, default=None):
+    """section[key] through `convert`, or `default` if absent (None: the key is required).
+
+    Raises InputError naming the section and key when the key is missing or
+    its value does not convert.
+    """
+    if key not in section:
+        if default is None:
+            raise InputError(f"[{section.name}] is missing key {key!r}")
+        return default
+    try:
+        return convert(section[key])
+    except (ValueError, OverflowError):
+        raise InputError(f"[{section.name}] {key} = {section[key]!r} is not a valid value") \
+            from None
 
 
 def load_config(path, seeds_override=None):
@@ -47,47 +68,50 @@ def load_config(path, seeds_override=None):
     parser.read(path)
     if "problem" not in parser:
         raise InputError("config needs a [problem] section")
+    if "run" not in parser:
+        parser.add_section("run")
 
-    prob = dict(parser["problem"])
+    prob = parser["problem"]
     source = prob.get("source")
     if source not in ("quadratic", "libsvm", "dirichlet"):
         raise InputError(f"unknown problem source {source!r}")
     problem = {"source": source}
     if source == "libsvm":
-        problem["path"] = prob["path"]
+        problem["path"] = _value(prob, "path", str)
         if not os.path.exists(problem["path"]):
             raise InputError(f"dataset file not found: {problem['path']}")
     else:
-        problem["d"] = int(prob["d"])
+        problem["d"] = _value(prob, "d", int)
     if source == "dirichlet":
-        problem["alpha"] = float(prob.get("alpha", 1.0))
+        problem["alpha"] = _value(prob, "alpha", float, 1.0)
 
-    run = dict(parser["run"]) if "run" in parser else {}
-    seeds = seeds_override or _parse_seeds(run.get("seeds", "0"))
+    run = parser["run"]
+    common = dict(
+        problem=problem,
+        n=_value(prob, "n", int),
+        kappa=_value(prob, "kappa", float, 100.0),
+        seeds=seeds_override or _parse_seeds(run.get("seeds", "0")),
+        stop_metric=run.get("stop_metric", "psi"),
+        stop_ratio=_value(run, "stop_ratio", float, 1e-8),
+        max_iters=_value(run, "max_iters", lambda text: int(float(text)), 10_000_000),
+        cadence=_value(run, "cadence", int, 100),
+        round_cadence=_value(run, "round_cadence", int, 1),
+        data_seed=_value(prob, "data_seed", int, 0),
+    )
 
     configs = []
     for section in parser.sections():
         if not section.startswith("algo:"):
             continue
-        a = dict(parser[section])
-        overrides = {key: float(a[key]) for key in ("gamma", "chi", "rho", "p") if key in a}
-        k = int(a["k"]) if "k" in a else None
+        a = parser[section]
         configs.append(harness.ExperimentConfig(
-            problem=problem,
-            n=int(prob["n"]),
-            kappa=float(prob.get("kappa", 100.0)),
             algorithm=a.get("algorithm", "locodl"),
             compressor=a.get("compressor", "identity"),
-            k=k,
-            seeds=seeds,
-            stop_metric=run.get("stop_metric", "psi"),
-            stop_ratio=float(run.get("stop_ratio", 1e-8)),
-            max_iters=int(float(run.get("max_iters", 10_000_000))),
-            cadence=int(run.get("cadence", 100)),
-            round_cadence=int(run.get("round_cadence", 1)),
-            overrides=overrides,
-            data_seed=int(prob.get("data_seed", 0)),
+            k=_value(a, "k", int) if "k" in a else None,
+            overrides={key: _value(a, key, float) for key in ("gamma", "chi", "rho", "p")
+                       if key in a},
             label=section.split(":", 1)[1],
+            **common,
         ))
     if not configs:
         raise InputError("config needs at least one [algo:<label>] section")
@@ -197,12 +221,13 @@ def cmd_certify(args):
     total = np.zeros(args.d)
     total_sq = np.zeros(args.d)
     err_sum = 0.0
-    for _ in range(args.trials):
-        payload = compress(spec, x, rng).payload
-        total += payload
-        total_sq += payload * payload
-        diff = payload - x
-        err_sum += float(diff @ diff)
+    for start in range(0, args.trials, CERTIFY_BATCH):
+        X = np.tile(x, (min(CERTIFY_BATCH, args.trials - start), 1))
+        payload, _ = compress_round(spec, X, rng)
+        total += payload.sum(axis=0)
+        total_sq += (payload * payload).sum(axis=0)
+        diff = payload - X
+        err_sum += float(np.sum(diff * diff))
     mean = total / args.trials
     var = np.maximum(total_sq / args.trials - mean * mean, 0.0)
     se = np.sqrt(var / args.trials)

@@ -26,41 +26,54 @@ CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
                "t", "rounds", "bits_per_client", "sqdist_mean", "sqdist_ybar",
                "obj_gap", "lyapunov"]
 
-REFERENCE_ITER_CAP = 10_000_000
+NEWTON_ITER_CAP = 50
+ARMIJO_C = 1e-4
+ARMIJO_MIN_STEP = 1e-12
 
 
 def solve_reference(problem, tol=1e-12):
-    """Gradient descent on the full objective down to gradient norm tol * mu * (1 + ||x||).
+    """Damped Newton on the full objective, from x = 0.
 
-    If the target is below the float64 floor, the solve stops once the gradient
-    norm stagnates and returns the best iterate found (the numerical optimum).
+    Each iteration takes the full Newton step, halved until the Armijo
+    condition holds, so a quadratic reaches its closed form in one step.
+    The solve stops once ||grad f(x)|| <= tol * mu * (1 + ||x||) or a full
+    Newton step is no longer than tol * (1 + ||x||).  Both rules bound
+    ||x - x*|| by tol * (1 + ||x||); the step rule is the one float64 can
+    still meet when rounding in the gradient exceeds the gradient rule
+    (ill-conditioned quadratics).  Raises ConvergenceError when
+    NEWTON_ITER_CAP steps meet neither rule or a line search finds no
+    decrease.
     """
     if problem.mu <= 0:
         raise InputError("reference solve needs a strongly convex problem")
-    gamma = 1.0 / problem.L
     x = np.zeros(problem.d)
-    threshold_scale = tol * problem.mu
-    best_gnorm = np.inf
-    best_x = x
-    stalled = 0
-    for _ in range(REFERENCE_ITER_CAP):
+    f = problem.value_mean(x)
+    for steps in range(NEWTON_ITER_CAP + 1):
         g = problem.grad_mean(x)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= threshold_scale * (1.0 + float(np.linalg.norm(x))):
+        scale = tol * (1.0 + float(np.linalg.norm(x)))
+        if gnorm <= problem.mu * scale:
             break
-        if gnorm < 0.999 * best_gnorm:
-            best_gnorm, best_x, stalled = gnorm, x, 0
-        else:
-            stalled += 1
-            if stalled >= 2000:   # no relative progress: at the float64 floor
-                x = best_x
-                break
-        x = x - gamma * g
-    else:
-        raise ConvergenceError(
-            f"reference solver hit {REFERENCE_ITER_CAP} iterations; residual {gnorm:.3e}")
+        if steps == NEWTON_ITER_CAP:
+            raise ConvergenceError(f"reference solver hit {NEWTON_ITER_CAP} Newton steps; "
+                                   f"gradient norm {gnorm:.3e}")
+        step = np.linalg.solve(problem.hessian_mean(x), -g)
+        slope = ARMIJO_C * float(g @ step)      # < 0: the required decrease per unit step
+        # f is known to a few ulps only; near x* the test must not fail on rounding
+        slack = 8.0 * np.finfo(np.float64).eps * abs(f)
+        t = 1.0
+        while not (f_new := problem.value_mean(x + t * step)) <= f + t * slope + slack:
+            t *= 0.5
+            if t < ARMIJO_MIN_STEP:
+                raise ConvergenceError(f"reference line search found no decrease; "
+                                       f"gradient norm {gnorm:.3e}")
+        x, f = x + t * step, f_new
+        if t == 1.0 and float(np.linalg.norm(step)) <= scale:
+            break
     u_star = problem.grads_locals(x)
-    return alg.ReferenceSolution(x, u_star, problem.grad_g(x), problem.value_mean(x))
+    v_star = problem.grad_g(x)
+    grad_norm = float(np.linalg.norm(u_star.mean(axis=0) + v_star))
+    return alg.ReferenceSolution(x, u_star, v_star, f, grad_norm)
 
 
 @dataclass
@@ -250,7 +263,8 @@ def run_single(config, problem, baseline, ref, seed):
             "n": config.n, "d": problem.d, "kappa": problem.kappa,
             "compressor": _compressor_name(config), "seed": seed}
     extra = {"config_hash": config.content_hash(), "stop_metric": config.stop_metric,
-             "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin"}
+             "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin",
+             "reference_grad_norm": ref.grad_norm}
     objective, state, step, observe = _stepper(config, problem, baseline, ref, spec,
                                                alg.RngBundle.from_seed(seed), extra)
     rec = _Recorder(config, meta, ref, objective)
@@ -264,8 +278,12 @@ def run_single(config, problem, baseline, ref, seed):
         if (new_round and state.rounds % config.round_cadence == 0) \
                 or state.t % config.cadence == 0:
             rec.record(state.t, state.rounds, state.bits_uplink, *observe())
-            if _stop_value(rec, config.stop_metric) <= config.stop_ratio * initial:
+            value = _stop_value(rec, config.stop_metric)
+            if value <= config.stop_ratio * initial:
                 break
+            if not np.isfinite(value):
+                raise ConvergenceError(f"{config.algorithm} run diverged: stop metric "
+                                       f"{config.stop_metric} is {value} at iteration {state.t}")
     if config.algorithm == "locodl":
         extra.update(max_dual_residual=state.max_dual_residual,
                      max_dual_scale=float(np.max(np.abs(state.u))) if state.u.size else 0.0,

@@ -17,9 +17,6 @@ from scipy.special import expit
 
 from .errors import InputError
 
-POWER_ITER_TOL = 1e-8
-POWER_ITER_MAX = 10_000
-
 
 def _as_2d(a):
     a = np.asarray(a, dtype=np.float64)
@@ -54,24 +51,10 @@ class Shard:
         return self.features.shape[1]
 
 
-def max_eigenvalue_gram(features, tol=POWER_ITER_TOL, max_iter=POWER_ITER_MAX):
-    """Largest eigenvalue of A^T A by power iteration on the d x d Gram matrix."""
+def max_eigenvalue_gram(features):
+    """Largest eigenvalue of A^T A, computed exactly from the d x d Gram matrix."""
     a = _as_2d(features)
-    gram = a.T @ a
-    d = gram.shape[0]
-    v = np.full(d, 1.0 / np.sqrt(d))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v_next = w / norm
-        lam_next = float(v_next @ (gram @ v_next))
-        if abs(lam_next - lam) <= tol * max(lam_next, 1e-300):
-            return lam_next
-        v, lam = v_next, lam_next
-    return lam
+    return float(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
 def logistic_loss(x, shard, mu):
@@ -239,6 +222,27 @@ class _BatchedLogistic:
             g = np.matmul(c[:, None, :], self.A)[:, 0, :]
         return g + self.reg * X
 
+    def hessian_mean(self, x):
+        """Hessian of `mean_value` at a common (d,) point, as a dense (d, d) array.
+
+        Every client's rows share one d-dimensional space, so the Hessian is
+        built from the features as one flat (n*m, d) matrix; sparse data reuse
+        the block's CSR arrays with column indices taken modulo d.
+        """
+        margins = self._margins(x).ravel()
+        w = expit(margins) * expit(-margins) / (self.n * self.m)
+        if self._block is not None:
+            from scipy import sparse
+            block = self._block
+            flat = sparse.csr_matrix((block.data, block.indices % self.d, block.indptr),
+                                     shape=(self.n * self.m, self.d))
+            H = (flat.T @ flat.multiply(w[:, None])).toarray()
+        else:
+            flat = self.A.reshape(-1, self.d)
+            H = (flat.T * w) @ flat
+        H[np.diag_indices(self.d)] += self.reg
+        return H
+
     def mean_value(self, x):
         margins = self._margins(x).ravel()
         loss = float(np.mean(np.logaddexp(0.0, -self.b.ravel() * margins)))
@@ -257,6 +261,12 @@ class _BatchedQuadratic:
         if X.ndim == 1:
             return np.matmul(self.A, X) - self.b + self.reg * X[None, :]
         return np.matmul(self.A, X[:, :, None])[:, :, 0] - self.b + self.reg * X
+
+    def hessian_mean(self, x):
+        """Hessian of `mean_value`, the same at every point."""
+        H = self.A.mean(axis=0)
+        H[np.diag_indices_from(H)] += self.reg
+        return H
 
     def mean_value(self, x):
         A_bar = self.A.mean(axis=0)
@@ -335,6 +345,14 @@ class Problem:
     def grad_mean(self, x):
         return self.grads_locals(np.asarray(x, dtype=np.float64)).mean(axis=0) + self.grad_g(x)
 
+    def hessian_mean(self, x):
+        """Hessian of `value_mean` at x; the shared function must be a squared norm."""
+        if not isinstance(self.shared_g, ScaledNormFunction):
+            raise InputError("the Hessian needs a squared-norm shared function")
+        H = self._batch.hessian_mean(np.asarray(x, dtype=np.float64))
+        H[np.diag_indices(self.d)] += self.shared_g.c
+        return H
+
 
 def logistic_problem(shards, mu, L=None):
     """Problem with f_i = logistic_i + (mu/2)||.||^2 and g = (mu/2)||.||^2.
@@ -411,13 +429,3 @@ def random_quadratic_problem(d, n, kappa, rng, g_coeff=None):
     c = mu if g_coeff is None else g_coeff
     prob = Problem(locals_, ScaledNormFunction(c), d, 1.0, mu)
     return prob
-
-
-def quadratic_minimizer(problem):
-    """Closed-form x* for a problem whose locals are all QuadraticFunction."""
-    A = np.mean([f.A for f in problem.locals], axis=0)
-    b = np.mean([f.b for f in problem.locals], axis=0)
-    reg = problem.locals[0].reg
-    if isinstance(problem.shared_g, ScaledNormFunction):
-        reg = reg + problem.shared_g.c
-    return np.linalg.solve(A + reg * np.eye(problem.d), b)

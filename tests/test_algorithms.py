@@ -204,7 +204,7 @@ class TestLyapunov:
         assert alg.lyapunov(state, ref, params) == pytest.approx(0.0, abs=1e-20)
 
     def test_hand_computed_value(self):
-        ref = alg.ReferenceSolution(np.zeros(2), np.zeros((1, 2)), np.zeros(2), 0.0)
+        ref = alg.ReferenceSolution(np.zeros(2), np.zeros((1, 2)), np.zeros(2), 0.0, 0.0)
         params = alg.AlgoParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]),
                                 np.zeros((1, 2)), np.zeros(2))

@@ -59,6 +59,16 @@ class TestLoadConfig:
         path.write_text("[problem]\nsource = quadratic\nd = 4\nn = 2\n[run]\n")
         assert run_cli(["run", str(path)]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("problem, message", [
+        ("source = quadratic\nd = 4\n", "[problem] is missing key 'n'"),
+        ("source = quadratic\nd = five\nn = 2\n", "[problem] d = 'five' is not a valid value"),
+    ])
+    def test_bad_key_exits_2_and_names_it(self, tmp_path, capsys, problem, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[problem]\n{problem}[algo:a]\n")
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     def test_unknown_source(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nsource = mnist\nd = 4\nn = 2\n[algo:a]\n")
@@ -90,6 +100,18 @@ class TestRun:
         assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "2*rho - rho^2*(1+omega_av) - chi >= 0" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the iterates overflow by design
+    @pytest.mark.parametrize("algo", ["algorithm = gd\n",
+                                      "algorithm = diana\ncompressor = rand_k\nk = 2\n"])
+    def test_diverging_run_exits_4(self, tmp_path, capsys, algo):
+        path = tmp_path / "diverge.ini"
+        path.write_text(QUAD_CONFIG.replace("stop_metric = psi", "stop_metric = sqdist")
+                        .replace("algorithm = locodl\ncompressor = rand_k\nk = 2\n",
+                                 algo + "gamma = 5\n"))
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_CONVERGENCE
+        assert "diverged" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, quad_config_path, tmp_path, monkeypatch):
         target = tmp_path / "envout"

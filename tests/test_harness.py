@@ -18,6 +18,18 @@ def quad_config(**overrides):
     return harness.ExperimentConfig(**fields)
 
 
+def logistic_problem(sparse):
+    rng = np.random.default_rng(61)
+    n, m, d = 6, 120, 100   # n*m*d > 2^16, so sparse features take the sparse path
+    shards = []
+    for _ in range(n):
+        feats = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
+        shards.append(obj.Shard(feats, np.where(rng.random(m) < 0.5, -1.0, 1.0)))
+    problem = obj.logistic_problem(shards, 0.05)
+    assert (problem._batch._block is not None) == sparse
+    return problem
+
+
 @pytest.fixture(scope="module")
 def quad_run():
     config = quad_config()
@@ -54,6 +66,45 @@ class TestSolveReference:
         b = trace2.array("sqdist_mean")
         mask = a > 1e-20
         assert np.all(np.abs(a[mask] - b[mask]) <= 0.01 * a[mask] + 1e-20)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_newton_matches_long_gradient_descent(self, sparse):
+        problem = logistic_problem(sparse)
+        x = np.zeros(problem.d)
+        for _ in range(2000):
+            x = x - problem.grad_mean(x) / problem.L
+        assert np.linalg.norm(problem.grad_mean(x)) <= 1e-15
+        ref = harness.solve_reference(problem)
+        assert np.allclose(ref.x_star, x, rtol=0, atol=1e-14)
+        assert ref.f_star == problem.value_mean(ref.x_star)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_grad_norm_is_within_tolerance(self, sparse):
+        problem = logistic_problem(sparse)
+        for tol in (1e-12, 1e-6):
+            ref = harness.solve_reference(problem, tol=tol)
+            assert ref.grad_norm == np.linalg.norm(problem.grad_mean(ref.x_star))
+            assert ref.grad_norm <= tol * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
+
+    def test_grad_norm_is_written_to_metadata(self, quad_run):
+        _, problem, _, ref, trace = quad_run
+        assert trace.metadata["reference_grad_norm"] == ref.grad_norm
+        assert ref.grad_norm <= 1e-12 * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
+
+    def test_ill_conditioned_quadratic_stops_on_the_newton_step(self):
+        # float64 rounding in the gradient (~2.5e-16) exceeds tol * mu * (1 + ||x||) here
+        problem, _, _ = harness.build_problem(
+            quad_config(problem={"source": "quadratic", "d": 50}, n=10, kappa=3e4, data_seed=0))
+        ref = harness.solve_reference(problem)
+        assert ref.grad_norm > 1e-12 * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
+        A = np.mean([f.A for f in problem.locals], axis=0) + problem.shared_g.c * np.eye(50)
+        b = np.mean([f.b for f in problem.locals], axis=0)
+        assert np.allclose(ref.x_star, np.linalg.solve(A, b), rtol=1e-14, atol=0)
+
+    def test_newton_step_cap_raises(self):
+        # tol = 0 is below the float64 floor, so the solve runs into the cap
+        with pytest.raises(ConvergenceError, match=f"{harness.NEWTON_ITER_CAP} Newton steps"):
+            harness.solve_reference(logistic_problem(sparse=False), tol=0.0)
 
     def test_rejects_non_strongly_convex(self):
         f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)

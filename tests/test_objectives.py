@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from locodl import harness
 from locodl import objectives as obj
 from locodl.errors import InputError
 
@@ -70,12 +71,11 @@ class TestSmoothness:
         shard = obj.Shard(np.zeros((2, 3)), [1.0, -1.0])
         assert obj.logistic_smoothness(shard, 0.7) == pytest.approx(0.7)
 
-    def test_power_iteration_matches_eigvalsh(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((9, 6))
-        lam = obj.max_eigenvalue_gram(a)
-        exact = np.linalg.eigvalsh(a.T @ a)[-1]
-        assert lam == pytest.approx(exact, rel=1e-6)
+    def test_max_eigenvalue_is_exact(self):
+        # close top eigenvalues: an iterative estimate would stop below lambda_max
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        a = np.sqrt([3.0, 2.9, 1.0])[:, None] * q.T     # a^T a = q diag(3, 2.9, 1) q^T
+        assert obj.max_eigenvalue_gram(a) == pytest.approx(3.0, rel=1e-14)
 
 
 class TestRegularizationForKappa:
@@ -227,6 +227,12 @@ class TestProblem:
         with pytest.raises(InputError, match="regularization weight"):
             obj.Problem([quad, other_reg], g, 3, 10.0, 0.1)
 
+    def test_hessian_needs_a_squared_norm_shared_function(self):
+        f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
+        problem = obj.Problem([f], obj.QuadraticFunction(np.eye(2), np.ones(2), 0.0), 2, 1.0, 1.0)
+        with pytest.raises(InputError, match="squared-norm"):
+            problem.hessian_mean(np.zeros(2))
+
     def test_kappa(self, quad_problem):
         assert quad_problem.kappa == pytest.approx(100.0)
 
@@ -277,6 +283,16 @@ class TestBatchedLogistic:
         direct = np.mean([f.value(x) for f in problem.locals]) + problem.shared_g.value(x)
         assert problem.value_mean(x) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_hessian_matches_finite_differences(self, sparse):
+        problem = self._problem(sparse)
+        x = np.random.default_rng(43).standard_normal(problem.d) / 10.0
+        h = 1e-6
+        columns = [(problem.grad_mean(x + h * e(j, problem.d))
+                    - problem.grad_mean(x - h * e(j, problem.d))) / (2.0 * h)
+                   for j in range(problem.d)]
+        assert np.allclose(problem.hessian_mean(x), np.stack(columns, axis=1), atol=1e-7)
+
     def test_sparse_path_is_active_for_sparse_data(self):
         problem = self._problem(sparse=True)
         assert problem._batch._block is not None
@@ -311,8 +327,21 @@ class TestQuadraticHelpers:
         assert np.allclose(f.grad(f.minimizer()), 0.0)
 
     def test_quadratic_minimizer_of_problem(self, quad_problem):
-        x_star = obj.quadratic_minimizer(quad_problem)
+        x_star = harness.solve_reference(quad_problem).x_star
         assert np.linalg.norm(quad_problem.grad_mean(x_star)) <= 1e-10
+        A = np.mean([f.A for f in quad_problem.locals], axis=0)
+        b = np.mean([f.b for f in quad_problem.locals], axis=0)
+        closed_form = np.linalg.solve(A + quad_problem.shared_g.c * np.eye(quad_problem.d), b)
+        assert np.allclose(x_star, closed_form, rtol=1e-12, atol=1e-12)
+
+    def test_quadratic_hessian(self, quad_problem):
+        A = np.mean([f.A for f in quad_problem.locals], axis=0)
+        x = np.ones(quad_problem.d)
+        expected = A + quad_problem.shared_g.c * np.eye(quad_problem.d)
+        assert np.allclose(quad_problem.hessian_mean(x), expected, rtol=0, atol=1e-15)
+        # the reduction moves mu/2 between the locals and g; the sum is unchanged
+        reduced = obj.reduce_g_zero(quad_problem.locals, quad_problem.mu)
+        assert np.allclose(reduced.hessian_mean(x), A, rtol=0, atol=1e-15)
 
     def test_random_problem_constants(self, quad_problem):
         assert quad_problem.L == pytest.approx(1.0)
