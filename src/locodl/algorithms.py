@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,13 @@ class ReferenceSolution:
     f_star: float
     grad_norm: float     # ||grad f(x_star)||, the accuracy the solve reached
 
+    @cached_property
+    def stacked(self):
+        """(x*; u*) as one (2n, d) array and (x*; v*) as one (2d,) array, for `lyapunov`."""
+        n = self.u_star.shape[0]
+        return (np.concatenate((np.tile(self.x_star, (n, 1)), self.u_star)),
+                np.concatenate((self.x_star, self.v_star)))
+
 
 def locodl_step(state, problem, spec, params, rng, active=None):
     """One iteration; mutates and returns `state`.
@@ -169,10 +177,17 @@ def lyapunov(state, ref, params, omega=None):
     """Weighted squared distance of (x, y, u, v) to the saddle point."""
     omega = params.omega if omega is None else omega
     n = state.n
-    primal = float(np.sum((state.x - ref.x_star[None, :]) ** 2)) \
-        + n * float(np.sum((state.y - ref.x_star) ** 2))
-    dual = float(np.sum((state.u - ref.u_star) ** 2)) \
-        + n * float(np.sum((state.v - ref.v_star) ** 2))
+    # one subtract, square and sum for (x; u) and one for (y; v): each row sum of
+    # the (2, size) view is the same pairwise sum as that block's own sum
+    xu_star, yv_star = ref.stacked
+    xu = np.concatenate((state.x, state.u)) - xu_star
+    xu *= xu
+    yv = np.concatenate((state.y, state.v)) - yv_star
+    yv *= yv
+    sq_x, sq_u = np.add.reduce(xu.reshape(2, -1), 1).tolist()
+    sq_y, sq_v = np.add.reduce(yv.reshape(2, -1), 1).tolist()
+    primal = sq_x + n * sq_y
+    dual = sq_u + n * sq_v
     return primal / params.gamma \
         + params.gamma * (1.0 + 2.0 * omega) / (params.p ** 2 * params.chi) * dual
 

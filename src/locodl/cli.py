@@ -53,11 +53,15 @@ def _value(section, key, convert, default=None):
         if default is None:
             raise InputError(f"[{section.name}] is missing key {key!r}")
         return default
+    return _convert(f"[{section.name}] {key}", section[key], convert)
+
+
+def _convert(where, text, convert):
+    """convert(text); raises InputError naming `where` when the text does not convert."""
     try:
-        return convert(section[key])
+        return convert(text)
     except (ValueError, OverflowError):
-        raise InputError(f"[{section.name}] {key} = {section[key]!r} is not a valid value") \
-            from None
+        raise InputError(f"{where} = {text!r} is not a valid value") from None
 
 
 def load_config(path, seeds_override=None):
@@ -164,44 +168,41 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    key, _, values = args.vary.partition("=")
-    values = [v for v in values.split(",") if v.strip()]
-    if not values or key not in ("kappa", "n"):
+    key, _, texts = args.vary.partition("=")
+    texts = [v for v in texts.split(",") if v.strip()]
+    if not texts or key not in ("kappa", "n"):
         raise InputError("--vary must look like kappa=1e2,1e3,1e4 or n=6,37,73")
+    convert = float if key == "kappa" else int
+    values = [(text, _convert(f"--vary {key}", text, convert)) for text in texts]
     base_configs, config_out = load_config(args.config)
     out_dir = _out_dir(args.out, config_out)
 
     summary = []
     bits_by_label = {}
     cache = {}
-    for value in values:
+    for text, value in values:
         for base in base_configs:
-            fields = dict(base.__dict__)
-            if key == "kappa":
-                fields["kappa"] = float(value)
-            else:
-                fields["n"] = int(value)
-            config = harness.ExperimentConfig(**fields)
+            config = harness.ExperimentConfig(**dict(base.__dict__, **{key: value}))
             traces = harness.run_experiment(config, cache)
             bits = [harness.bits_to_target(
                 tr, config.stop_ratio,
                 "lyapunov" if config.stop_metric == "psi" else "sqdist_mean")
                 for tr in traces]
             med = statistics.median(bits)
-            summary.append((config.label, key, float(value), med))
+            summary.append((config.label, text, float(value), med))
             bits_by_label.setdefault(config.label, {})[float(value)] = med
 
     lines = ["label,vary,value,median_bits_to_target"]
-    for label, k, value, med in summary:
-        lines.append(f"{label},{k},{value!r},{med!r}")
+    for label, _, value, med in summary:
+        lines.append(f"{label},{key},{value!r},{med!r}")
     slopes = {}
     if key == "kappa" and len(values) >= 3:
         for label, points in bits_by_label.items():
             slopes[label] = harness.fit_communication_exponent(points)
             lines.append(f"{label},slope,-,{slopes[label]!r}")
     harness.atomic_write(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")
-    for label, k, value, med in summary:
-        print(f"{label}\t{k}={value}\tbits={med}")
+    for label, text, _, med in summary:
+        print(f"{label}\t{key}={text}\tbits={med}")
     for label, slope in slopes.items():
         print(f"{label}\tfitted log-log slope = {slope:.4f}")
     return EXIT_OK
@@ -247,20 +248,37 @@ def cmd_certify(args):
     return EXIT_OK if (bias_ok and ratio_ok) else 1
 
 
+def _column_index(name, flag):
+    if name not in harness.CSV_COLUMNS:
+        raise InputError(f"{flag} {name!r} is not a trace column "
+                         f"(choose from {', '.join(harness.CSV_COLUMNS)})")
+    return harness.CSV_COLUMNS.index(name)
+
+
 def cmd_plot(args):
+    ix, iy = _column_index(args.x, "--x"), _column_index(args.y, "--y")
+    ia, ic = harness.CSV_COLUMNS.index("algorithm"), harness.CSV_COLUMNS.index("compressor")
     series = {}
     for path in args.csvs:
         if not os.path.exists(path):
             raise InputError(f"csv not found: {path}")
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != harness.CSV_COLUMNS:
+            reader = csv.reader(fh)
+            if next(reader, None) != harness.CSV_COLUMNS:
                 raise InputError(f"{path}: columns do not match the trace schema")
             for row in reader:
-                key = (row["algorithm"], row["compressor"])
-                xs, ys = series.setdefault(key, ([], []))
-                xs.append(float(row[args.x]))
-                ys.append(float(row[args.y]))
+                if not row:
+                    continue
+                if len(row) != len(harness.CSV_COLUMNS):
+                    raise InputError(f"{path}:{reader.line_num}: expected "
+                                     f"{len(harness.CSV_COLUMNS)} fields, got {len(row)}")
+                try:
+                    x, y = float(row[ix]), float(row[iy])
+                except ValueError as exc:
+                    raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+                xs, ys = series.setdefault((row[ia], row[ic]), ([], []))
+                xs.append(x)
+                ys.append(y)
     plot_series = [(f"{algo} {comp}", xs, ys) for (algo, comp), (xs, ys) in sorted(series.items())]
     from . import svgplot
     text = svgplot.render(plot_series, x_label=args.x, y_label=args.y)

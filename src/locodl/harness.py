@@ -10,6 +10,7 @@ a key=value metadata sidecar; identical seeds give byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -25,6 +26,8 @@ from .errors import ConfigurationError, ConvergenceError, InputError
 CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
                "t", "rounds", "bits_per_client", "sqdist_mean", "sqdist_ybar",
                "obj_gap", "lyapunov"]
+CONSTANT_COLUMNS = CSV_COLUMNS[:7]    # one value per trace
+VARYING_COLUMNS = CSV_COLUMNS[7:]     # one value per record point
 
 NEWTON_ITER_CAP = 50
 ARMIJO_C = 1e-4
@@ -162,37 +165,31 @@ def resolve_params(config, problem, spec):
 
 
 class _Recorder:
-    def __init__(self, config, meta_common, ref, problem):
-        self.columns = {name: [] for name in CSV_COLUMNS}
+    """Collects one row of the varying columns per record point.
+
+    The constant columns (algorithm .. seed) are filled once, in `trace()`.
+    """
+
+    def __init__(self, meta_common, ref, problem):
+        self.rows = []             # tuples in VARYING_COLUMNS order
         self.meta = meta_common
-        self.ref = ref
+        self.x_star = ref.x_star
+        self.f_star = ref.f_star
         self.problem = problem
-        self.config = config
 
     def record(self, t, rounds, bits, x_mean, x_clients, y, psi):
-        cols = self.columns
-        cols["t"].append(t)
-        cols["rounds"].append(rounds)
-        cols["bits_per_client"].append(bits)
-        dx = x_clients - self.ref.x_star[None, :]
-        cols["sqdist_mean"].append(float(np.mean(np.sum(dx * dx, axis=1))))
-        dy = y - self.ref.x_star
-        cols["sqdist_ybar"].append(float(dy @ dy))
-        cols["obj_gap"].append(self.problem.value_mean(x_mean) - self.ref.f_star)
-        cols["lyapunov"].append(psi)
-        for name in ("algorithm", "dataset", "n", "d", "kappa", "compressor", "seed"):
-            cols[name].append(self.meta[name])
+        dx = x_clients - self.x_star
+        sq = (dx * dx).sum(axis=1)
+        dy = y - self.x_star
+        self.rows.append((t, rounds, bits, float(sq.sum() / sq.shape[0]), float(dy @ dy),
+                          self.problem.value_mean(x_mean) - self.f_star, psi))
 
     def trace(self, extra_meta):
+        columns = {name: [self.meta[name]] * len(self.rows) for name in CONSTANT_COLUMNS}
+        columns.update(zip(VARYING_COLUMNS, map(list, zip(*self.rows))))
         meta = dict(self.meta)
         meta.update(extra_meta)
-        return ExperimentTrace(self.columns, meta)
-
-
-def _stop_value(recorder, metric):
-    if metric == "psi":
-        return recorder.columns["lyapunov"][-1]
-    return recorder.columns["sqdist_mean"][-1]
+        return ExperimentTrace(columns, meta)
 
 
 def _stepper(config, problem, baseline, ref, spec, rng, extra):
@@ -214,7 +211,7 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
             alg.locodl_step(state, problem, spec, params, rng)
 
         def observe():
-            return state.x.mean(axis=0), state.x, state.y, alg.lyapunov(state, ref, params)
+            return state.x.sum(axis=0) / n, state.x, state.y, alg.lyapunov(state, ref, params)
         return problem, state, step, observe
 
     # baselines run on the folded problem
@@ -231,7 +228,7 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
             alg.scaffnew_step(state, prob, gamma, p, rng)
 
         def observe():
-            xm = state.x.mean(axis=0)
+            xm = state.x.sum(axis=0) / n
             return xm, state.x, xm, float("nan")
         return prob, state, step, observe
 
@@ -267,21 +264,23 @@ def run_single(config, problem, baseline, ref, seed):
              "reference_grad_norm": ref.grad_norm}
     objective, state, step, observe = _stepper(config, problem, baseline, ref, spec,
                                                alg.RngBundle.from_seed(seed), extra)
-    rec = _Recorder(config, meta, ref, objective)
+    rec = _Recorder(meta, ref, objective)
+    rows = rec.rows
+    stop = VARYING_COLUMNS.index("lyapunov" if config.stop_metric == "psi" else "sqdist_mean")
     rec.record(state.t, state.rounds, state.bits_uplink, *observe())
-    initial = _stop_value(rec, config.stop_metric)
+    threshold = config.stop_ratio * rows[-1][stop]
+    max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
     rounds_seen = 0
-    while state.t < config.max_iters:
+    while state.t < max_iters:
         step()
         new_round = state.rounds != rounds_seen
         rounds_seen = state.rounds
-        if (new_round and state.rounds % config.round_cadence == 0) \
-                or state.t % config.cadence == 0:
-            rec.record(state.t, state.rounds, state.bits_uplink, *observe())
-            value = _stop_value(rec, config.stop_metric)
-            if value <= config.stop_ratio * initial:
+        if (new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0:
+            rec.record(state.t, rounds_seen, state.bits_uplink, *observe())
+            value = rows[-1][stop]
+            if value <= threshold:
                 break
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ConvergenceError(f"{config.algorithm} run diverged: stop metric "
                                        f"{config.stop_metric} is {value} at iteration {state.t}")
     if config.algorithm == "locodl":
@@ -343,12 +342,28 @@ def _fmt(value):
     return str(value)
 
 
+# `_fmt` of one exact type, mapped over a whole column without a Python call per cell
+_TYPE_FORMATS = {float: repr, int: str, str: str}
+
+
+def _format_column(column):
+    """The CSV cells of one column, each as `_fmt` gives it.
+
+    A column of one exact type is formatted by that type's formatter; an int
+    or str column that holds one value is formatted once.
+    """
+    types = set(map(type, column))
+    fmt = _TYPE_FORMATS.get(types.pop()) if len(types) == 1 else None
+    if fmt is None:
+        return map(_fmt, column)
+    if fmt is str and column.count(column[0]) == len(column):
+        return [str(column[0])] * len(column)
+    return map(fmt, column)
+
+
 def trace_to_csv(trace):
-    lines = [",".join(CSV_COLUMNS)]
-    length = len(trace.columns["t"])
-    for i in range(length):
-        lines.append(",".join(_fmt(trace.columns[name][i]) for name in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    cells = [_format_column(trace.columns[name]) for name in CSV_COLUMNS]
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 def metadata_text(trace):

@@ -11,6 +11,7 @@ family with one regularization weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -50,6 +51,11 @@ class Shard:
     def d(self):
         return self.features.shape[1]
 
+    @cached_property
+    def gram_max_eigenvalue(self):
+        """Largest eigenvalue of A^T A, solved once per shard."""
+        return max_eigenvalue_gram(self.features)
+
 
 def max_eigenvalue_gram(features):
     """Largest eigenvalue of A^T A, computed exactly from the d x d Gram matrix."""
@@ -80,14 +86,14 @@ def grad_logistic(x, shard, mu):
 
 def logistic_smoothness(shard, mu):
     """Smoothness constant lam_max(A^T A) / (4m) + mu of the regularized loss."""
-    return max_eigenvalue_gram(shard.features) / (4.0 * shard.m) + mu
+    return shard.gram_max_eigenvalue / (4.0 * shard.m) + mu
 
 
 def regularization_for_kappa(shard_union, kappa_target):
     """Regularization weight mu giving condition number kappa_target on this data."""
     if kappa_target <= 1:
         raise InputError("kappa_target must exceed 1")
-    lam = max_eigenvalue_gram(shard_union.features)
+    lam = shard_union.gram_max_eigenvalue
     return lam / (4.0 * shard_union.m * (kappa_target - 1.0))
 
 
@@ -244,9 +250,8 @@ class _BatchedLogistic:
         return H
 
     def mean_value(self, x):
-        margins = self._margins(x).ravel()
-        loss = float(np.mean(np.logaddexp(0.0, -self.b.ravel() * margins)))
-        return loss + 0.5 * self.reg * float(x @ x)
+        losses = np.logaddexp(0.0, -self.b.ravel() * self._margins(x).ravel())
+        return float(losses.sum() / losses.size) + 0.5 * self.reg * float(x @ x)
 
 
 class _BatchedQuadratic:
@@ -256,6 +261,8 @@ class _BatchedQuadratic:
         self.A = A      # (n, d, d)
         self.b = b      # (n, d)
         self.reg = reg
+        self.A_bar = A.mean(axis=0)     # mean_value's terms, computed once
+        self.b_bar = b.mean(axis=0)
 
     def grads(self, X):
         if X.ndim == 1:
@@ -264,14 +271,12 @@ class _BatchedQuadratic:
 
     def hessian_mean(self, x):
         """Hessian of `mean_value`, the same at every point."""
-        H = self.A.mean(axis=0)
+        H = self.A_bar.copy()
         H[np.diag_indices_from(H)] += self.reg
         return H
 
     def mean_value(self, x):
-        A_bar = self.A.mean(axis=0)
-        b_bar = self.b.mean(axis=0)
-        return float(0.5 * x @ (A_bar @ x) - b_bar @ x + 0.5 * self.reg * (x @ x))
+        return float(0.5 * x @ (self.A_bar @ x) - self.b_bar @ x + 0.5 * self.reg * (x @ x))
 
 
 def _stack(locals_):
@@ -414,7 +419,12 @@ def reduce_g_zero(locals_only, mu):
 
 
 def random_quadratic_problem(d, n, kappa, rng, g_coeff=None):
-    """Random quadratic locals with spectra in [mu, L] = [1/kappa, 1], extremes attained."""
+    """Random quadratic locals with spectra in [mu, L] = [1/kappa, 1], extremes attained.
+
+    The common mu is the smaller of 1/kappa and the smallest realized local
+    mu: `eigvalsh` may return the placed eigenvalue 1/kappa about 1e-16 low,
+    which at kappa = 1e4 is past Problem's 1e-12 relative slack.
+    """
     mu = 1.0 / kappa
     locals_ = []
     for i in range(n):
@@ -427,5 +437,4 @@ def random_quadratic_problem(d, n, kappa, rng, g_coeff=None):
         b = rng.standard_normal(d)
         locals_.append(QuadraticFunction(A, b, 0.0))
     c = mu if g_coeff is None else g_coeff
-    prob = Problem(locals_, ScaledNormFunction(c), d, 1.0, mu)
-    return prob
+    return Problem(locals_, ScaledNormFunction(c), d, 1.0, min(mu, *(f.mu for f in locals_)))

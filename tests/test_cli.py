@@ -175,6 +175,17 @@ class TestSweep:
     def test_unknown_vary_key_exits_2(self, quad_config_path):
         assert run_cli(["sweep", quad_config_path, "--vary", "mu=1,2,3"]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("vary, message", [
+        ("kappa=abc,1,2", "--vary kappa = 'abc' is not a valid value"),
+        ("n=4,5.5,6", "--vary n = '5.5' is not a valid value"),
+    ])
+    def test_bad_vary_value_exits_2_and_names_it(self, quad_config_path, tmp_path, capsys,
+                                                  vary, message):
+        assert run_cli(["sweep", quad_config_path, "--vary", vary,
+                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()   # refused before any run
+
 
 class TestCertify:
     def test_identity_passes(self, capsys):
@@ -235,6 +246,24 @@ class TestPlot:
         bogus = tmp_path / "bogus.csv"
         bogus.write_text("a,b\n1,2\n")
         assert run_cli(["plot", str(bogus), "--out", str(tmp_path / "x.svg")]) \
+            == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_unknown_column_exits_2_and_lists_columns(self, trace_csvs, tmp_path, capsys,
+                                                       flag):
+        svg = tmp_path / "bogus.svg"
+        assert run_cli(["plot", *trace_csvs, flag, "bogus", "--out", str(svg)]) \
+            == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{flag} 'bogus' is not a trace column" in err
+        assert ", ".join(harness.CSV_COLUMNS) in err
+        assert not svg.exists()
+
+    def test_malformed_row_exits_2(self, trace_csvs, tmp_path):
+        broken = tmp_path / "broken.csv"
+        with open(trace_csvs[0], encoding="utf-8") as fh:
+            broken.write_text(fh.read() + "locodl,quadratic,4\n")
+        assert run_cli(["plot", str(broken), "--out", str(tmp_path / "x.svg")]) \
             == cli.EXIT_INPUT
 
     def test_missing_csv_exits_2(self, tmp_path):

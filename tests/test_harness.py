@@ -246,6 +246,33 @@ class TestSerialization:
         assert float(value) == 0.1 + 0.2
         assert value == repr(0.1 + 0.2)
 
+    def test_csv_matches_row_by_row_reference(self):
+        rows = 4
+        columns = {name: [i] * rows for i, name in enumerate(harness.CSV_COLUMNS)}
+        columns.update(algorithm=["locodl"] * rows, dataset=["a", "b", "a", "a"],
+                       kappa=[100.0] * rows, compressor=["rand_k2"] * rows,
+                       t=[0, 1, 2, 3], rounds=[0, True, 1, 1.0],
+                       sqdist_mean=[1.5, float("nan"), float("inf"), -0.0],
+                       sqdist_ybar=[0.0, -0.0, 0.0, -0.0],
+                       obj_gap=[0.1 + 0.2, -1e-300, 1e22, float("-inf")],
+                       lyapunov=[float("nan")] * rows)
+        trace = harness.ExperimentTrace(columns, {})
+
+        def cell(value):
+            return repr(value) if isinstance(value, float) else str(value)
+        expected = [",".join(harness.CSV_COLUMNS)]
+        for i in range(rows):
+            expected.append(",".join(cell(columns[name][i]) for name in harness.CSV_COLUMNS))
+        assert harness.trace_to_csv(trace) == "\n".join(expected) + "\n"
+
+    def test_trace_columns_have_equal_length(self, quad_run):
+        _, _, _, _, trace = quad_run
+        assert list(trace.columns) == harness.CSV_COLUMNS
+        rows = len(trace.columns["t"])
+        assert rows > 1
+        assert all(len(column) == rows for column in trace.columns.values())
+        assert trace.columns["seed"] == [0] * rows
+
     def test_write_trace_creates_sidecar(self, quad_run, tmp_path):
         _, _, _, _, trace = quad_run
         path = tmp_path / "out" / "run.csv"
@@ -276,6 +303,19 @@ class TestBuildProblem:
         assert name == "dirichlet_a1.0"
         assert problem.d == 12
         assert problem.kappa >= 50.0   # common L is the max per-client constant
+
+    def test_libsvm_solves_each_gram_once(self, a5a_path, monkeypatch):
+        calls = []
+        solve = obj.max_eigenvalue_gram
+
+        def counting(features):
+            calls.append(features.shape)
+            return solve(features)
+
+        monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
+        config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
+        harness.build_problem(config)
+        assert len(calls) == 87 + 1    # one per shard, shared by problem and baseline, + union
 
     def test_libsvm(self, a5a_path):
         config = quad_config(problem={"source": "libsvm", "path": a5a_path},

@@ -343,6 +343,28 @@ class TestQuadraticHelpers:
         reduced = obj.reduce_g_zero(quad_problem.locals, quad_problem.mu)
         assert np.allclose(reduced.hessian_mean(x), A, rtol=0, atol=1e-15)
 
+    def test_hessian_mean_leaves_the_cached_means(self, quad_problem):
+        batch = quad_problem._batch
+        x = np.linspace(-1.0, 1.0, quad_problem.d)
+        value = batch.mean_value(x)
+        first = batch.hessian_mean(x)
+        second = batch.hessian_mean(x)
+        assert np.array_equal(first, second)
+        assert batch.mean_value(x) == value
+        assert np.array_equal(batch.A_bar, np.mean(batch.A, axis=0))
+
+    @pytest.mark.parametrize("d", [10, 50])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_problem_builds_at_large_kappa(self, d, seed):
+        # eigvalsh returns the placed mu = 1e-4 up to ~1e-12 relative low on some seeds
+        problem = obj.random_quadratic_problem(d, 10, 1e4, np.random.default_rng(seed))
+        assert problem.mu <= 1e-4
+        assert problem.mu == pytest.approx(1e-4, rel=1e-10)
+        for f in problem.locals:
+            assert f.mu >= problem.mu
+            # L = 1 is returned up to an ulp or two high, far inside Problem's 1e-12 slack
+            assert f.L <= problem.L * (1 + 1e-12)
+
     def test_random_problem_constants(self, quad_problem):
         assert quad_problem.L == pytest.approx(1.0)
         assert quad_problem.mu == pytest.approx(0.01)
