@@ -22,7 +22,7 @@ def main(path, out_dir="results/libsvm_comparison", n=87, kappa=1e4):
                   max_iters=2_000_000, cadence=200, round_cadence=50)
     base = harness.ExperimentConfig(algorithm="locodl", compressor="rand_k_natural",
                                     k=2, label="probe", **common)
-    problem, baseline, _ = harness.build_problem(base)
+    problem, baseline = harness.build_problem(base)
     k = math.ceil(problem.d / n)
     print(f"dataset: d={problem.d}, kappa={problem.kappa:.0f}, k={k}")
     ref = harness.solve_reference(problem)

@@ -25,7 +25,7 @@ def main(out_dir="results/quadratic_demo"):
                                  stop_metric="sqdist", stop_ratio=1e-8,
                                  label="gd", **common),
     ]
-    problem, baseline, _ = harness.build_problem(configs[0])
+    problem, baseline = harness.build_problem(configs[0])
     ref = harness.solve_reference(problem)
 
     series = []

@@ -84,13 +84,12 @@ def rand_k_params(L, mu, d, n, k):
     return AlgoParams(1.0 / L, chi, rho, p, omega, omega / n)
 
 
-def rate_bound(params, L, mu, omega=None):
+def rate_bound(params, L, mu):
     """Per-iteration contraction factor of the Lyapunov function."""
-    omega = params.omega if omega is None else omega
     params.validate(L)
     tau = max((1.0 - params.gamma * mu) ** 2,
               (1.0 - params.gamma * L) ** 2,
-              1.0 - params.p ** 2 * params.chi / (1.0 + 2.0 * omega))
+              1.0 - params.p ** 2 * params.chi / (1.0 + 2.0 * params.omega))
     if tau >= 1.0:
         raise ConfigurationError(f"contraction factor is {tau} >= 1; parameters do not converge")
     return tau
@@ -118,7 +117,7 @@ class LoCoDLState:
 
     def dual_residual(self):
         """||mean(u) + v||_inf, zero in exact arithmetic."""
-        return float(np.max(np.abs(self.u.mean(axis=0) + self.v)))
+        return float(np.max(np.abs(self.u.sum(axis=0) / self.n + self.v)))
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,8 @@ def locodl_step(state, problem, spec, params, rng, active=None):
     return state
 
 
-def lyapunov(state, ref, params, omega=None):
+def lyapunov(state, ref, params):
     """Weighted squared distance of (x, y, u, v) to the saddle point."""
-    omega = params.omega if omega is None else omega
     n = state.n
     # one subtract, square and sum for (x; u) and one for (y; v): each row sum of
     # the (2, size) view is the same pairwise sum as that block's own sum
@@ -189,7 +187,7 @@ def lyapunov(state, ref, params, omega=None):
     primal = sq_x + n * sq_y
     dual = sq_u + n * sq_v
     return primal / params.gamma \
-        + params.gamma * (1.0 + 2.0 * omega) / (params.p ** 2 * params.chi) * dual
+        + params.gamma * (1.0 + 2.0 * params.omega) / (params.p ** 2 * params.chi) * dual
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +235,13 @@ def diana_gamma(L, mu, omega, n):
     return min(1.0 / (L * (1.0 + 2.0 * omega / n)), alpha / (2.0 * mu))
 
 
-def diana_step(state, problem, spec, gamma, rng, alpha=None):
+def diana_step(state, problem, spec, gamma, rng):
     """Compressed gradient differences with control variates; one round per iteration."""
-    if alpha is None:
-        alpha = 1.0 / (1.0 + spec.omega)
+    n = state.h.shape[0]
+    alpha = 1.0 / (1.0 + spec.omega)
     grads = problem.grads_locals(state.x)
     msgs, _ = compress_round(spec, grads - state.h, rng.rounds)
-    g_hat = state.h.mean(axis=0) + msgs.mean(axis=0)
+    g_hat = state.h.sum(axis=0) / n + msgs.sum(axis=0) / n
     state.x = state.x - gamma * g_hat
     state.h = state.h + alpha * msgs
     state.t += 1
@@ -270,7 +268,7 @@ def scaffnew_step(state, problem, gamma, p, rng):
     grads = problem.grads_locals(state.x)
     x_hat = state.x - gamma * (grads - state.h)
     if rng.coin.random() < p:
-        x_bar = x_hat.mean(axis=0)
+        x_bar = x_hat.sum(axis=0) / x_hat.shape[0]
         state.h = state.h + (p / gamma) * (x_bar[None, :] - x_hat)
         state.x = np.broadcast_to(x_bar, state.x.shape).copy()
         state.rounds += 1

@@ -1,37 +1,15 @@
-"""LibSVM ingestion, client partitioning, and Dirichlet synthetic data."""
+"""LibSVM ingestion, client partitioning, and Dirichlet synthetic data.
+
+Every loader returns an `objectives.Shard`: (rows, d) float64 features and
+labels in {-1, +1}.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ParseError
 from .objectives import Shard
-
-
-@dataclass
-class Dataset:
-    """Rows of (sparse features, label); features stored as index->value dicts (0-based)."""
-
-    rows: list   # list of (dict[int, float], float)
-    d: int
-
-    def __eq__(self, other):
-        return isinstance(other, Dataset) and self.d == other.d and self.rows == other.rows
-
-    def dense(self):
-        a = np.zeros((len(self.rows), self.d))
-        b = np.zeros(len(self.rows))
-        for i, (feats, label) in enumerate(self.rows):
-            for j, v in feats.items():
-                a[i, j] = v
-            b[i] = label
-        return a, b
-
-    def union_shard(self):
-        a, b = self.dense()
-        return Shard(a, b)
 
 
 def _normalize_labels(raw):
@@ -48,12 +26,13 @@ def parse_libsvm(stream):
 
     Indices are 1-based and strictly increasing in the source; '#' starts a
     comment; blank lines are skipped.  Labels in {0,1} are mapped to {-1,+1}.
+    d is the largest index present.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
         lines = [line.rstrip("\n") for line in stream]
-    raw_rows = []
+    labels, rows, cols, vals = [], [], [], []
     d = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -64,7 +43,6 @@ def parse_libsvm(stream):
             label = float(parts[0])
         except ValueError:
             raise ParseError(lineno, f"non-numeric label {parts[0]!r}") from None
-        feats = {}
         prev = 0
         for pair in parts[1:]:
             if ":" not in pair:
@@ -78,19 +56,21 @@ def parse_libsvm(stream):
             if idx <= prev:
                 raise ParseError(lineno, f"feature indices must be strictly increasing (saw {idx} after {prev})")
             prev = idx
-            feats[idx - 1] = val
-            d = max(d, idx)
-        raw_rows.append((feats, label))
-    labels = _normalize_labels([label for _, label in raw_rows])
-    rows = [(feats, lab) for (feats, _), lab in zip(raw_rows, labels)]
-    return Dataset(rows, d)
+            rows.append(len(labels))
+            cols.append(idx - 1)
+            vals.append(val)
+        d = max(d, prev)
+        labels.append(label)
+    features = np.zeros((len(labels), d))
+    features[rows, cols] = vals
+    return Shard(features, _normalize_labels(labels))
 
 
-def serialize_libsvm(dataset):
-    """Inverse of parse_libsvm (labels already normalized to -1/+1)."""
+def serialize_libsvm(shard):
+    """Inverse of parse_libsvm: the nonzero features of every row, labels as -1/+1."""
     lines = []
-    for feats, label in dataset.rows:
-        pairs = " ".join(f"{j + 1}:{v!r}" for j, v in sorted(feats.items()))
+    for row, label in zip(shard.features.tolist(), shard.labels.tolist()):
+        pairs = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0)
         head = "+1" if label > 0 else "-1"
         lines.append(f"{head} {pairs}".rstrip())
     return "\n".join(lines) + "\n"
@@ -101,20 +81,13 @@ def load_libsvm(path):
         return parse_libsvm(fh)
 
 
-def partition(dataset, n, seed):
+def partition(shard, n, seed):
     """Shuffle and split into n equal shards of m = rows // n; the rest is discarded."""
-    rows = len(dataset.rows)
-    if n < 1 or n > rows:
-        raise InputError(f"cannot split {rows} rows across {n} clients")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(rows)
-    m = rows // n
-    a, b = dataset.dense()
-    shards = []
-    for i in range(n):
-        idx = order[i * m:(i + 1) * m]
-        shards.append(Shard(a[idx], b[idx]))
-    return shards
+    if n < 1 or n > shard.m:
+        raise InputError(f"cannot split {shard.m} rows across {n} clients")
+    order = np.random.default_rng(seed).permutation(shard.m)
+    m = shard.m // n
+    return [Shard(shard.features[idx], shard.labels[idx]) for idx in order[:n * m].reshape(n, m)]
 
 
 def dirichlet_synthetic(n, d, alpha, seed):
@@ -128,6 +101,4 @@ def dirichlet_synthetic(n, d, alpha, seed):
     gammas = rng.gamma(alpha, 1.0, size=(n, d))
     feats = gammas / gammas.sum(axis=1, keepdims=True)
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    rows = [({j: float(feats[i, j]) for j in range(d) if feats[i, j] != 0.0}, float(labels[i]))
-            for i in range(n)]
-    return Dataset(rows, d)
+    return Shard(feats, labels)

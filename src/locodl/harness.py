@@ -125,29 +125,22 @@ class ExperimentTrace:
 
 
 def build_problem(config):
-    """Returns (problem, baseline_problem, dataset_name)."""
-    src = dict(config.problem)
-    source = src.pop("source")
-    if source == "quadratic":
-        d = int(src["d"])
+    """Returns (problem, baseline_problem)."""
+    src = config.problem
+    if src["source"] == "quadratic":
         rng = np.random.default_rng(config.data_seed)
-        problem = obj.random_quadratic_problem(d, config.n, config.kappa, rng)
-        baseline = obj.fold_shared(problem)
-        return problem, baseline, "quadratic"
-    if source == "libsvm":
+        problem = obj.random_quadratic_problem(int(src["d"]), config.n, config.kappa, rng)
+        return problem, obj.fold_shared(problem)
+    if src["source"] == "libsvm":
         dataset = load_libsvm(src["path"])
-        name = os.path.basename(src["path"])
-    elif source == "dirichlet":
+    elif src["source"] == "dirichlet":
         dataset = dirichlet_synthetic(config.n, int(src["d"]), float(src["alpha"]),
                                       config.data_seed)
-        name = f"dirichlet_a{src['alpha']}"
     else:
-        raise InputError(f"unknown problem source {source!r}")
+        raise InputError(f"unknown problem source {src['source']!r}")
     shards = partition(dataset, config.n, config.data_seed)
-    mu = obj.regularization_for_kappa(dataset.union_shard(), config.kappa)
-    problem = obj.logistic_problem(shards, mu)
-    baseline = obj.folded_logistic_problem(shards, mu)
-    return problem, baseline, name
+    mu = obj.regularization_for_kappa(dataset, config.kappa)
+    return obj.logistic_problem(shards, mu), obj.folded_logistic_problem(shards, mu)
 
 
 def resolve_params(config, problem, spec):
@@ -305,7 +298,7 @@ def run_experiment(config, cache=None):
     cache = {} if cache is None else cache
     key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
     if key not in cache:
-        problem, baseline, _ = build_problem(config)
+        problem, baseline = build_problem(config)
         cache[key] = (problem, baseline, solve_reference(problem))
     return [run_single(config, *cache[key], seed) for seed in config.seeds]
 
@@ -342,12 +335,26 @@ def _fmt(value):
     return str(value)
 
 
-# `_fmt` of one exact type, mapped over a whole column without a Python call per cell
-_TYPE_FORMATS = {float: repr, int: str, str: str}
+_CSV_SPECIALS = frozenset(',"\r\n')
+
+
+def _quote(text):
+    """A CSV cell as `csv.QUOTE_MINIMAL` writes it."""
+    if _CSV_SPECIALS.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _cell(value):
+    return _quote(value) if isinstance(value, str) else _fmt(value)
+
+
+# the cell formatter of one exact type, mapped over a whole column without a Python call per cell
+_TYPE_FORMATS = {float: repr, int: str, str: _quote}
 
 
 def _format_column(column):
-    """The CSV cells of one column, each as `_fmt` gives it.
+    """The CSV cells of one column, each as `_cell` gives it.
 
     A column of one exact type is formatted by that type's formatter; an int
     or str column that holds one value is formatted once.
@@ -355,9 +362,9 @@ def _format_column(column):
     types = set(map(type, column))
     fmt = _TYPE_FORMATS.get(types.pop()) if len(types) == 1 else None
     if fmt is None:
-        return map(_fmt, column)
-    if fmt is str and column.count(column[0]) == len(column):
-        return [str(column[0])] * len(column)
+        return map(_cell, column)
+    if fmt is not repr and column.count(column[0]) == len(column):
+        return [fmt(column[0])] * len(column)
     return map(fmt, column)
 
 

@@ -1,8 +1,9 @@
 """Strongly convex objectives: regularized logistic regression and quadratics.
 
 Every local function exposes `value`, `grad`, and its smoothness / strong
-convexity constants.  A `Problem` bundles n local functions with a shared
-function g and the common (L, mu) constants used by all stepsize schedules.
+convexity constants.  A `Problem` bundles n local functions with the shared
+regularizer g(x) = (c/2)||x||^2, stored as its weight c, and the common
+(L, mu) constants used by all stepsize schedules.
 Gradient evaluation across clients is always batched with numpy: a problem's
 locals must be all logistic with equal shard size or all quadratic, each
 family with one regularization weight.
@@ -89,28 +90,14 @@ def logistic_smoothness(shard, mu):
     return shard.gram_max_eigenvalue / (4.0 * shard.m) + mu
 
 
-def regularization_for_kappa(shard_union, kappa_target):
-    """Regularization weight mu giving condition number kappa_target on this data."""
+def regularization_for_kappa(dataset, kappa_target):
+    """Regularization weight mu giving condition number kappa_target on the whole dataset's shard."""
     if kappa_target <= 1:
         raise InputError("kappa_target must exceed 1")
-    lam = shard_union.gram_max_eigenvalue
-    return lam / (4.0 * shard_union.m * (kappa_target - 1.0))
+    return dataset.gram_max_eigenvalue / (4.0 * dataset.m * (kappa_target - 1.0))
 
 
-class LocalFunction:
-    """Interface for a smooth, strongly convex local objective."""
-
-    L: float
-    mu: float
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def grad(self, x):
-        raise NotImplementedError
-
-
-class LogisticFunction(LocalFunction):
+class LogisticFunction:
     def __init__(self, shard, mu):
         self.shard = shard
         self.reg = float(mu)
@@ -124,7 +111,7 @@ class LogisticFunction(LocalFunction):
         return grad_logistic(x, self.shard, self.reg)
 
 
-class QuadraticFunction(LocalFunction):
+class QuadraticFunction:
     """f(x) = x^T A x / 2 - b^T x + (mu/2)||x||^2 with A symmetric PSD.
 
     Used as a test objective: the minimizer solves (A + mu I) x = b exactly.
@@ -151,25 +138,7 @@ class QuadraticFunction(LocalFunction):
         return np.linalg.solve(self.A + self.reg * np.eye(d), self.b)
 
 
-class ScaledNormFunction(LocalFunction):
-    """f(x) = (c/2)||x||^2; the usual shared regularizer."""
-
-    def __init__(self, c):
-        if c < 0:
-            raise InputError("coefficient must be nonnegative")
-        self.c = float(c)
-        self.L = self.c
-        self.mu = self.c
-
-    def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 * self.c * float(x @ x)
-
-    def grad(self, x):
-        return self.c * np.asarray(x, dtype=np.float64)
-
-
-class ShiftedFunction(LocalFunction):
+class ShiftedFunction:
     """base(x) - (c/2)||x||^2, still convex as long as c <= base.mu."""
 
     def __init__(self, base, c):
@@ -306,10 +275,14 @@ def _stack(locals_):
 
 @dataclass
 class Problem:
-    """n local functions plus a shared function g with common constants (L, mu)."""
+    """n local functions plus g(x) = (g_weight/2)||x||^2, with common constants (L, mu).
+
+    A zero weight marks a folded problem (baseline convention), whose
+    locals carry the whole regularizer.
+    """
 
     locals: list
-    shared_g: LocalFunction
+    g_weight: float
     d: int
     L: float
     mu: float
@@ -318,13 +291,11 @@ class Problem:
     def __post_init__(self):
         if not (0 < self.mu <= self.L):
             raise InputError("problem constants must satisfy 0 < mu <= L")
+        if not (0.0 <= self.g_weight <= self.L * (1 + 1e-12)):
+            raise InputError("the shared weight must lie in [0, L]")
         for f in self.locals:
             if f.L > self.L * (1 + 1e-12) or f.mu < self.mu * (1 - 1e-12):
                 raise InputError("a local function violates the common (L, mu) constants")
-        # a zero shared function marks a folded problem; skip its constants check
-        if self.shared_g.L > 0.0 or self.shared_g.mu > 0.0:
-            if self.shared_g.L > self.L * (1 + 1e-12) or self.shared_g.mu < self.mu * (1 - 1e-12):
-                raise InputError("shared function violates the common (L, mu) constants")
         self._batch = _stack(self.locals)
 
     @property
@@ -340,50 +311,43 @@ class Problem:
         return self._batch.grads(np.asarray(X, dtype=np.float64))
 
     def grad_g(self, y):
-        return self.shared_g.grad(y)
+        return self.g_weight * y
 
     def value_mean(self, x):
         """(1/n) sum_i f_i(x) + g(x)."""
         x = np.asarray(x, dtype=np.float64)
-        return self._batch.mean_value(x) + self.shared_g.value(x)
+        return self._batch.mean_value(x) + 0.5 * self.g_weight * float(x @ x)
 
     def grad_mean(self, x):
-        return self.grads_locals(np.asarray(x, dtype=np.float64)).mean(axis=0) + self.grad_g(x)
+        x = np.asarray(x, dtype=np.float64)
+        return self.grads_locals(x).sum(axis=0) / self.n + self.grad_g(x)
 
     def hessian_mean(self, x):
-        """Hessian of `value_mean` at x; the shared function must be a squared norm."""
-        if not isinstance(self.shared_g, ScaledNormFunction):
-            raise InputError("the Hessian needs a squared-norm shared function")
+        """Hessian of `value_mean` at x."""
         H = self._batch.hessian_mean(np.asarray(x, dtype=np.float64))
-        H[np.diag_indices(self.d)] += self.shared_g.c
+        H[np.diag_indices(self.d)] += self.g_weight
         return H
 
 
-def logistic_problem(shards, mu, L=None):
+def logistic_problem(shards, mu):
     """Problem with f_i = logistic_i + (mu/2)||.||^2 and g = (mu/2)||.||^2.
 
-    The common L defaults to the largest per-client smoothness constant so
-    that every local function actually satisfies it.
+    The common L is the largest per-client smoothness constant, so that
+    every local function actually satisfies it.
     """
     locals_ = [LogisticFunction(s, mu) for s in shards]
-    if L is None:
-        L = max(f.L for f in locals_)
-    return Problem(locals_, ScaledNormFunction(mu), shards[0].d, float(L), float(mu))
+    return Problem(locals_, float(mu), shards[0].d, float(max(f.L for f in locals_)), float(mu))
 
 
-def folded_logistic_problem(shards, mu, L=None):
+def folded_logistic_problem(shards, mu):
     """Baseline convention: g folded into every f_i via a twice larger regularizer."""
     locals_ = [LogisticFunction(s, 2.0 * mu) for s in shards]
-    if L is None:
-        L = max(f.L for f in locals_)
-    return Problem(locals_, ScaledNormFunction(0.0), shards[0].d, float(L), 2.0 * float(mu))
+    return Problem(locals_, 0.0, shards[0].d, float(max(f.L for f in locals_)), 2.0 * float(mu))
 
 
 def fold_shared(problem):
-    """Absorb a squared-norm shared function into every local (baseline convention)."""
-    if not isinstance(problem.shared_g, ScaledNormFunction):
-        raise InputError("can only fold a squared-norm shared function")
-    c = problem.shared_g.c
+    """Absorb the shared squared norm into every local (baseline convention)."""
+    c = problem.g_weight
     folded = []
     for f in problem.locals:
         if isinstance(f, LogisticFunction):
@@ -392,8 +356,7 @@ def fold_shared(problem):
             folded.append(QuadraticFunction(f.A, f.b, f.reg + c))
         else:
             raise InputError(f"cannot fold shared function into {type(f).__name__}")
-    return Problem(folded, ScaledNormFunction(0.0), problem.d,
-                   problem.L + c, problem.mu + c)
+    return Problem(folded, 0.0, problem.d, problem.L + c, problem.mu + c)
 
 
 def reduce_g_zero(locals_only, mu):
@@ -405,7 +368,6 @@ def reduce_g_zero(locals_only, mu):
     if mu <= 0:
         raise InputError("the reduction needs strictly positive strong convexity")
     shifted = [ShiftedFunction(f, mu / 2.0) for f in locals_only]
-    g = ScaledNormFunction(mu / 2.0)
     L = max(f.L for f in locals_only)
     d = None
     for f in locals_only:
@@ -415,15 +377,16 @@ def reduce_g_zero(locals_only, mu):
             d = f.b.shape[0]
     if d is None:
         raise InputError("cannot infer the dimension of the local functions")
-    return Problem(shifted, g, d, L - mu / 2.0, mu / 2.0)
+    return Problem(shifted, mu / 2.0, d, L - mu / 2.0, mu / 2.0)
 
 
-def random_quadratic_problem(d, n, kappa, rng, g_coeff=None):
+def random_quadratic_problem(d, n, kappa, rng):
     """Random quadratic locals with spectra in [mu, L] = [1/kappa, 1], extremes attained.
 
-    The common mu is the smaller of 1/kappa and the smallest realized local
-    mu: `eigvalsh` may return the placed eigenvalue 1/kappa about 1e-16 low,
-    which at kappa = 1e4 is past Problem's 1e-12 relative slack.
+    g = (1/(2 kappa))||.||^2.  The common mu is the smaller of 1/kappa and
+    the smallest realized local mu: `eigvalsh` may return the placed
+    eigenvalue 1/kappa about 1e-16 low, which at kappa = 1e4 is past
+    Problem's 1e-12 relative slack.
     """
     mu = 1.0 / kappa
     locals_ = []
@@ -436,5 +399,4 @@ def random_quadratic_problem(d, n, kappa, rng, g_coeff=None):
         A = 0.5 * (A + A.T)
         b = rng.standard_normal(d)
         locals_.append(QuadraticFunction(A, b, 0.0))
-    c = mu if g_coeff is None else g_coeff
-    return Problem(locals_, ScaledNormFunction(c), d, 1.0, min(mu, *(f.mu for f in locals_)))
+    return Problem(locals_, mu, d, 1.0, min(mu, *(f.mu for f in locals_)))

@@ -63,7 +63,7 @@ def a5a_setup(a5a_path):
         algorithm="locodl", compressor="rand_k_natural", k=2, seeds=(0,),
         stop_metric="sqdist", stop_ratio=1e-5, max_iters=2_000_000,
         cadence=200, round_cadence=50, label="a5a")
-    problem, baseline, _ = harness.build_problem(config)
+    problem, baseline = harness.build_problem(config)
     ref = harness.solve_reference(problem)
     return config, problem, baseline, ref
 
@@ -175,7 +175,7 @@ def test_criterion_5_sqrt_kappa_scaling():
             seeds=tuple(range(10)), stop_metric="sqdist", stop_ratio=1e-6,
             cadence=100, max_iters=5_000_000, data_seed=7,
             label=f"scaling_k{kappa:g}")
-        problem, baseline, _ = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         traces = [run_and_keep(config, problem, baseline, ref, s) for s in config.seeds]
         bits = [harness.bits_to_target(tr, 1e-6, "sqdist_mean") for tr in traces]
@@ -221,7 +221,7 @@ def test_criterion_7_g_zero_reduction():
         a = (q * eigs) @ q.T
         locals_.append(obj.QuadraticFunction(0.5 * (a + a.T), rng.standard_normal(d), 0.0))
     mu = min(f.mu for f in locals_)
-    original = obj.Problem(locals_, obj.ScaledNormFunction(0.0), d,
+    original = obj.Problem(locals_, 0.0, d,
                            max(f.L for f in locals_), mu)
     ref = harness.solve_reference(original)
     reduced = obj.reduce_g_zero(locals_, mu)

@@ -89,7 +89,7 @@ class TestRateBound:
 class TestLoCoDLStep:
     def test_one_exact_step_on_symmetric_quadratic(self):
         f = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(1.0), 3, 1.0, 1.0)
+        problem = obj.Problem([f], 1.0, 3, 1.0, 1.0)
         params = alg.AlgoParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(1, 3)
         state.x[0] = state.y = np.array([1.0, -2.0, 0.5])
@@ -222,7 +222,7 @@ class TestLyapunov:
 class TestGD:
     def test_one_step_on_unit_quadratic(self):
         f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 1.0, 1.0)
+        problem = obj.Problem([f], 0.0, 2, 1.0, 1.0)
         state = alg.GDState(np.array([3.0, -4.0]))
         alg.gd_step(state, problem, 1.0)
         assert np.allclose(state.x, 0.0)
@@ -235,7 +235,7 @@ class TestGD:
 
     def test_contraction_on_known_quadratic(self):
         f = obj.QuadraticFunction(np.diag([0.5, 2.0]), np.array([1.0, 1.0]), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 2.0, 0.5)
+        problem = obj.Problem([f], 0.0, 2, 2.0, 0.5)
         x_star = f.minimizer()
         gamma = 1.0 / problem.L
         rate = max(1.0 - gamma * problem.mu, gamma * problem.L - 1.0) ** 2
@@ -260,7 +260,7 @@ class TestDiana:
                                                  rng.standard_normal(4), 0.0))
         L = max(f.L for f in locals_)
         mu = min(f.mu for f in locals_)
-        return obj.Problem(locals_, obj.ScaledNormFunction(0.0), 4, L, mu)
+        return obj.Problem(locals_, 0.0, 4, L, mu)
 
     def test_identity_reduces_to_gd(self):
         problem = self._two_client_quadratic()
@@ -313,7 +313,7 @@ class TestDiana:
 class TestScaffnew:
     def test_single_client_p_one_is_gd(self):
         f = obj.QuadraticFunction(np.diag([1.0, 0.5]), np.array([1.0, 1.0]), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 1.0, 0.5)
+        problem = obj.Problem([f], 0.0, 2, 1.0, 0.5)
         scaff = alg.ScaffnewState.zeros(1, 2)
         gd = alg.GDState.zeros(2)
         rng = alg.RngBundle.from_seed(12)
@@ -343,7 +343,7 @@ class TestScaffnew:
         b = np.zeros(d)
         b[0] = 0.01   # x* = e_1, reached only through the smallest eigenvalue
         locals_ = [obj.QuadraticFunction(np.diag(eigs), b, 0.0) for _ in range(n)]
-        folded = obj.Problem(locals_, obj.ScaledNormFunction(0.0), d, 1.0, 0.01)
+        folded = obj.Problem(locals_, 0.0, d, 1.0, 0.01)
         ref = harness.solve_reference(folded)
         gamma = 1.0 / folded.L
         p = 1.0 / np.sqrt(folded.kappa)

@@ -1,5 +1,6 @@
 """CLI: config loading, run/sweep/certify/plot subcommands, exit codes."""
 
+import csv
 import os
 
 import numpy as np
@@ -265,6 +266,32 @@ class TestPlot:
             broken.write_text(fh.read() + "locodl,quadratic,4\n")
         assert run_cli(["plot", str(broken), "--out", str(tmp_path / "x.svg")]) \
             == cli.EXIT_INPUT
+
+    def test_libsvm_path_with_a_comma_round_trips(self, tmp_path):
+        directory = tmp_path / "comma,dir"
+        directory.mkdir()
+        data_path = directory / "tiny.libsvm"
+        rng = np.random.default_rng(8)
+        data_path.write_text("".join(
+            f"{rng.choice([-1, 1])} 1:{rng.random()!r} 2:{rng.random()!r} 4:{rng.random()!r}\n"
+            for _ in range(200)))
+        config = tmp_path / "libsvm.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
+                          "kappa = 10\n\n[run]\nstop_ratio = 1e-4\n\n"
+                          "[algo:loco]\nalgorithm = locodl\n")
+        out = tmp_path / "traces"
+        assert run_cli(["run", str(config), "--out", str(out)]) == 0
+        (trace,) = out.glob("*.csv")
+        with open(trace, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        column = harness.CSV_COLUMNS.index("dataset")
+        assert rows[0] == harness.CSV_COLUMNS
+        assert len(rows) > 2
+        assert all(len(row) == len(harness.CSV_COLUMNS) for row in rows)
+        assert {row[column] for row in rows[1:]} == {str(data_path)}
+        svg = tmp_path / "comma.svg"
+        assert run_cli(["plot", str(trace), "--y", "lyapunov", "--out", str(svg)]) == 0
+        assert svg.read_text().count("<polyline") == 1
 
     def test_missing_csv_exits_2(self, tmp_path):
         assert run_cli(["plot", str(tmp_path / "none.csv"),

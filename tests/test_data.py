@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from locodl import data
 from locodl.errors import InputError, ParseError
+from locodl.objectives import Shard
 
 
 class TestParseLibsvm:
     def test_basic_row(self):
         ds = data.parse_libsvm("+1 1:0.5 3:-2")
         assert ds.d == 3
-        assert ds.rows == [({0: 0.5, 2: -2.0}, 1.0)]
+        assert np.array_equal(ds.features, [[0.5, 0.0, -2.0]])
+        assert np.array_equal(ds.labels, [1.0])
 
     def test_zero_one_labels_mapped(self):
         ds = data.parse_libsvm("0 1:1\n1 2:1")
-        assert [label for _, label in ds.rows] == [-1.0, 1.0]
+        assert np.array_equal(ds.labels, [-1.0, 1.0])
 
     def test_non_numeric_label_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -41,7 +43,7 @@ class TestParseLibsvm:
 
     def test_comments_and_blank_lines(self):
         ds = data.parse_libsvm("# header\n\n+1 1:2 # trailing\n-1 2:1\n")
-        assert len(ds.rows) == 2
+        assert ds.m == 2
         assert ds.d == 2
 
     def test_rejects_other_label_alphabets(self):
@@ -50,39 +52,50 @@ class TestParseLibsvm:
 
     def test_dense_materialization(self):
         ds = data.parse_libsvm("+1 2:5\n-1 1:1")
-        a, b = ds.dense()
-        assert np.array_equal(a, [[0.0, 5.0], [1.0, 0.0]])
-        assert np.array_equal(b, [1.0, -1.0])
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, [[0.0, 5.0], [1.0, 0.0]])
+        assert np.array_equal(ds.labels, [1.0, -1.0])
+
+    def test_rows_without_features(self):
+        ds = data.parse_libsvm("+1\n-1 2:1\n-1")
+        assert np.array_equal(ds.features, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
+    def test_empty_input_rejected(self, text):
+        with pytest.raises(InputError):
+            data.parse_libsvm(text)
 
 
 class TestRoundTrip:
     def test_fixed_example(self):
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"
         ds = data.parse_libsvm(text)
-        assert data.parse_libsvm(data.serialize_libsvm(ds)) == ds
+        again = data.parse_libsvm(data.serialize_libsvm(ds))
+        assert np.array_equal(again.features, ds.features)
+        assert np.array_equal(again.labels, ds.labels)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(
+    @given(st.integers(min_value=1, max_value=21).flatmap(lambda d: st.lists(
         st.tuples(
-            st.dictionaries(st.integers(min_value=0, max_value=20),
-                            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-                            .filter(lambda v: v != 0.0),
-                            min_size=1, max_size=5),
+            st.lists(st.one_of(st.just(0.0),
+                               st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
+                     min_size=d, max_size=d),
             st.sampled_from([-1.0, 1.0])),
-        min_size=1, max_size=10))
+        min_size=1, max_size=10)))
     def test_round_trip_random(self, rows):
-        d = 1 + max(max(feats) for feats, _ in rows)
-        ds = data.Dataset([(dict(feats), label) for feats, label in rows], d)
+        ds = Shard([feats for feats, _ in rows], [label for _, label in rows])
         again = data.parse_libsvm(data.serialize_libsvm(ds))
-        assert again.rows == ds.rows
-        # d is re-inferred from the maximum populated index
+        # d is re-inferred from the largest populated index; the columns past it are zero
         assert again.d <= ds.d
+        assert np.array_equal(again.features, ds.features[:, :again.d])
+        assert not ds.features[:, again.d:].any()
+        assert np.array_equal(again.labels, ds.labels)
 
 
 class TestPartition:
     def _dataset(self, rows):
-        return data.Dataset([({0: float(i)}, 1.0 if i % 2 else -1.0)
-                             for i in range(rows)], 1)
+        return Shard(np.arange(rows, dtype=np.float64)[:, None],
+                     [1.0 if i % 2 else -1.0 for i in range(rows)])
 
     def test_a5a_arithmetic(self):
         shards = data.partition(self._dataset(6414), 87, 0)
@@ -117,21 +130,19 @@ class TestPartition:
 class TestDirichlet:
     def test_simplex_constraint(self):
         ds = data.dirichlet_synthetic(50, 8, 0.5, 0)
-        a, b = ds.dense()
-        assert np.all(a >= 0.0)
-        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
-        assert set(np.unique(b)) <= {-1.0, 1.0}
+        assert ds.features.shape == (50, 8)
+        assert np.all(ds.features >= 0.0)
+        assert np.allclose(ds.features.sum(axis=1), 1.0, atol=1e-12)
+        assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
 
     def test_concentrated_mean(self):
         ds = data.dirichlet_synthetic(10_000, 10, 10.0, 1)
-        a, _ = ds.dense()
-        assert np.allclose(a.mean(axis=0), 0.1, atol=0.01)
+        assert np.allclose(ds.features.mean(axis=0), 0.1, atol=0.01)
 
     def test_coordinate_variance(self):
         ds = data.dirichlet_synthetic(20_000, 3, 1.0, 2)
-        a, _ = ds.dense()
         expected = 2.0 / (9.0 * 4.0)    # (d-1) / (d^2 (d alpha + 1))
-        assert np.var(a[:, 0]) == pytest.approx(expected, rel=0.1)
+        assert np.var(ds.features[:, 0]) == pytest.approx(expected, rel=0.1)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(InputError):
@@ -142,11 +153,12 @@ class TestDirichlet:
     def test_deterministic(self):
         a = data.dirichlet_synthetic(5, 4, 1.0, 9)
         b = data.dirichlet_synthetic(5, 4, 1.0, 9)
-        assert a == b
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
 
 
 class TestLargeFixture:
     def test_a5a_scale_shape(self, a5a_path):
         ds = data.load_libsvm(a5a_path)
-        assert len(ds.rows) == 6414
+        assert ds.m == 6414
         assert ds.d == 122

@@ -33,7 +33,7 @@ def logistic_problem(sparse):
 @pytest.fixture(scope="module")
 def quad_run():
     config = quad_config()
-    problem, baseline, _ = harness.build_problem(config)
+    problem, baseline = harness.build_problem(config)
     ref = harness.solve_reference(problem)
     trace = harness.run_single(config, problem, baseline, ref, 0)
     return config, problem, baseline, ref, trace
@@ -43,13 +43,13 @@ class TestSolveReference:
     def test_shifted_identity_quadratic(self):
         c = np.array([2.0, -1.0, 0.5])
         f = obj.QuadraticFunction(np.eye(3), c, 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 3, 1.0, 1.0)
+        problem = obj.Problem([f], 0.0, 3, 1.0, 1.0)
         ref = harness.solve_reference(problem)
         assert np.allclose(ref.x_star, c, atol=1e-10)
 
     def test_diagonal_quadratic(self):
         f = obj.QuadraticFunction(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 2.0, 1.0)
+        problem = obj.Problem([f], 0.0, 2, 2.0, 1.0)
         ref = harness.solve_reference(problem)
         assert np.allclose(ref.x_star, [1.0, 1.0], atol=1e-10)
 
@@ -93,11 +93,11 @@ class TestSolveReference:
 
     def test_ill_conditioned_quadratic_stops_on_the_newton_step(self):
         # float64 rounding in the gradient (~2.5e-16) exceeds tol * mu * (1 + ||x||) here
-        problem, _, _ = harness.build_problem(
+        problem, _ = harness.build_problem(
             quad_config(problem={"source": "quadratic", "d": 50}, n=10, kappa=3e4, data_seed=0))
         ref = harness.solve_reference(problem)
         assert ref.grad_norm > 1e-12 * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
-        A = np.mean([f.A for f in problem.locals], axis=0) + problem.shared_g.c * np.eye(50)
+        A = np.mean([f.A for f in problem.locals], axis=0) + problem.g_weight * np.eye(50)
         b = np.mean([f.b for f in problem.locals], axis=0)
         assert np.allclose(ref.x_star, np.linalg.solve(A, b), rtol=1e-14, atol=0)
 
@@ -108,7 +108,7 @@ class TestSolveReference:
 
     def test_rejects_non_strongly_convex(self):
         f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
-        problem = obj.Problem([f], obj.ScaledNormFunction(0.0), 2, 1.0, 1.0)
+        problem = obj.Problem([f], 0.0, 2, 1.0, 1.0)
         problem.mu = 0.0
         with pytest.raises(InputError):
             harness.solve_reference(problem)
@@ -155,7 +155,7 @@ class TestRunSingle:
 
     def test_zero_iterations_gives_initial_point_only(self):
         config = quad_config(max_iters=0)
-        problem, baseline, _ = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         trace = harness.run_single(config, problem, baseline, ref, 0)
         assert trace.columns["t"] == [0]
@@ -173,14 +173,14 @@ class TestRunSingle:
 
     def test_invalid_schedule_refused_before_running(self):
         config = quad_config(overrides={"gamma": 5.0})
-        problem, baseline, _ = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         with pytest.raises(ConfigurationError):
             harness.run_single(config, problem, baseline, ref, 0)
 
     def test_psi_stop_rejected_for_baselines(self):
         config = quad_config(algorithm="gd", compressor="identity", k=None)
-        problem, baseline, _ = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         with pytest.raises(ConfigurationError):
             harness.run_single(config, problem, baseline, ref, 0)
@@ -188,7 +188,7 @@ class TestRunSingle:
     def test_baseline_runs_and_converges(self):
         config = quad_config(algorithm="gd", compressor="identity", k=None,
                              stop_metric="sqdist", stop_ratio=1e-6)
-        problem, baseline, _ = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         trace = harness.run_single(config, problem, baseline, ref, 0)
         sq = trace.array("sqdist_mean")
@@ -291,16 +291,14 @@ class TestSerialization:
 
 class TestBuildProblem:
     def test_quadratic(self):
-        problem, baseline, name = harness.build_problem(quad_config())
-        assert name == "quadratic"
+        problem, baseline = harness.build_problem(quad_config())
         assert problem.d == 10 and problem.n == 5
-        assert baseline.mu == pytest.approx(problem.mu + problem.shared_g.c)
+        assert baseline.mu == pytest.approx(problem.mu + problem.g_weight)
 
     def test_dirichlet(self):
         config = quad_config(problem={"source": "dirichlet", "d": 12, "alpha": 1.0},
                              n=6, kappa=50.0)
-        problem, baseline, name = harness.build_problem(config)
-        assert name == "dirichlet_a1.0"
+        problem, baseline = harness.build_problem(config)
         assert problem.d == 12
         assert problem.kappa >= 50.0   # common L is the max per-client constant
 
@@ -315,11 +313,11 @@ class TestBuildProblem:
         monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
         harness.build_problem(config)
-        assert len(calls) == 87 + 1    # one per shard, shared by problem and baseline, + union
+        assert len(calls) == 87 + 1    # one per shard, shared by problem and baseline, + the dataset
 
     def test_libsvm(self, a5a_path):
         config = quad_config(problem={"source": "libsvm", "path": a5a_path},
                              n=87, kappa=1e4)
-        problem, baseline, name = harness.build_problem(config)
+        problem, baseline = harness.build_problem(config)
         assert problem.d == 122
         assert problem.n == 87

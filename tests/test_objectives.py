@@ -210,7 +210,7 @@ class TestProblem:
     def test_rejects_inconsistent_constants(self):
         f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)   # L = mu = 1
         with pytest.raises(InputError):
-            obj.Problem([f], obj.ScaledNormFunction(0.1), 2, 0.5, 0.1)
+            obj.Problem([f], 0.1, 2, 0.5, 0.1)
 
     def test_rejects_locals_that_do_not_stack(self):
         rng = np.random.default_rng(33)
@@ -219,19 +219,13 @@ class TestProblem:
                                                   [1.0, -1.0, 1.0, -1.0]), 0.1)
         short = obj.LogisticFunction(obj.Shard(rng.standard_normal((2, 3)), [1.0, -1.0]), 0.1)
         other_reg = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.2)
-        g = obj.ScaledNormFunction(0.0)
+        g = 0.0
         with pytest.raises(InputError, match="all logistic or all quadratic"):
             obj.Problem([quad, logistic], g, 3, 10.0, 0.1)
         with pytest.raises(InputError, match="shard sizes"):
             obj.Problem([logistic, short], g, 3, 10.0, 0.1)
         with pytest.raises(InputError, match="regularization weight"):
             obj.Problem([quad, other_reg], g, 3, 10.0, 0.1)
-
-    def test_hessian_needs_a_squared_norm_shared_function(self):
-        f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
-        problem = obj.Problem([f], obj.QuadraticFunction(np.eye(2), np.ones(2), 0.0), 2, 1.0, 1.0)
-        with pytest.raises(InputError, match="squared-norm"):
-            problem.hessian_mean(np.zeros(2))
 
     def test_kappa(self, quad_problem):
         assert quad_problem.kappa == pytest.approx(100.0)
@@ -250,7 +244,7 @@ class TestProblem:
     def test_value_mean_matches_loop(self, quad_problem):
         x = np.random.default_rng(32).standard_normal(quad_problem.d)
         direct = np.mean([f.value(x) for f in quad_problem.locals]) \
-            + quad_problem.shared_g.value(x)
+            + 0.5 * quad_problem.g_weight * (x @ x)
         assert quad_problem.value_mean(x) == pytest.approx(direct, rel=1e-12)
 
 
@@ -280,7 +274,7 @@ class TestBatchedLogistic:
         x = X[0]
         manual = np.stack([f.grad(x) for f in problem.locals])
         assert np.allclose(problem.grads_locals(x), manual, atol=1e-10)
-        direct = np.mean([f.value(x) for f in problem.locals]) + problem.shared_g.value(x)
+        direct = np.mean([f.value(x) for f in problem.locals]) + 0.5 * problem.g_weight * (x @ x)
         assert problem.value_mean(x) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("sparse", [True, False])
@@ -307,7 +301,7 @@ class TestFolding:
         for _ in range(5):
             x = rng.standard_normal(quad_problem.d)
             assert folded.value_mean(x) == pytest.approx(quad_problem.value_mean(x), rel=1e-12)
-        assert folded.mu == pytest.approx(quad_problem.mu + quad_problem.shared_g.c)
+        assert folded.mu == pytest.approx(quad_problem.mu + quad_problem.g_weight)
 
     def test_folded_logistic_doubles_regularization(self):
         rng = np.random.default_rng(52)
@@ -331,13 +325,13 @@ class TestQuadraticHelpers:
         assert np.linalg.norm(quad_problem.grad_mean(x_star)) <= 1e-10
         A = np.mean([f.A for f in quad_problem.locals], axis=0)
         b = np.mean([f.b for f in quad_problem.locals], axis=0)
-        closed_form = np.linalg.solve(A + quad_problem.shared_g.c * np.eye(quad_problem.d), b)
+        closed_form = np.linalg.solve(A + quad_problem.g_weight * np.eye(quad_problem.d), b)
         assert np.allclose(x_star, closed_form, rtol=1e-12, atol=1e-12)
 
     def test_quadratic_hessian(self, quad_problem):
         A = np.mean([f.A for f in quad_problem.locals], axis=0)
         x = np.ones(quad_problem.d)
-        expected = A + quad_problem.shared_g.c * np.eye(quad_problem.d)
+        expected = A + quad_problem.g_weight * np.eye(quad_problem.d)
         assert np.allclose(quad_problem.hessian_mean(x), expected, rtol=0, atol=1e-15)
         # the reduction moves mu/2 between the locals and g; the sum is unchanged
         reduced = obj.reduce_g_zero(quad_problem.locals, quad_problem.mu)
