@@ -194,12 +194,12 @@ def cmd_sweep(args):
 
     lines = ["label,vary,value,median_bits_to_target"]
     for label, _, value, med in summary:
-        lines.append(f"{label},{key},{value!r},{med!r}")
+        lines.append(f"{harness._quote(label)},{key},{value!r},{med!r}")
     slopes = {}
     if key == "kappa" and len(values) >= 3:
         for label, points in bits_by_label.items():
             slopes[label] = harness.fit_communication_exponent(points)
-            lines.append(f"{label},slope,-,{slopes[label]!r}")
+            lines.append(f"{harness._quote(label)},slope,-,{slopes[label]!r}")
     harness.atomic_write(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")
     for label, text, _, med in summary:
         print(f"{label}\t{key}={text}\tbits={med}")

@@ -6,6 +6,8 @@ labels in {-1, +1}.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError, ParseError
@@ -24,9 +26,9 @@ def _normalize_labels(raw):
 def parse_libsvm(stream):
     """Parse LibSVM text: one 'label idx:val idx:val ...' sample per line.
 
-    Indices are 1-based and strictly increasing in the source; '#' starts a
-    comment; blank lines are skipped.  Labels in {0,1} are mapped to {-1,+1}.
-    d is the largest index present.
+    Indices are 1-based and strictly increasing in the source; values must be
+    finite; '#' starts a comment; blank lines are skipped.  Labels in {0,1}
+    are mapped to {-1,+1}.  d is the largest index present.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
@@ -53,6 +55,8 @@ def parse_libsvm(stream):
                 val = float(val_s)
             except ValueError:
                 raise ParseError(lineno, f"malformed feature pair {pair!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"non-finite feature value {pair!r}")
             if idx <= prev:
                 raise ParseError(lineno, f"feature indices must be strictly increasing (saw {idx} after {prev})")
             prev = idx

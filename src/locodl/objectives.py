@@ -160,10 +160,13 @@ class ShiftedFunction:
 class _BatchedLogistic:
     """Vectorized per-client gradients for logistic locals with equal shard sizes.
 
-    The features are stored once: dense data as one (n, m, d) stack, sparse
-    data (typical for one-hot encodings) as a block-diagonal CSR matrix and
-    its transpose, so that one sparse matvec computes every client's margins
-    against its own model.
+    The features are stored once.  Dense data are one (n, m, d) stack.
+    Sparse data (typical for one-hot encodings) are one block-diagonal CSR
+    matrix, so that one sparse matvec computes every client's margins
+    against its own model; A^T c goes through the block's transpose, a CSC
+    view of the same arrays.  A flat (n*m, d) CSR that shares the block's
+    values and row pointers, with column indices taken modulo d, serves a
+    common (d,) point and the Hessian.
     """
 
     _SPARSE_DENSITY = 0.25
@@ -177,23 +180,34 @@ class _BatchedLogistic:
         if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
             from scipy import sparse
             self._block = sparse.block_diag([sparse.csr_matrix(a) for a in A], format="csr")
-            self._block_t = self._block.T.tocsr()
+            # a CSC view of the block's arrays, built once: scipy's .T costs tens of us per call
+            self._block_t = self._block.T
+            self._flat = sparse.csr_matrix(
+                (self._block.data, self._block.indices % self.d, self._block.indptr),
+                shape=(self.n * self.m, self.d))
+            self._neg_b = -b
             self.A = None
 
     def _margins(self, X):
         """(n, m) margins of each client's rows at its own point, or at a common (d,) point."""
         if self._block is not None:
-            flat = X.ravel() if X.ndim == 2 else X[None].repeat(self.n, axis=0).ravel()
-            return (self._block @ flat).reshape(self.b.shape)
+            product = self._flat @ X if X.ndim == 1 else self._block @ X.ravel()
+            return product.reshape(self.b.shape)
         if X.ndim == 1:
             return (self.A.reshape(-1, self.d) @ X).reshape(self.b.shape)
         return np.matmul(self.A, X[..., None])[..., 0]
 
     def grads(self, X):
-        c = -self.b * expit(-self.b * self._margins(X)) / self.m
         if self._block is not None:
+            # -b * expit(-b * margins) / m, evaluated in place on the fresh margins
+            c = self._margins(X)
+            c *= self._neg_b
+            expit(c, out=c)
+            c *= self._neg_b
+            c /= self.m
             g = (self._block_t @ c.ravel()).reshape(self.n, self.d)
         else:
+            c = -self.b * expit(-self.b * self._margins(X)) / self.m
             g = np.matmul(c[:, None, :], self.A)[:, 0, :]
         return g + self.reg * X
 
@@ -201,17 +215,12 @@ class _BatchedLogistic:
         """Hessian of `mean_value` at a common (d,) point, as a dense (d, d) array.
 
         Every client's rows share one d-dimensional space, so the Hessian is
-        built from the features as one flat (n*m, d) matrix; sparse data reuse
-        the block's CSR arrays with column indices taken modulo d.
+        built from the features as one flat (n*m, d) matrix.
         """
         margins = self._margins(x).ravel()
         w = expit(margins) * expit(-margins) / (self.n * self.m)
         if self._block is not None:
-            from scipy import sparse
-            block = self._block
-            flat = sparse.csr_matrix((block.data, block.indices % self.d, block.indptr),
-                                     shape=(self.n * self.m, self.d))
-            H = (flat.T @ flat.multiply(w[:, None])).toarray()
+            H = (self._flat.T @ self._flat.multiply(w[:, None])).toarray()
         else:
             flat = self.A.reshape(-1, self.d)
             H = (flat.T * w) @ flat

@@ -114,6 +114,17 @@ class TestRun:
             == cli.EXIT_CONVERGENCE
         assert "diverged" in capsys.readouterr().err
 
+    def test_non_finite_libsvm_value_exits_2_and_names_the_line(self, tmp_path, capsys):
+        data_path = tmp_path / "nan.libsvm"
+        rows = [f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)]
+        rows[6] = "+1 1:nan 2:1\n"
+        data_path.write_text("".join(rows))
+        config = tmp_path / "nan.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
+                          "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert "line 7: non-finite feature value '1:nan'" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, quad_config_path, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv(cli.OUT_ENV_VAR, str(target))
@@ -169,6 +180,19 @@ class TestSweep:
         assert run_cli(["sweep", str(path), "--vary", "kappa=20,60,200",
                         "--out", str(tmp_path / "sweep")]) == 0
         assert len(calls) == 3
+
+    def test_summary_quotes_a_label_with_a_comma(self, tmp_path):
+        path = tmp_path / "comma.ini"
+        path.write_text(QUAD_CONFIG.replace("[algo:loco]", "[algo:a,b]"))
+        out = tmp_path / "sweep"
+        assert run_cli(["sweep", str(path), "--vary", "kappa=20,60,200",
+                        "--out", str(out)]) == 0
+        with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "vary", "value", "median_bits_to_target"]
+        assert len(rows) == 5
+        assert all(len(row) == 4 for row in rows)
+        assert [row[:2] for row in rows[1:]] == [["a,b", "kappa"]] * 3 + [["a,b", "slope"]]
 
     def test_empty_vary_exits_2(self, quad_config_path):
         assert run_cli(["sweep", quad_config_path, "--vary", "kappa="]) == cli.EXIT_INPUT

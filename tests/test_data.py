@@ -41,6 +41,11 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             data.parse_libsvm("+1 nocolon")
 
+    @pytest.mark.parametrize("pair", ["1:nan", "1:inf", "1:-inf"])
+    def test_non_finite_value_rejected_with_line(self, pair):
+        with pytest.raises(ParseError, match=f"line 2: non-finite feature value '{pair}'"):
+            data.parse_libsvm(f"+1 1:1\n-1 {pair} 2:1\n+1 2:1")
+
     def test_comments_and_blank_lines(self):
         ds = data.parse_libsvm("# header\n\n+1 1:2 # trailing\n-1 2:1\n")
         assert ds.m == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from locodl import harness
 from locodl import objectives as obj
@@ -292,6 +293,52 @@ class TestBatchedLogistic:
         assert problem._batch._block is not None
         dense = self._problem(sparse=False)
         assert dense._batch._block is None
+
+
+class TestSparseLogisticGradient:
+    """The sparse batch against the formula of the stored-transpose design, bit for bit."""
+
+    @staticmethod
+    def _batch(seed):
+        rng = np.random.default_rng(seed)
+        n, m, d = 6, 90, 140     # n*m*d > 2^16 and density < 1/4: the sparse path
+        A = np.zeros((n, m, d))
+        for i in range(n):
+            for r in range(m):
+                count = rng.integers(0, 25)      # a zero count leaves the row empty
+                A[i, r, rng.choice(d - 5, size=count, replace=False)] = rng.standard_normal(count)
+        A[:, rng.integers(m), :] = 0.0
+        A[:, :, 7] = 0.0                         # empty columns: 7, and the last 5 never drawn
+        b = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+        batch = obj._BatchedLogistic(A, b, 0.01)
+        assert batch._block is not None
+        return batch
+
+    @staticmethod
+    def _oracle(batch, X):
+        block = batch._block
+        flat = X.ravel() if X.ndim == 2 else np.tile(X, batch.n)
+        margins = (block @ flat).reshape(batch.b.shape)
+        c = -batch.b * expit(-batch.b * margins) / batch.m
+        return (block.T.tocsr() @ c.ravel()).reshape(batch.n, batch.d) + batch.reg * X
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grads_equal_the_explicit_formula(self, seed):
+        batch = self._batch(seed)
+        rng = np.random.default_rng(100 + seed)
+        for scale in (1e-3, 1e-1, 1.0, 1e2):
+            X = scale * rng.standard_normal((batch.n, batch.d))
+            assert np.array_equal(batch.grads(X), self._oracle(batch, X))
+            x = scale * rng.standard_normal(batch.d)
+            assert np.array_equal(batch.grads(x), self._oracle(batch, x))
+
+    def test_one_stored_copy_of_the_features(self):
+        batch = self._batch(3)
+        block = batch._block
+        for view in (batch._block_t, batch._flat):
+            assert np.shares_memory(view.data, block.data)
+            assert np.shares_memory(view.indptr, block.indptr)
+        assert np.shares_memory(batch._block_t.indices, block.indices)
 
 
 class TestFolding:
