@@ -75,15 +75,6 @@ def default_params(L, mu, omega, omega_av):
     return AlgoParams(1.0 / L, chi, rho, p, omega, omega_av)
 
 
-def rand_k_params(L, mu, d, n, k):
-    """Closed-form schedule for independent rand-k compressors with k = ceil(d/n)."""
-    kappa = L / mu
-    chi = rho = n / (n - 1.0 + d / k)
-    p = min(math.sqrt((d * k * (n - 1.0) + d * d) / (n * k * k * kappa)), 1.0)
-    omega = d / k - 1.0
-    return AlgoParams(1.0 / L, chi, rho, p, omega, omega / n)
-
-
 def rate_bound(params, L, mu):
     """Per-iteration contraction factor of the Lyapunov function."""
     params.validate(L)
@@ -136,24 +127,15 @@ class ReferenceSolution:
                 np.concatenate((self.x_star, self.v_star)))
 
 
-def locodl_step(state, problem, spec, params, rng, active=None):
-    """One iteration; mutates and returns `state`.
-
-    `active`, if given, is a participation mask: inactive clients contribute
-    a zero message on communication rounds (requires rho = 1).
-    """
-    if active is not None and params.rho != 1.0:
-        raise ConfigurationError("partial participation requires rho = 1")
+def locodl_step(state, problem, spec, params, rng):
+    """One iteration; mutates and returns `state`."""
     gamma = params.gamma
     gx = problem.grads_locals(state.x)
     x_hat = state.x - gamma * gx + gamma * state.u
     y_hat = state.y - gamma * problem.grad_g(state.y) + gamma * state.v
 
     if rng.coin.random() < params.p:
-        diff = x_hat - y_hat[None, :]
-        if active is not None:
-            diff[~np.asarray(active, dtype=bool)] = 0.0   # compresses to a zero message
-        msgs, sat = compress_round(spec, diff, rng.rounds)
+        msgs, sat = compress_round(spec, x_hat - y_hat[None, :], rng.rounds)
         state.saturation_events += sat
         d_bar = msgs.sum(axis=0) / (2.0 * state.n)
         lam = params.dual_step

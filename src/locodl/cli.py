@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import compressors, harness
-from .compressors import KINDS, compress_round, make_spec
+from .compressors import KINDS, make_spec
 from .errors import ConfigurationError, ConvergenceError, InputError
 
 EXIT_OK = 0
@@ -30,9 +30,8 @@ EXIT_CONFIG = 3
 EXIT_CONVERGENCE = 4
 
 OUT_ENV_VAR = "LOCODL_OUT"
-CERTIFY_BATCH = 500     # trials compressed per round
 
-# perfbench's layer tracer wraps `cli.compress`; certify itself batches through compress_round
+# nothing here calls it: it stays only because perfbench's layer tracer wraps `cli.compress`
 compress = compressors.compress
 
 
@@ -177,20 +176,21 @@ def cmd_sweep(args):
     base_configs, config_out = load_config(args.config)
     out_dir = _out_dir(args.out, config_out)
 
+    # every config is built, and so validated, before anything runs
+    configs = [(text, value, harness.ExperimentConfig(**dict(base.__dict__, **{key: value})))
+               for text, value in values for base in base_configs]
     summary = []
     bits_by_label = {}
     cache = {}
-    for text, value in values:
-        for base in base_configs:
-            config = harness.ExperimentConfig(**dict(base.__dict__, **{key: value}))
-            traces = harness.run_experiment(config, cache)
-            bits = [harness.bits_to_target(
-                tr, config.stop_ratio,
-                "lyapunov" if config.stop_metric == "psi" else "sqdist_mean")
-                for tr in traces]
-            med = statistics.median(bits)
-            summary.append((config.label, text, float(value), med))
-            bits_by_label.setdefault(config.label, {})[float(value)] = med
+    for text, value, config in configs:
+        traces = harness.run_experiment(config, cache)
+        bits = [harness.bits_to_target(
+            tr, config.stop_ratio,
+            "lyapunov" if config.stop_metric == "psi" else "sqdist_mean")
+            for tr in traces]
+        med = statistics.median(bits)
+        summary.append((config.label, text, float(value), med))
+        bits_by_label.setdefault(config.label, {})[float(value)] = med
 
     lines = ["label,vary,value,median_bits_to_target"]
     for label, _, value, med in summary:
@@ -213,34 +213,18 @@ def cmd_certify(args):
         raise InputError(f"unknown compressor {args.compressor!r} (choose from {KINDS})")
     if args.trials < 10_000:
         raise InputError("certification needs at least 10000 trials")
-    spec = make_spec(args.compressor, args.d, n=1, k=args.k)
+    spec = make_spec(args.compressor, args.d, k=args.k)
     declared = args.declared_omega if args.declared_omega is not None else spec.omega
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(args.d)
     x[np.abs(x) < 1e-3] = 1e-3  # keep every coordinate active
-
-    total = np.zeros(args.d)
-    total_sq = np.zeros(args.d)
-    err_sum = 0.0
-    for start in range(0, args.trials, CERTIFY_BATCH):
-        X = np.tile(x, (min(CERTIFY_BATCH, args.trials - start), 1))
-        payload, _ = compress_round(spec, X, rng)
-        total += payload.sum(axis=0)
-        total_sq += (payload * payload).sum(axis=0)
-        diff = payload - X
-        err_sum += float(np.sum(diff * diff))
-    mean = total / args.trials
-    var = np.maximum(total_sq / args.trials - mean * mean, 0.0)
-    se = np.sqrt(var / args.trials)
-    bias = np.abs(mean - x)
-    bias_ok = bool(np.all(bias <= 4.0 * se + 1e-12))
-    ratio = err_sum / (args.trials * float(x @ x))
+    bias_ok, bias_score, ratio = compressors.certification(spec, x, args.trials, rng)
     ratio_bound = declared * 1.05 + 5.0 / math.sqrt(args.trials)
     ratio_ok = ratio <= ratio_bound
 
     print(f"compressor={args.compressor} d={args.d} k={args.k} trials={args.trials}")
     print(f"declared omega           = {declared}")
-    print(f"max |mean - x| / (4 se)  = {float(np.max(bias / (4.0 * se + 1e-12))):.4f}"
+    print(f"max |mean - x| / (4 se)  = {bias_score:.4f}"
           f"  [{'pass' if bias_ok else 'FAIL'}]")
     print(f"empirical variance ratio = {ratio:.6f} (bound {ratio_bound:.6f})"
           f"  [{'pass' if ratio_ok else 'FAIL'}]")

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 
 KINDS = ("identity", "rand_k", "natural", "rand_k_natural", "l1_selection")
+CERTIFY_BATCH = 500     # trials compressed per round by `certification`
 
 # natural quantization budgets one sign bit plus an 8-bit exponent
 _EXP_MIN = -126
@@ -58,25 +59,23 @@ class CompressorSpec:
     kind: str
     d: int
     k: int | None
-    n: int
     omega: float
-    omega_av: float
     bits_per_message: int
 
 
-def make_spec(kind, d, n=1, k=None):
+def make_spec(kind, d, k=None):
     """Build a CompressorSpec with the closed-form omega and bit cost."""
     if kind not in KINDS:
         raise InputError(f"unknown compressor kind {kind!r}")
-    if d < 1 or n < 1:
-        raise InputError("d and n must be positive")
+    if d < 1:
+        raise InputError("d must be positive")
     if kind in ("rand_k", "rand_k_natural"):
         if k is None or not (1 <= k <= d):
             raise InputError("rand-k needs 1 <= k <= d")
     else:
         k = None
     w = _omega(kind, d, k)
-    return CompressorSpec(kind, d, k, n, w, w / n, _bits(kind, d, k))
+    return CompressorSpec(kind, d, k, w, _bits(kind, d, k))
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,33 @@ def compress(spec, x, rng):
     return CompressedMessage(payload[0], spec.bits_per_message, bool(sat))
 
 
-def empirical_variance_ratio(spec, x, trials, rng):
-    """Mean of ||C(x) - x||^2 / ||x||^2 over independent compressions."""
+def certification(spec, x, trials, rng):
+    """Bias and variance figures of `trials` independent compressions of x.
+
+    Compresses x in rounds of CERTIFY_BATCH copies through `compress_round`.
+    Returns (unbiased, bias_score, ratio): whether every coordinate's
+    empirical mean lies within 4 standard errors of x, the largest
+    |mean - x| / (4 se), and the mean of ||C(x) - x||^2 / ||x||^2.
+    """
     x = np.asarray(x, dtype=np.float64)
     if trials < 1:
         raise InputError("trials must be positive")
     sq = float(x @ x)
     if sq == 0.0:
         raise InputError("variance ratio is undefined at x = 0")
-    total = 0.0
-    for _ in range(trials):
-        err = compress(spec, x, rng).payload - x
-        total += float(err @ err)
-    return total / (trials * sq)
+    total = np.zeros(spec.d)
+    total_sq = np.zeros(spec.d)
+    err_sum = 0.0
+    for start in range(0, trials, CERTIFY_BATCH):
+        X = np.tile(x, (min(CERTIFY_BATCH, trials - start), 1))
+        payload, _ = compress_round(spec, X, rng)
+        total += payload.sum(axis=0)
+        total_sq += (payload * payload).sum(axis=0)
+        diff = payload - X
+        err_sum += float(np.sum(diff * diff))
+    mean = total / trials
+    var = np.maximum(total_sq / trials - mean * mean, 0.0)
+    se = np.sqrt(var / trials)
+    bias = np.abs(mean - x)
+    unbiased = bool(np.all(bias <= 4.0 * se + 1e-12))
+    return unbiased, float(np.max(bias / (4.0 * se + 1e-12))), err_sum / (trials * sq)

@@ -81,8 +81,12 @@ def serialize_libsvm(shard):
 
 
 def load_libsvm(path):
+    """`parse_libsvm` of the file at `path`; its input errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh)
+        try:
+            return parse_libsvm(fh)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def partition(shard, n, seed):

@@ -100,6 +100,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise InputError("seeds must be nonempty")
+        for key in ("n", "cadence", "round_cadence"):
+            if getattr(self, key) < 1:
+                raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.stop_ratio <= 0 or self.max_iters < 0:
             raise InputError("stop rule must be positive")
         if self.stop_metric not in ("psi", "sqdist"):
@@ -248,7 +251,7 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
 
 def run_single(config, problem, baseline, ref, seed):
     """One seeded trajectory of the configured algorithm; returns an ExperimentTrace."""
-    spec = make_spec(config.compressor, problem.d, config.n, config.k)
+    spec = make_spec(config.compressor, problem.d, config.k)
     meta = {"algorithm": config.algorithm, "dataset": config.problem.get("path", config.problem["source"]),
             "n": config.n, "d": problem.d, "kappa": problem.kappa,
             "compressor": _compressor_name(config), "seed": seed}

@@ -1,12 +1,13 @@
 """Strongly convex objectives: regularized logistic regression and quadratics.
 
-Every local function exposes `value`, `grad`, and its smoothness / strong
-convexity constants.  A `Problem` bundles n local functions with the shared
-regularizer g(x) = (c/2)||x||^2, stored as its weight c, and the common
-(L, mu) constants used by all stepsize schedules.
-Gradient evaluation across clients is always batched with numpy: a problem's
-locals must be all logistic with equal shard size or all quadratic, each
-family with one regularization weight.
+A local function holds its data, its regularization weight and its
+smoothness / strong convexity constants; it has no evaluator of its own.  A
+`Problem` bundles n local functions with the shared regularizer
+g(x) = (c/2)||x||^2, stored as its weight c, and the common (L, mu)
+constants used by all stepsize schedules.  Values, gradients and Hessians
+are evaluated only through the problem, batched with numpy across clients:
+a problem's locals must be all logistic with equal shard size or all
+quadratic, each family with one regularization weight.
 """
 
 from __future__ import annotations
@@ -64,27 +65,6 @@ def max_eigenvalue_gram(features):
     return float(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
-def logistic_loss(x, shard, mu):
-    """Mean logistic loss over the shard plus (mu/2)||x||^2."""
-    margins = shard.features @ x
-    # log(1 + exp(-b * a^T x)) via the stable log-sum-exp
-    losses = np.logaddexp(0.0, -shard.labels * margins)
-    return float(np.mean(losses) + 0.5 * mu * float(x @ x))
-
-
-def grad_logistic(x, shard, mu):
-    """Gradient of the regularized mean logistic loss."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (shard.d,):
-        raise InputError(f"x has dimension {x.shape}, shard rows have dimension {shard.d}")
-    if mu < 0:
-        raise InputError("mu must be nonnegative")
-    margins = shard.features @ x
-    # d/dt log(1+exp(-t)) = -sigmoid(-t)
-    coeffs = -shard.labels * expit(-shard.labels * margins)
-    return shard.features.T @ coeffs / shard.m + mu * x
-
-
 def logistic_smoothness(shard, mu):
     """Smoothness constant lam_max(A^T A) / (4m) + mu of the regularized loss."""
     return shard.gram_max_eigenvalue / (4.0 * shard.m) + mu
@@ -104,17 +84,12 @@ class LogisticFunction:
         self.L = logistic_smoothness(shard, mu)
         self.mu = float(mu)
 
-    def value(self, x):
-        return logistic_loss(x, self.shard, self.reg)
-
-    def grad(self, x):
-        return grad_logistic(x, self.shard, self.reg)
-
 
 class QuadraticFunction:
     """f(x) = x^T A x / 2 - b^T x + (mu/2)||x||^2 with A symmetric PSD.
 
-    Used as a test objective: the minimizer solves (A + mu I) x = b exactly.
+    The local function of `random_quadratic_problem`: a problem of such
+    locals has its minimizer in closed form, the solution of one linear system.
     """
 
     def __init__(self, A, b, mu=0.0):
@@ -127,16 +102,6 @@ class QuadraticFunction:
         self.L = float(eigs[-1]) + self.reg
         self.mu = float(eigs[0]) + self.reg
 
-    def value(self, x):
-        return float(0.5 * x @ (self.A @ x) - self.b @ x + 0.5 * self.reg * (x @ x))
-
-    def grad(self, x):
-        return self.A @ x - self.b + self.reg * x
-
-    def minimizer(self):
-        d = self.A.shape[0]
-        return np.linalg.solve(self.A + self.reg * np.eye(d), self.b)
-
 
 class ShiftedFunction:
     """base(x) - (c/2)||x||^2, still convex as long as c <= base.mu."""
@@ -148,13 +113,6 @@ class ShiftedFunction:
         self.c = float(c)
         self.L = base.L - self.c
         self.mu = base.mu - self.c
-
-    def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.base.value(x) - 0.5 * self.c * float(x @ x)
-
-    def grad(self, x):
-        return self.base.grad(x) - self.c * np.asarray(x, dtype=np.float64)
 
 
 class _BatchedLogistic:
@@ -397,6 +355,8 @@ def random_quadratic_problem(d, n, kappa, rng):
     eigenvalue 1/kappa about 1e-16 low, which at kappa = 1e4 is past
     Problem's 1e-12 relative slack.
     """
+    if d < 1:
+        raise InputError(f"quadratic d must be at least 1, got {d}")
     mu = 1.0 / kappa
     locals_ = []
     for i in range(n):

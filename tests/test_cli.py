@@ -1,12 +1,11 @@
 """CLI: config loading, run/sweep/certify/plot subcommands, exit codes."""
 
 import csv
-import os
 
 import numpy as np
 import pytest
 
-from locodl import cli, harness
+from locodl import cli, compressors, harness
 
 QUAD_CONFIG = """\
 [problem]
@@ -70,6 +69,19 @@ class TestLoadConfig:
         assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("n = 4", "n = 0", "n must be at least 1, got 0"),
+        ("cadence = 50", "cadence = 0", "cadence must be at least 1, got 0"),
+        ("cadence = 50", "cadence = 50\nround_cadence = 0",
+         "round_cadence must be at least 1, got 0"),
+        ("d = 8", "d = 0", "quadratic d must be at least 1, got 0"),
+    ], ids=["n", "cadence", "round_cadence", "d"])
+    def test_out_of_range_key_exits_2_and_names_it(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(QUAD_CONFIG.replace(old, new, 1))
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     def test_unknown_source(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nsource = mnist\nd = 4\nn = 2\n[algo:a]\n")
@@ -123,7 +135,17 @@ class TestRun:
         config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
                           "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
         assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
-        assert "line 7: non-finite feature value '1:nan'" in capsys.readouterr().err
+        assert f"{data_path}: line 7: non-finite feature value '1:nan'" \
+            in capsys.readouterr().err
+
+    def test_libsvm_label_error_names_the_file(self, tmp_path, capsys):
+        data_path = tmp_path / "labels.libsvm"
+        data_path.write_text("".join(f"{i % 3} 1:1 2:{i}\n" for i in range(40)))
+        config = tmp_path / "labels.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
+                          "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert f"{data_path}: unsupported label alphabet" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, quad_config_path, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -211,6 +233,12 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()   # refused before any run
 
+    def test_zero_clients_exit_2_before_any_run(self, quad_config_path, tmp_path, capsys):
+        assert run_cli(["sweep", quad_config_path, "--vary", "n=2,0,3",
+                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+        assert "n must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCertify:
     def test_identity_passes(self, capsys):
@@ -229,6 +257,18 @@ class TestCertify:
                         "--trials", "20000", "--declared-omega", "1.0"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_same_figures_as_criterion_1(self, capsys):
+        # criterion 1 draws its probe from seed 0, then certifies rand-1 on d = 16 first
+        rng = np.random.default_rng(0)
+        probe = rng.standard_normal(16)
+        probe[np.abs(probe) < 1e-3] = 1e-3
+        spec = compressors.make_spec("rand_k", 16, k=1)
+        _, bias_score, ratio = compressors.certification(spec, probe, 100_000, rng)
+        assert run_cli(["certify", "rand_k", "--d", "16", "--k", "1", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert f"max |mean - x| / (4 se)  = {bias_score:.4f}  [pass]" in out
+        assert f"empirical variance ratio = {ratio:.6f}" in out
 
     def test_unknown_compressor_exits_2(self):
         assert run_cli(["certify", "topk", "--trials", "10000"]) == cli.EXIT_INPUT

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locodl import compressors as comp
+from locodl import harness
 from locodl.errors import InputError
 
 
@@ -22,10 +23,14 @@ class TestSpecs:
             9.0 * 122 / 16.0 - 1.0)
         assert comp.make_spec("l1_selection", 122).omega == pytest.approx(121.0)
 
-    def test_omega_av_is_omega_over_n(self):
-        spec = comp.make_spec("rand_k", 50, n=25, k=2)
-        assert spec.omega_av == pytest.approx(spec.omega / 25)
-        assert comp.make_spec("identity", 7, n=3).omega_av == 0.0
+    def test_omega_av_is_omega_over_n(self, quad_problem):
+        config = harness.ExperimentConfig(problem={"source": "quadratic", "d": 10},
+                                          n=quad_problem.n, kappa=100.0, algorithm="locodl")
+        spec = comp.make_spec("rand_k", 10, k=2)
+        params = harness.resolve_params(config, quad_problem, spec)
+        assert params.omega_av == pytest.approx(spec.omega / quad_problem.n)
+        identity = comp.make_spec("identity", 10)
+        assert harness.resolve_params(config, quad_problem, identity).omega_av == 0.0
 
     def test_bit_costs(self):
         assert comp.make_spec("rand_k", 122, k=2).bits_per_message == 78
@@ -154,27 +159,29 @@ class TestCompress:
 
 
 class TestVarianceRatio:
+    """The variance figure of `certification`: the mean of ||C(x) - x||^2 / ||x||^2."""
+
     def test_identity_zero(self):
         spec = comp.make_spec("identity", 6)
-        assert comp.empirical_variance_ratio(spec, np.ones(6), 100, rng_()) == 0.0
+        assert comp.certification(spec, np.ones(6), 100, rng_()) == (True, 0.0, 0.0)
 
     def test_rand_one_all_ones(self):
         spec = comp.make_spec("rand_k", 10, k=1)
-        ratio = comp.empirical_variance_ratio(spec, np.ones(10), 20_000, rng_(8))
+        _, _, ratio = comp.certification(spec, np.ones(10), 20_000, rng_(8))
         assert ratio == pytest.approx(9.0, abs=0.25)
 
     def test_l1_single_support_exact(self):
         spec = comp.make_spec("l1_selection", 4)
         x = np.zeros(4)
         x[0] = 2.0
-        assert comp.empirical_variance_ratio(spec, x, 50, rng_()) == 0.0
+        assert comp.certification(spec, x, 50, rng_())[2] == 0.0
 
     def test_rejects_zero_vector_and_bad_trials(self):
         spec = comp.make_spec("identity", 3)
         with pytest.raises(InputError):
-            comp.empirical_variance_ratio(spec, np.zeros(3), 10, rng_())
+            comp.certification(spec, np.zeros(3), 10, rng_())
         with pytest.raises(InputError):
-            comp.empirical_variance_ratio(spec, np.ones(3), 0, rng_())
+            comp.certification(spec, np.ones(3), 0, rng_())
 
 
 KINDS_AND_K = [("identity", None), ("rand_k", 2), ("natural", None),
@@ -195,7 +202,7 @@ class TestCompressRound:
     @pytest.mark.parametrize("kind,k", KINDS_AND_K)
     def test_unbiased_and_structured(self, kind, k):
         n, d = 6, 10
-        spec = comp.make_spec(kind, d, n=n, k=k)
+        spec = comp.make_spec(kind, d, k=k)
         r = rng_(12)
         X = r.standard_normal((n, d))
         X[np.abs(X) < 1e-3] = 1e-3
@@ -212,7 +219,7 @@ class TestCompressRound:
 
     def test_variance_ratio_matches_scalar_api(self):
         n, d = 8, 10
-        spec = comp.make_spec("rand_k", d, n=n, k=1)
+        spec = comp.make_spec("rand_k", d, k=1)
         X = np.ones((n, d))
         r = rng_(13)
         err = 0.0
@@ -223,14 +230,14 @@ class TestCompressRound:
         assert err / (trials * d) == pytest.approx(9.0, abs=0.4)
 
     def test_deterministic(self):
-        spec = comp.make_spec("rand_k_natural", 8, n=3, k=2)
+        spec = comp.make_spec("rand_k_natural", 8, k=2)
         X = rng_(14).standard_normal((3, 8))
         a, _ = comp.compress_round(spec, X, rng_(99))
         b, _ = comp.compress_round(spec, X, rng_(99))
         assert np.array_equal(a, b)
 
     def test_saturation_count(self):
-        spec = comp.make_spec("natural", 2, n=2)
+        spec = comp.make_spec("natural", 2)
         X = np.array([[2.0 ** 200, 1.0], [1.0, 1.0]])
         _, sat = comp.compress_round(spec, X, rng_(0))
         assert sat > 0
@@ -238,14 +245,14 @@ class TestCompressRound:
     @pytest.mark.parametrize("kind,k", [("natural", None), ("rand_k_natural", 2)])
     def test_saturation_counts_clients(self, kind, k):
         # k = d keeps every coordinate, so only client 0's message saturates
-        spec = comp.make_spec(kind, 2, n=3, k=k)
+        spec = comp.make_spec(kind, 2, k=k)
         X = np.array([[2.0 ** 200, 2.0 ** 200], [1.0, 3.0], [-2.0, 0.5]])
         for seed in range(5):
             _, sat = comp.compress_round(spec, X, rng_(seed))
             assert sat == 1
 
     def test_rejects_non_finite(self):
-        spec = comp.make_spec("identity", 2, n=2)
+        spec = comp.make_spec("identity", 2)
         with pytest.raises(InputError):
             comp.compress_round(spec, np.array([[1.0, np.inf], [0.0, 0.0]]), rng_())
 
@@ -253,7 +260,7 @@ class TestCompressRound:
 class TestJointVariance:
     def test_averaged_error_bounded_by_omega_av(self):
         n, d = 8, 12
-        spec = comp.make_spec("rand_k", d, n=n, k=2)
+        spec = comp.make_spec("rand_k", d, k=2)
         r = rng_(15)
         X = r.standard_normal((n, d))
         trials = 20_000

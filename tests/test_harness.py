@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from locodl import algorithms as alg
 from locodl import harness
 from locodl import objectives as obj
 from locodl.errors import ConfigurationError, ConvergenceError, InputError
@@ -149,7 +148,7 @@ class TestRunSingle:
     def test_bits_equal_rounds_times_cost(self, quad_run):
         config, _, _, _, trace = quad_run
         from locodl.compressors import make_spec
-        cost = make_spec(config.compressor, 10, config.n, config.k).bits_per_message
+        cost = make_spec(config.compressor, 10, config.k).bits_per_message
         assert np.array_equal(trace.array("bits_per_client"),
                               trace.array("rounds") * cost)
 

@@ -1,13 +1,27 @@
-"""Every name a module imports is used somewhere in that module."""
+"""Every name a module imports is used somewhere in that module.
+
+The guard covers the package (apart from `__init__.py`, which imports to
+re-export), the tests and the scripts.
+"""
 
 import ast
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "locodl")
-MODULES = sorted(name for name in os.listdir(SRC)
-                 if name.endswith(".py") and name != "__init__.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _python_files(directory):
+    return sorted(name for name in os.listdir(os.path.join(ROOT, directory))
+                  if name.endswith(".py"))
+
+
+# a package module's test id is its file name; a test's or script's is its path from the root
+MODULES = {name: os.path.join("src", "locodl", name)
+           for name in _python_files(os.path.join("src", "locodl")) if name != "__init__.py"}
+MODULES.update({f"{directory}/{name}": os.path.join(directory, name)
+                for directory in ("tests", "scripts") for name in _python_files(directory)})
 
 
 def unused_imports(source):
@@ -29,7 +43,7 @@ def test_guard_catches_an_unused_import():
         == ["os (line 1)", "tau (line 2)"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, MODULES[module]), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []

@@ -8,6 +8,8 @@ from locodl import harness
 from locodl import objectives as obj
 from locodl.errors import InputError
 
+import oracle
+
 
 def e(i, d):
     v = np.zeros(d)
@@ -24,15 +26,23 @@ def finite_difference_grad(f, x, h):
     return g
 
 
+def alone(f, d):
+    """A one-client problem, whose batched evaluators compute f itself."""
+    return obj.Problem([f], 0.0, d, f.L, f.mu)
+
+
 class TestGradLogistic:
+    """The batched logistic gradient of one client (its weight 0.1 adds nothing at x = 0)."""
+
     def test_cancelling_pair_gives_zero(self):
         a = np.array([0.3, -1.2, 2.0])
         shard = obj.Shard(np.stack([a, a]), [1.0, -1.0])
-        assert np.allclose(obj.grad_logistic(np.zeros(3), shard, 0.0), 0.0)
+        problem = alone(obj.LogisticFunction(shard, 0.1), 3)
+        assert np.allclose(problem.grads_locals(np.zeros(3))[0], 0.0)
 
     def test_single_positive_sample_at_origin(self):
         shard = obj.Shard(e(0, 4)[None, :], [1.0])
-        g = obj.grad_logistic(np.zeros(4), shard, 0.0)
+        g = alone(obj.LogisticFunction(shard, 0.1), 4).grads_locals(np.zeros(4))[0]
         assert np.allclose(g, -0.5 * e(0, 4))
 
     def test_matches_finite_differences(self):
@@ -40,20 +50,15 @@ class TestGradLogistic:
         shard = obj.Shard(rng.standard_normal((7, 5)),
                           np.where(rng.random(7) < 0.5, -1.0, 1.0))
         x = rng.standard_normal(5)
-        g = obj.grad_logistic(x, shard, 0.1)
-        fd = finite_difference_grad(lambda z: obj.logistic_loss(z, shard, 0.1), x, 1e-6)
+        problem = alone(obj.LogisticFunction(shard, 0.1), 5)
+        g = problem.grads_locals(x)[0]
+        fd = finite_difference_grad(problem.value_mean, x, 1e-6)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
-    def test_dimension_mismatch(self):
-        shard = obj.Shard(np.eye(3), [1.0, 1.0, -1.0])
-        with pytest.raises(InputError):
-            obj.grad_logistic(np.zeros(4), shard, 0.0)
-
     def test_large_margins_stay_finite(self):
-        shard = obj.Shard(np.array([[1e4]]), [1.0])
-        g = obj.grad_logistic(np.array([100.0]), shard, 0.0)
-        assert np.all(np.isfinite(g))
-        assert np.isfinite(obj.logistic_loss(np.array([-100.0]), shard, 0.0))
+        problem = alone(obj.LogisticFunction(obj.Shard(np.array([[1e4]]), [1.0]), 0.1), 1)
+        assert np.all(np.isfinite(problem.grads_locals(np.array([100.0]))))
+        assert np.isfinite(problem.value_mean(np.array([-100.0])))
 
 
 class TestSmoothness:
@@ -112,6 +117,8 @@ class TestShard:
 
 
 class TestLocalFunctionProperties:
+    """Each family's batched gradient, one client at a time, against its constants."""
+
     def _functions(self):
         rng = np.random.default_rng(11)
         shard = obj.Shard(rng.standard_normal((8, 5)),
@@ -125,9 +132,10 @@ class TestLocalFunctionProperties:
     def test_lipschitz_and_monotone_gradients(self):
         rng = np.random.default_rng(12)
         for f in self._functions():
+            problem = alone(f, 5)
             for _ in range(100):
                 x, xp = rng.standard_normal(5), rng.standard_normal(5)
-                dg = f.grad(x) - f.grad(xp)
+                dg = problem.grads_locals(x)[0] - problem.grads_locals(xp)[0]
                 dx = x - xp
                 assert np.linalg.norm(dg) <= f.L * np.linalg.norm(dx) * (1 + 1e-9)
                 assert dg @ dx >= f.mu * (dx @ dx) * (1 - 1e-9)
@@ -135,11 +143,12 @@ class TestLocalFunctionProperties:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
         for f in self._functions():
+            problem = alone(f, 5)
             for _ in range(20):
                 x = rng.standard_normal(5)
                 h = 1e-6 * (1.0 + np.linalg.norm(x))
-                fd = finite_difference_grad(f.value, x, h)
-                g = f.grad(x)
+                fd = finite_difference_grad(problem.value_mean, x, h)
+                g = problem.grads_locals(x)[0]
                 assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
 
@@ -160,7 +169,7 @@ class TestReduceGZero:
         rng = np.random.default_rng(22)
         for _ in range(10):
             x = rng.standard_normal(3)
-            original = np.mean([f.value(x) for f in locals_])
+            original = np.mean([oracle.value(f, x) for f in locals_])
             assert reduced.value_mean(x) == pytest.approx(original, rel=1e-12, abs=1e-12)
 
     def test_constants_and_kappa_growth(self):
@@ -191,10 +200,10 @@ class TestReduceGZero:
         assert isinstance(reduced._batch, obj._BatchedQuadratic)
         rng = np.random.default_rng(23)
         X = rng.standard_normal((len(locals_), 3))
-        manual = np.stack([f.grad(X[i]) for i, f in enumerate(reduced.locals)])
+        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(reduced.locals)])
         assert np.allclose(reduced.grads_locals(X), manual, atol=1e-12)
         x = X[0]
-        manual = np.stack([f.grad(x) for f in reduced.locals])
+        manual = np.stack([oracle.grad(f, x) for f in reduced.locals])
         assert np.allclose(reduced.grads_locals(x), manual, atol=1e-12)
 
     def test_preserves_minimizer(self):
@@ -235,16 +244,16 @@ class TestProblem:
         rng = np.random.default_rng(31)
         X = rng.standard_normal((quad_problem.n, quad_problem.d))
         batched = quad_problem.grads_locals(X)
-        manual = np.stack([f.grad(X[i]) for i, f in enumerate(quad_problem.locals)])
+        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(quad_problem.locals)])
         assert np.allclose(batched, manual, atol=1e-12)
         x = rng.standard_normal(quad_problem.d)
         common = quad_problem.grads_locals(x)
-        manual = np.stack([f.grad(x) for f in quad_problem.locals])
+        manual = np.stack([oracle.grad(f, x) for f in quad_problem.locals])
         assert np.allclose(common, manual, atol=1e-12)
 
     def test_value_mean_matches_loop(self, quad_problem):
         x = np.random.default_rng(32).standard_normal(quad_problem.d)
-        direct = np.mean([f.value(x) for f in quad_problem.locals]) \
+        direct = np.mean([oracle.value(f, x) for f in quad_problem.locals]) \
             + 0.5 * quad_problem.g_weight * (x @ x)
         assert quad_problem.value_mean(x) == pytest.approx(direct, rel=1e-12)
 
@@ -270,12 +279,13 @@ class TestBatchedLogistic:
         problem = self._problem(sparse)
         rng = np.random.default_rng(42)
         X = rng.standard_normal((problem.n, problem.d))
-        manual = np.stack([f.grad(X[i]) for i, f in enumerate(problem.locals)])
+        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(problem.locals)])
         assert np.allclose(problem.grads_locals(X), manual, atol=1e-10)
         x = X[0]
-        manual = np.stack([f.grad(x) for f in problem.locals])
+        manual = np.stack([oracle.grad(f, x) for f in problem.locals])
         assert np.allclose(problem.grads_locals(x), manual, atol=1e-10)
-        direct = np.mean([f.value(x) for f in problem.locals]) + 0.5 * problem.g_weight * (x @ x)
+        direct = np.mean([oracle.value(f, x) for f in problem.locals]) \
+            + 0.5 * problem.g_weight * (x @ x)
         assert problem.value_mean(x) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("sparse", [True, False])
@@ -364,8 +374,8 @@ class TestFolding:
 class TestQuadraticHelpers:
     def test_minimizer_closed_form(self):
         f = obj.QuadraticFunction(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
-        assert np.allclose(f.minimizer(), [1.0, 1.0])
-        assert np.allclose(f.grad(f.minimizer()), 0.0)
+        assert np.allclose(oracle.minimizer(f), [1.0, 1.0])
+        assert np.allclose(alone(f, 2).grad_mean(oracle.minimizer(f)), 0.0)
 
     def test_quadratic_minimizer_of_problem(self, quad_problem):
         x_star = harness.solve_reference(quad_problem).x_star
