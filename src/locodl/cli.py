@@ -35,11 +35,15 @@ OUT_ENV_VAR = "LOCODL_OUT"
 compress = compressors.compress
 
 
-def _parse_seeds(text):
+def _parse_seeds(text, where):
+    """Comma-separated non-negative seeds; raises InputError naming `where` otherwise."""
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
-        raise InputError(f"bad seed list {text!r}") from None
+        raise InputError(f"{where} = {text!r} is not a valid seed list") from None
+    if any(seed < 0 for seed in seeds):
+        raise InputError(f"{where} = {text!r}: seeds must be non-negative")
+    return seeds
 
 
 def _value(section, key, convert, default=None):
@@ -93,7 +97,7 @@ def load_config(path, seeds_override=None):
         problem=problem,
         n=_value(prob, "n", int),
         kappa=_value(prob, "kappa", float, 100.0),
-        seeds=seeds_override or _parse_seeds(run.get("seeds", "0")),
+        seeds=seeds_override or _parse_seeds(run.get("seeds", "0"), "[run] seeds"),
         stop_metric=run.get("stop_metric", "psi"),
         stop_ratio=_value(run, "stop_ratio", float, 1e-8),
         max_iters=_value(run, "max_iters", lambda text: int(float(text)), 10_000_000),
@@ -155,7 +159,8 @@ def _print_table(rows, stream):
 
 
 def cmd_run(args):
-    configs, config_out = load_config(args.config, _parse_seeds(args.seeds) if args.seeds else None)
+    seeds = _parse_seeds(args.seeds, "--seeds") if args.seeds else None
+    configs, config_out = load_config(args.config, seeds)
     out_dir = _out_dir(args.out, config_out)
     rows = _run_configs(configs, out_dir)
     _print_table(rows, sys.stdout)
@@ -213,6 +218,8 @@ def cmd_certify(args):
         raise InputError(f"unknown compressor {args.compressor!r} (choose from {KINDS})")
     if args.trials < 10_000:
         raise InputError("certification needs at least 10000 trials")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     spec = make_spec(args.compressor, args.d, k=args.k)
     declared = args.declared_omega if args.declared_omega is not None else spec.omega
     rng = np.random.default_rng(args.seed)

@@ -108,8 +108,22 @@ def _natural_round(values, rng):
 
 
 def _rand_subsets(rng, n, d, k):
-    """n independent uniform k-subsets of {0,...,d-1}, as an (n, k) index array."""
-    return np.argpartition(rng.random((n, d)), k - 1, axis=1)[:, :k]
+    """n independent uniform k-subsets of {0,...,d-1}, as an (n, k) index array.
+
+    Floyd's algorithm, run across all rows at once: column j draws a candidate
+    uniform on {0, ..., d-k+j}, and a candidate already earlier in its row is
+    replaced by d-k+j, which no earlier column can hold.  One draw of n*k
+    uniforms and k-1 vectorized passes, whatever d is; column pairs are
+    compared one by one, which beats a 2-D `any` at the small k in use.
+    """
+    idx = (rng.random((n, k)) * np.arange(d - k + 1, d + 1)).astype(np.intp)
+    for j in range(1, k):
+        col = idx[:, j]             # a view: the replacement writes into idx
+        taken = col == idx[:, 0]
+        for i in range(1, j):
+            taken |= col == idx[:, i]
+        col[taken] = d - k + j
+    return idx
 
 
 def compress_round(spec, X, rng):

@@ -103,6 +103,10 @@ class ExperimentConfig:
         for key in ("n", "cadence", "round_cadence"):
             if getattr(self, key) < 1:
                 raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 1):
+            raise InputError(f"kappa must be finite and at least 1, got {self.kappa}")
+        if self.data_seed < 0:
+            raise InputError(f"data_seed must be non-negative, got {self.data_seed}")
         if self.stop_ratio <= 0 or self.max_iters < 0:
             raise InputError("stop rule must be positive")
         if self.stop_metric not in ("psi", "sqdist"):

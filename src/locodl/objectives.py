@@ -128,6 +128,9 @@ class _BatchedLogistic:
     """
 
     _SPARSE_DENSITY = 0.25
+    # exp(700) ~ 1e304 is finite, so capped margins never overflow and the
+    # coefficient needs no errstate; past the cap the true value is below 1e-304
+    _LOGIT_CAP = 700.0
 
     def __init__(self, A, b, reg):
         self.b = b          # (n, m)
@@ -143,8 +146,8 @@ class _BatchedLogistic:
             self._flat = sparse.csr_matrix(
                 (self._block.data, self._block.indices % self.d, self._block.indptr),
                 shape=(self.n * self.m, self.d))
-            self._neg_b = -b
             self.A = None
+        self._coef = -b / self.m
 
     def _margins(self, X):
         """(n, m) margins of each client's rows at its own point, or at a common (d,) point."""
@@ -156,16 +159,16 @@ class _BatchedLogistic:
         return np.matmul(self.A, X[..., None])[..., 0]
 
     def grads(self, X):
+        # (-b/m) / (1 + exp(min(b * margins, _LOGIT_CAP))), in place on the fresh margins
+        c = self._margins(X)
+        c *= self.b
+        np.minimum(c, self._LOGIT_CAP, out=c)
+        np.exp(c, out=c)
+        c += 1.0
+        np.divide(self._coef, c, out=c)
         if self._block is not None:
-            # -b * expit(-b * margins) / m, evaluated in place on the fresh margins
-            c = self._margins(X)
-            c *= self._neg_b
-            expit(c, out=c)
-            c *= self._neg_b
-            c /= self.m
             g = (self._block_t @ c.ravel()).reshape(self.n, self.d)
         else:
-            c = -self.b * expit(-self.b * self._margins(X)) / self.m
             g = np.matmul(c[:, None, :], self.A)[:, 0, :]
         return g + self.reg * X
 

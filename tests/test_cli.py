@@ -75,7 +75,13 @@ class TestLoadConfig:
         ("cadence = 50", "cadence = 50\nround_cadence = 0",
          "round_cadence must be at least 1, got 0"),
         ("d = 8", "d = 0", "quadratic d must be at least 1, got 0"),
-    ], ids=["n", "cadence", "round_cadence", "d"])
+        ("kappa = 100", "kappa = 0", "kappa must be finite and at least 1, got 0.0"),
+        ("kappa = 100", "kappa = 0.5", "kappa must be finite and at least 1, got 0.5"),
+        ("kappa = 100", "kappa = inf", "kappa must be finite and at least 1, got inf"),
+        ("data_seed = 3", "data_seed = -1", "data_seed must be non-negative, got -1"),
+        ("seeds = 0,1", "seeds = 0,-1", "[run] seeds = '0,-1': seeds must be non-negative"),
+    ], ids=["n", "cadence", "round_cadence", "d", "kappa_zero", "kappa_half", "kappa_inf",
+            "data_seed", "seeds"])
     def test_out_of_range_key_exits_2_and_names_it(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "bad.ini"
         path.write_text(QUAD_CONFIG.replace(old, new, 1))
@@ -158,6 +164,14 @@ class TestRun:
         out = tmp_path / "s"
         run_cli(["run", quad_config_path, "--out", str(out), "--seeds", "7"])
         assert sorted(p.name for p in out.glob("*.csv")) == ["loco_rand_k2_7.csv"]
+
+    def test_negative_seeds_flag_exits_2_and_names_it(self, quad_config_path, tmp_path,
+                                                       capsys):
+        out = tmp_path / "s"
+        assert run_cli(["run", quad_config_path, "--out", str(out), "--seeds=-1"]) \
+            == cli.EXIT_INPUT
+        assert "--seeds = '-1': seeds must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resolved_table_round_trips(self, quad_config_path, tmp_path, capsys):
         out1 = tmp_path / "r1"
@@ -272,6 +286,10 @@ class TestCertify:
 
     def test_unknown_compressor_exits_2(self):
         assert run_cli(["certify", "topk", "--trials", "10000"]) == cli.EXIT_INPUT
+
+    def test_negative_seed_exits_2_and_names_it(self, capsys):
+        assert run_cli(["certify", "identity", "--seed", "-1"]) == cli.EXIT_INPUT
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
     def test_too_few_trials_exits_2(self):
         assert run_cli(["certify", "identity", "--trials", "100"]) == cli.EXIT_INPUT

@@ -257,6 +257,46 @@ class TestCompressRound:
             comp.compress_round(spec, np.array([[1.0, np.inf], [0.0, 0.0]]), rng_())
 
 
+class TestRandSubsets:
+    @pytest.mark.parametrize("d,k", [(6, 1), (6, 6), (6, 3), (122, 2)])
+    def test_rows_are_distinct_indices_in_range(self, d, k):
+        idx = comp._rand_subsets(rng_(20), 5_000, d, k)
+        assert idx.shape == (5_000, k)
+        assert idx.min() >= 0 and idx.max() < d
+        assert np.all(np.diff(np.sort(idx, axis=1), axis=1) > 0)
+
+    def test_every_subset_equally_likely(self):
+        draws = 300_000
+        idx = comp._rand_subsets(rng_(21), draws, 6, 3)
+        counts = np.bincount((1 << idx).sum(axis=1), minlength=64)
+        observed = counts[[m for m in range(64) if bin(m).count("1") == 3]]
+        assert observed.sum() == draws                      # C(6, 3) = 20 subsets
+        expected = draws / 20
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < 54.0     # P(chi2 with 19 dof > 54) < 1e-4
+
+    def test_rand_k_natural_rounds_only_the_selected_coordinates(self):
+        n, d, k = 7, 12, 3
+        spec = comp.make_spec("rand_k_natural", d, k=k)
+        X = rng_(22).standard_normal((n, d))
+        r = rng_(23)
+        payload, _ = comp.compress_round(spec, X, r)
+        replay = rng_(23)
+        idx = comp._rand_subsets(replay, n, d, k)
+        replay.random((n, k))                               # one rounding draw per selected entry
+        assert r.random() == replay.random()
+        rows = np.arange(n)[:, None]
+        support = np.zeros((n, d), dtype=bool)
+        support[rows, idx] = True
+        assert np.all(payload[~support] == 0.0)
+        scaled = X[rows, idx] * (d / k)
+        chosen = payload[rows, idx]
+        assert np.all(np.sign(chosen) == np.sign(scaled))
+        ratio = np.abs(chosen) / np.abs(scaled)
+        assert np.all((ratio > 0.5) & (ratio <= 2.0))
+        assert np.all(np.log2(np.abs(chosen)) == np.round(np.log2(np.abs(chosen))))
+
+
 class TestJointVariance:
     def test_averaged_error_bounded_by_omega_av(self):
         n, d = 8, 12

@@ -1,5 +1,7 @@
 """Objectives: gradients, constants, reductions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -305,6 +307,49 @@ class TestBatchedLogistic:
         assert dense._batch._block is None
 
 
+class TestLogisticCoefficient:
+    """The coefficient (-b/m) / (1 + exp(min(b t, 700))) of the gradient at margins t.
+
+    A batch whose one client has the m x m identity as features has margins X
+    and gradient exactly the coefficient vector; m = 200 takes the dense
+    branch and m = 400 the sparse one.
+    """
+
+    @staticmethod
+    def _coefficients(t, b):
+        m = t.size
+        batch = obj._BatchedLogistic(np.eye(m)[None], b[None], 0.0)
+        assert (batch._block is not None) == (m > 256)
+        return batch.grads(t[None])[0]
+
+    @pytest.mark.parametrize("m", [200, 400])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e2])
+    def test_within_a_few_ulp_of_the_expit_form(self, scale, m):
+        rng = np.random.default_rng(int(scale * 1e3))
+        t = scale * rng.standard_normal(m)
+        b = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        reference = -b * expit(-b * t) / m
+        ulps = np.abs(self._coefficients(t, b) - reference) / np.spacing(np.abs(reference))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("m", [200, 400])
+    def test_huge_margins_raise_no_warning(self, m):
+        t = np.resize([1e3, -1e3, 1e300, -1e300], m)
+        b = np.resize([1.0, 1.0, -1.0, -1.0], m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = self._coefficients(t, b)
+        saturated = b * t < 0
+        assert np.array_equal(c[saturated], -b[saturated] / m)
+        assert np.all(np.abs(c[~saturated]) < 1e-300)
+
+    @pytest.mark.parametrize("m", [200, 400])
+    def test_nan_margin_gives_nan_gradient(self, m):
+        t = np.zeros(m)
+        t[3] = np.nan
+        assert np.isnan(self._coefficients(t, np.ones(m))[3])
+
+
 class TestSparseLogisticGradient:
     """The sparse batch against the formula of the stored-transpose design, bit for bit."""
 
@@ -329,7 +374,7 @@ class TestSparseLogisticGradient:
         block = batch._block
         flat = X.ravel() if X.ndim == 2 else np.tile(X, batch.n)
         margins = (block @ flat).reshape(batch.b.shape)
-        c = -batch.b * expit(-batch.b * margins) / batch.m
+        c = (-batch.b / batch.m) / (1.0 + np.exp(np.minimum(batch.b * margins, 700.0)))
         return (block.T.tocsr() @ c.ravel()).reshape(batch.n, batch.d) + batch.reg * X
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
