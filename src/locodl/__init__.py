@@ -8,8 +8,7 @@ from .compressors import (CompressedMessage, CompressorSpec, certification, comp
 from .data import dirichlet_synthetic, parse_libsvm, partition, serialize_libsvm
 from .harness import (ExperimentConfig, ExperimentTrace, bits_to_target,
                       fit_communication_exponent, run_experiment, solve_reference)
-from .objectives import (LogisticFunction, Problem, QuadraticFunction,
-                         Shard, logistic_problem, logistic_smoothness,
-                         reduce_g_zero, regularization_for_kappa)
+from .objectives import (Problem, Shard, fold_shared, logistic_problem, reduce_g_zero,
+                         regularization_for_kappa)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

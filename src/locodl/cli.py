@@ -36,11 +36,13 @@ compress = compressors.compress
 
 
 def _parse_seeds(text, where):
-    """Comma-separated non-negative seeds; raises InputError naming `where` otherwise."""
+    """At least one comma-separated non-negative seed; an InputError names `where` otherwise."""
     try:
         seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise InputError(f"{where} = {text!r} is not a valid seed list") from None
+    if not seeds:
+        raise InputError(f"{where} = {text!r} names no seed")
     if any(seed < 0 for seed in seeds):
         raise InputError(f"{where} = {text!r}: seeds must be non-negative")
     return seeds
@@ -97,7 +99,8 @@ def load_config(path, seeds_override=None):
         problem=problem,
         n=_value(prob, "n", int),
         kappa=_value(prob, "kappa", float, 100.0),
-        seeds=seeds_override or _parse_seeds(run.get("seeds", "0"), "[run] seeds"),
+        seeds=(seeds_override if seeds_override is not None
+               else _parse_seeds(run.get("seeds", "0"), "[run] seeds")),
         stop_metric=run.get("stop_metric", "psi"),
         stop_ratio=_value(run, "stop_ratio", float, 1e-8),
         max_iters=_value(run, "max_iters", lambda text: int(float(text)), 10_000_000),
@@ -159,7 +162,7 @@ def _print_table(rows, stream):
 
 
 def cmd_run(args):
-    seeds = _parse_seeds(args.seeds, "--seeds") if args.seeds else None
+    seeds = _parse_seeds(args.seeds, "--seeds") if args.seeds is not None else None
     configs, config_out = load_config(args.config, seeds)
     out_dir = _out_dir(args.out, config_out)
     rows = _run_configs(configs, out_dir)

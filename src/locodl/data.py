@@ -100,8 +100,8 @@ def partition(shard, n, seed):
 
 def dirichlet_synthetic(n, d, alpha, seed):
     """One Dirichlet(alpha * 1_d) feature vector per client with a fair-coin label."""
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InputError(f"alpha must be finite and positive, got {alpha}")
     if n < 1 or d < 2:
         raise InputError("need n >= 1 and d >= 2")
     rng = np.random.default_rng(seed)

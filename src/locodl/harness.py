@@ -105,10 +105,15 @@ class ExperimentConfig:
                 raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not (math.isfinite(self.kappa) and self.kappa >= 1):
             raise InputError(f"kappa must be finite and at least 1, got {self.kappa}")
+        if self.problem.get("source") in ("libsvm", "dirichlet") and self.kappa <= 1:
+            # the regularization weight that sets kappa is mu = L_loss / (kappa - 1)
+            raise InputError(f"kappa must exceed 1 for a logistic problem, got {self.kappa}")
         if self.data_seed < 0:
             raise InputError(f"data_seed must be non-negative, got {self.data_seed}")
-        if self.stop_ratio <= 0 or self.max_iters < 0:
-            raise InputError("stop rule must be positive")
+        if not (math.isfinite(self.stop_ratio) and self.stop_ratio > 0):
+            raise InputError(f"stop_ratio must be finite and positive, got {self.stop_ratio}")
+        if self.max_iters < 0:
+            raise InputError(f"max_iters must be non-negative, got {self.max_iters}")
         if self.stop_metric not in ("psi", "sqdist"):
             raise InputError(f"unknown stop metric {self.stop_metric!r}")
         if self.algorithm not in ("locodl", "gd", "diana", "scaffnew"):
@@ -132,7 +137,7 @@ class ExperimentTrace:
 
 
 def build_problem(config):
-    """Returns (problem, baseline_problem)."""
+    """Returns (problem, baseline_problem); the baseline is the same batch, folded."""
     src = config.problem
     if src["source"] == "quadratic":
         rng = np.random.default_rng(config.data_seed)
@@ -146,8 +151,8 @@ def build_problem(config):
     else:
         raise InputError(f"unknown problem source {src['source']!r}")
     shards = partition(dataset, config.n, config.data_seed)
-    mu = obj.regularization_for_kappa(dataset, config.kappa)
-    return obj.logistic_problem(shards, mu), obj.folded_logistic_problem(shards, mu)
+    problem = obj.logistic_problem(shards, obj.regularization_for_kappa(dataset, config.kappa))
+    return problem, obj.fold_shared(problem)
 
 
 def resolve_params(config, problem, spec):

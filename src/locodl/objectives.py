@@ -1,18 +1,19 @@
 """Strongly convex objectives: regularized logistic regression and quadratics.
 
-A local function holds its data, its regularization weight and its
-smoothness / strong convexity constants; it has no evaluator of its own.  A
-`Problem` bundles n local functions with the shared regularizer
-g(x) = (c/2)||x||^2, stored as its weight c, and the common (L, mu)
-constants used by all stepsize schedules.  Values, gradients and Hessians
-are evaluated only through the problem, batched with numpy across clients:
-a problem's locals must be all logistic with equal shard size or all
-quadratic, each family with one regularization weight.
+A `Problem` is one batch of client losses l_1 .. l_n, stacked once and
+evaluated with numpy across clients, plus two weights: every local function
+is f_i = l_i + (reg/2)||x||^2, and the shared regularizer is
+g(x) = (g_weight/2)||x||^2.  A batch holds only its family's data (the
+logistic shards of equal size, or the quadratics' A_i and b_i) and each
+client's curvature bounds; the problem adds the weights and the common
+(L, mu) constants used by all stepsize schedules.  The folded baseline
+(`fold_shared`) and the g = 0 reduction (`reduce_g_zero`) are the same batch
+with the weights moved between reg and g_weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,11 +66,6 @@ def max_eigenvalue_gram(features):
     return float(np.linalg.eigvalsh(a.T @ a)[-1])
 
 
-def logistic_smoothness(shard, mu):
-    """Smoothness constant lam_max(A^T A) / (4m) + mu of the regularized loss."""
-    return shard.gram_max_eigenvalue / (4.0 * shard.m) + mu
-
-
 def regularization_for_kappa(dataset, kappa_target):
     """Regularization weight mu giving condition number kappa_target on the whole dataset's shard."""
     if kappa_target <= 1:
@@ -77,46 +73,8 @@ def regularization_for_kappa(dataset, kappa_target):
     return dataset.gram_max_eigenvalue / (4.0 * dataset.m * (kappa_target - 1.0))
 
 
-class LogisticFunction:
-    def __init__(self, shard, mu):
-        self.shard = shard
-        self.reg = float(mu)
-        self.L = logistic_smoothness(shard, mu)
-        self.mu = float(mu)
-
-
-class QuadraticFunction:
-    """f(x) = x^T A x / 2 - b^T x + (mu/2)||x||^2 with A symmetric PSD.
-
-    The local function of `random_quadratic_problem`: a problem of such
-    locals has its minimizer in closed form, the solution of one linear system.
-    """
-
-    def __init__(self, A, b, mu=0.0):
-        self.A = np.asarray(A, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        self.reg = float(mu)
-        if self.A.shape[0] != self.A.shape[1] or self.b.shape != (self.A.shape[0],):
-            raise InputError("quadratic needs a square A and matching b")
-        eigs = np.linalg.eigvalsh(self.A)
-        self.L = float(eigs[-1]) + self.reg
-        self.mu = float(eigs[0]) + self.reg
-
-
-class ShiftedFunction:
-    """base(x) - (c/2)||x||^2, still convex as long as c <= base.mu."""
-
-    def __init__(self, base, c):
-        if c > base.mu:
-            raise InputError("shift exceeds the strong convexity of the base function")
-        self.base = base
-        self.c = float(c)
-        self.L = base.L - self.c
-        self.mu = base.mu - self.c
-
-
 class _BatchedLogistic:
-    """Vectorized per-client gradients for logistic locals with equal shard sizes.
+    """The logistic losses of clients with equal shard sizes, as one batch.
 
     The features are stored once.  Dense data are one (n, m, d) stack.
     Sparse data (typical for one-hot encodings) are one block-diagonal CSR
@@ -124,7 +82,8 @@ class _BatchedLogistic:
     against its own model; A^T c goes through the block's transpose, a CSC
     view of the same arrays.  A flat (n*m, d) CSR that shares the block's
     values and row pointers, with column indices taken modulo d, serves a
-    common (d,) point and the Hessian.
+    common (d,) point and the Hessian.  `lo` and `hi` are each client's
+    curvature bounds, 0 and lam_max(A_i^T A_i) / (4m).
     """
 
     _SPARSE_DENSITY = 0.25
@@ -132,10 +91,14 @@ class _BatchedLogistic:
     # coefficient needs no errstate; past the cap the true value is below 1e-304
     _LOGIT_CAP = 700.0
 
-    def __init__(self, A, b, reg):
-        self.b = b          # (n, m)
-        self.reg = reg
+    def __init__(self, shards):
+        if len({s.m for s in shards}) != 1:
+            raise InputError("logistic clients must have equal shard sizes")
+        A = np.stack([s.features for s in shards])
+        self.b = np.stack([s.labels for s in shards])     # (n, m)
         self.n, self.m, self.d = A.shape
+        self.lo = np.zeros(self.n)
+        self.hi = np.array([s.gram_max_eigenvalue / (4.0 * s.m) for s in shards])
         self.A = A          # (n, m, d), or None once the sparse block replaces it
         self._block = None
         if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
@@ -147,7 +110,7 @@ class _BatchedLogistic:
                 (self._block.data, self._block.indices % self.d, self._block.indptr),
                 shape=(self.n * self.m, self.d))
             self.A = None
-        self._coef = -b / self.m
+        self._coef = -self.b / self.m
 
     def _margins(self, X):
         """(n, m) margins of each client's rows at its own point, or at a common (d,) point."""
@@ -167,10 +130,8 @@ class _BatchedLogistic:
         c += 1.0
         np.divide(self._coef, c, out=c)
         if self._block is not None:
-            g = (self._block_t @ c.ravel()).reshape(self.n, self.d)
-        else:
-            g = np.matmul(c[:, None, :], self.A)[:, 0, :]
-        return g + self.reg * X
+            return (self._block_t @ c.ravel()).reshape(self.n, self.d)
+        return np.matmul(c[:, None, :], self.A)[:, 0, :]
 
     def hessian_mean(self, x):
         """Hessian of `mean_value` at a common (d,) point, as a dense (d, d) array.
@@ -181,96 +142,81 @@ class _BatchedLogistic:
         margins = self._margins(x).ravel()
         w = expit(margins) * expit(-margins) / (self.n * self.m)
         if self._block is not None:
-            H = (self._flat.T @ self._flat.multiply(w[:, None])).toarray()
-        else:
-            flat = self.A.reshape(-1, self.d)
-            H = (flat.T * w) @ flat
-        H[np.diag_indices(self.d)] += self.reg
-        return H
+            return (self._flat.T @ self._flat.multiply(w[:, None])).toarray()
+        flat = self.A.reshape(-1, self.d)
+        return (flat.T * w) @ flat
 
     def mean_value(self, x):
         losses = np.logaddexp(0.0, -self.b.ravel() * self._margins(x).ravel())
-        return float(losses.sum() / losses.size) + 0.5 * self.reg * float(x @ x)
+        return float(losses.sum() / losses.size)
 
 
 class _BatchedQuadratic:
-    """Vectorized per-client gradients for homogeneous quadratic locals."""
+    """The quadratics x^T A_i x / 2 - b_i^T x of n clients, as one batch.
 
-    def __init__(self, A, b, reg):
+    `lo` and `hi` are each client's curvature bounds, the extremes of the
+    spectrum of its symmetric A_i.
+    """
+
+    def __init__(self, A, b):
         self.A = A      # (n, d, d)
         self.b = b      # (n, d)
-        self.reg = reg
+        self.n, self.d = b.shape
+        eigs = np.linalg.eigvalsh(A)
+        self.lo, self.hi = eigs[:, 0], eigs[:, -1]
         self.A_bar = A.mean(axis=0)     # mean_value's terms, computed once
         self.b_bar = b.mean(axis=0)
 
     def grads(self, X):
         if X.ndim == 1:
-            return np.matmul(self.A, X) - self.b + self.reg * X[None, :]
-        return np.matmul(self.A, X[:, :, None])[:, :, 0] - self.b + self.reg * X
+            return np.matmul(self.A, X) - self.b
+        return np.matmul(self.A, X[:, :, None])[:, :, 0] - self.b
 
     def hessian_mean(self, x):
         """Hessian of `mean_value`, the same at every point."""
-        H = self.A_bar.copy()
-        H[np.diag_indices_from(H)] += self.reg
-        return H
+        return self.A_bar.copy()
 
     def mean_value(self, x):
-        return float(0.5 * x @ (self.A_bar @ x) - self.b_bar @ x + 0.5 * self.reg * (x @ x))
-
-
-def _stack(locals_):
-    """One vectorized batch for all locals.
-
-    A ShiftedFunction stacks as its base with regularization weight reg - c.
-    Raises InputError for locals that do not stack: mixed families, unequal
-    shard sizes or unequal regularization weights.
-    """
-    bases = [f.base if isinstance(f, ShiftedFunction) else f for f in locals_]
-    shifts = [f.c if isinstance(f, ShiftedFunction) else 0.0 for f in locals_]
-    families = {type(f) for f in bases}
-    if families not in ({LogisticFunction}, {QuadraticFunction}):
-        names = sorted(t.__name__ for t in families)
-        raise InputError(f"locals must be all logistic or all quadratic, got {names}")
-    regs = {f.reg - c for f, c in zip(bases, shifts)}
-    if len(regs) != 1:
-        raise InputError("locals must share one regularization weight")
-    if families == {QuadraticFunction}:
-        return _BatchedQuadratic(np.stack([f.A for f in bases]),
-                                 np.stack([f.b for f in bases]), regs.pop())
-    if len({f.shard.m for f in bases}) != 1:
-        raise InputError("logistic locals must have equal shard sizes")
-    return _BatchedLogistic(np.stack([f.shard.features for f in bases]),
-                            np.stack([f.shard.labels for f in bases]), regs.pop())
+        return float(0.5 * x @ (self.A_bar @ x) - self.b_bar @ x)
 
 
 @dataclass
 class Problem:
-    """n local functions plus g(x) = (g_weight/2)||x||^2, with common constants (L, mu).
+    """(1/n) sum_i f_i(x) + g(x) over one batch of client losses l_i.
 
-    A zero weight marks a folded problem (baseline convention), whose
-    locals carry the whole regularizer.
+    f_i = l_i + (reg/2)||.||^2 and g = (g_weight/2)||.||^2.  `lo` and `hi`
+    bound the curvature of every loss (by default the extremes of the
+    batch's per-client bounds), so L = hi + reg and mu = lo + reg are the
+    common constants used by all stepsize schedules.  A zero g_weight marks
+    a folded problem (baseline convention), whose f_i carry the whole
+    regularizer.
     """
 
-    locals: list
+    batch: object           # _BatchedLogistic or _BatchedQuadratic
+    reg: float
     g_weight: float
-    d: int
-    L: float
-    mu: float
-    _batch: object = field(init=False, repr=False)
+    lo: float = None
+    hi: float = None
+    n: int = field(init=False)
+    d: int = field(init=False)
+    L: float = field(init=False)
+    mu: float = field(init=False)
 
     def __post_init__(self):
+        self.n, self.d = self.batch.n, self.batch.d
+        if self.lo is None:
+            self.lo = float(self.batch.lo.min())
+        if self.hi is None:
+            self.hi = float(self.batch.hi.max())
+        self.L = self.hi + self.reg
+        self.mu = self.lo + self.reg
         if not (0 < self.mu <= self.L):
             raise InputError("problem constants must satisfy 0 < mu <= L")
         if not (0.0 <= self.g_weight <= self.L * (1 + 1e-12)):
             raise InputError("the shared weight must lie in [0, L]")
-        for f in self.locals:
-            if f.L > self.L * (1 + 1e-12) or f.mu < self.mu * (1 - 1e-12):
-                raise InputError("a local function violates the common (L, mu) constants")
-        self._batch = _stack(self.locals)
-
-    @property
-    def n(self):
-        return len(self.locals)
+        if (np.any(self.batch.hi + self.reg > self.L * (1 + 1e-12))
+                or np.any(self.batch.lo + self.reg < self.mu * (1 - 1e-12))):
+            raise InputError("a local function violates the common (L, mu) constants")
 
     @property
     def kappa(self):
@@ -278,7 +224,8 @@ class Problem:
 
     def grads_locals(self, X):
         """Per-client gradients.  X is (n, d) for distinct points or (d,) for a common one."""
-        return self._batch.grads(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        return self.batch.grads(X) + self.reg * X
 
     def grad_g(self, y):
         return self.g_weight * y
@@ -286,7 +233,8 @@ class Problem:
     def value_mean(self, x):
         """(1/n) sum_i f_i(x) + g(x)."""
         x = np.asarray(x, dtype=np.float64)
-        return self._batch.mean_value(x) + 0.5 * self.g_weight * float(x @ x)
+        sq = float(x @ x)
+        return self.batch.mean_value(x) + 0.5 * self.reg * sq + 0.5 * self.g_weight * sq
 
     def grad_mean(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -294,8 +242,10 @@ class Problem:
 
     def hessian_mean(self, x):
         """Hessian of `value_mean` at x."""
-        H = self._batch.hessian_mean(np.asarray(x, dtype=np.float64))
-        H[np.diag_indices(self.d)] += self.g_weight
+        H = self.batch.hessian_mean(np.asarray(x, dtype=np.float64))
+        diagonal = np.diag_indices(self.d)
+        H[diagonal] += self.reg
+        H[diagonal] += self.g_weight
         return H
 
 
@@ -305,49 +255,30 @@ def logistic_problem(shards, mu):
     The common L is the largest per-client smoothness constant, so that
     every local function actually satisfies it.
     """
-    locals_ = [LogisticFunction(s, mu) for s in shards]
-    return Problem(locals_, float(mu), shards[0].d, float(max(f.L for f in locals_)), float(mu))
-
-
-def folded_logistic_problem(shards, mu):
-    """Baseline convention: g folded into every f_i via a twice larger regularizer."""
-    locals_ = [LogisticFunction(s, 2.0 * mu) for s in shards]
-    return Problem(locals_, 0.0, shards[0].d, float(max(f.L for f in locals_)), 2.0 * float(mu))
+    return Problem(_BatchedLogistic(shards), float(mu), float(mu))
 
 
 def fold_shared(problem):
-    """Absorb the shared squared norm into every local (baseline convention)."""
-    c = problem.g_weight
-    folded = []
-    for f in problem.locals:
-        if isinstance(f, LogisticFunction):
-            folded.append(LogisticFunction(f.shard, f.reg + c))
-        elif isinstance(f, QuadraticFunction):
-            folded.append(QuadraticFunction(f.A, f.b, f.reg + c))
-        else:
-            raise InputError(f"cannot fold shared function into {type(f).__name__}")
-    return Problem(folded, 0.0, problem.d, problem.L + c, problem.mu + c)
+    """Absorb the shared squared norm into every local (baseline convention): the same batch."""
+    return replace(problem, reg=problem.reg + problem.g_weight, g_weight=0.0)
 
 
-def reduce_g_zero(locals_only, mu):
-    """Split plain averaging of the f_i into locals plus a shared quadratic.
+# nothing here calls it: it stays only because perfbench's layer tracer wraps
+# `objectives.folded_logistic_problem`
+folded_logistic_problem = fold_shared
 
-    Returns the problem with locals f_i - (mu/4)||.||^2 and g = (mu/4)||.||^2,
-    whose objective equals (1/n) sum f_i pointwise.
+
+def reduce_g_zero(problem, mu):
+    """Split a problem without shared function into locals plus a shared quadratic.
+
+    Returns the same batch with locals f_i - (mu/4)||.||^2 and
+    g = (mu/4)||.||^2, whose objective equals the problem's pointwise.
     """
     if mu <= 0:
         raise InputError("the reduction needs strictly positive strong convexity")
-    shifted = [ShiftedFunction(f, mu / 2.0) for f in locals_only]
-    L = max(f.L for f in locals_only)
-    d = None
-    for f in locals_only:
-        if isinstance(f, LogisticFunction):
-            d = f.shard.d
-        elif isinstance(f, QuadraticFunction):
-            d = f.b.shape[0]
-    if d is None:
-        raise InputError("cannot infer the dimension of the local functions")
-    return Problem(shifted, mu / 2.0, d, L - mu / 2.0, mu / 2.0)
+    if problem.g_weight != 0.0:
+        raise InputError("the reduction needs a problem without shared function")
+    return replace(problem, reg=problem.reg - mu / 2.0, g_weight=mu / 2.0)
 
 
 def random_quadratic_problem(d, n, kappa, rng):
@@ -361,14 +292,14 @@ def random_quadratic_problem(d, n, kappa, rng):
     if d < 1:
         raise InputError(f"quadratic d must be at least 1, got {d}")
     mu = 1.0 / kappa
-    locals_ = []
+    A, b = [], []
     for i in range(n):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         eigs = rng.uniform(mu, 1.0, size=d)
         if i == 0:
             eigs[0], eigs[-1] = mu, 1.0
-        A = (q * eigs) @ q.T
-        A = 0.5 * (A + A.T)
-        b = rng.standard_normal(d)
-        locals_.append(QuadraticFunction(A, b, 0.0))
-    return Problem(locals_, mu, d, 1.0, min(mu, *(f.mu for f in locals_)))
+        a = (q * eigs) @ q.T
+        A.append(0.5 * (a + a.T))
+        b.append(rng.standard_normal(d))
+    batch = _BatchedQuadratic(np.stack(A), np.stack(b))
+    return Problem(batch, 0.0, mu, lo=min(mu, float(batch.lo.min())), hi=1.0)

@@ -1,39 +1,38 @@
 """Per-client formulas of the local functions, written from their definitions.
 
 The library evaluates local functions only in batches, through a `Problem`
-(`grads_locals`, `value_mean`).  These one-function-at-a-time formulas are
-the reference that the tests hold the batched paths to.
+(`grads_locals`, `value_mean`).  These one-client-at-a-time formulas take
+the client's own arrays and regularization weight, and are the reference
+that the tests hold the batched paths to.
 """
 
 import numpy as np
 from scipy.special import expit
 
-from locodl import objectives as obj
+
+def logistic_value(features, labels, reg, x):
+    """Mean of log(1 + exp(-b a^T x)) over the client's rows, plus (reg/2)||x||^2."""
+    losses = np.logaddexp(0.0, -labels * (features @ x))    # the stable log-sum-exp
+    return float(np.mean(losses) + 0.5 * reg * float(x @ x))
 
 
-def value(f, x):
-    """f(x) for a logistic, quadratic or shifted local function."""
-    if isinstance(f, obj.ShiftedFunction):
-        return value(f.base, x) - 0.5 * f.c * float(x @ x)
-    if isinstance(f, obj.QuadraticFunction):
-        return float(0.5 * x @ (f.A @ x) - f.b @ x + 0.5 * f.reg * (x @ x))
-    # mean of log(1 + exp(-b a^T x)), via the stable log-sum-exp
-    losses = np.logaddexp(0.0, -f.shard.labels * (f.shard.features @ x))
-    return float(np.mean(losses) + 0.5 * f.reg * float(x @ x))
-
-
-def grad(f, x):
-    """The gradient of `value(f, .)` at x."""
-    if isinstance(f, obj.ShiftedFunction):
-        return grad(f.base, x) - f.c * x
-    if isinstance(f, obj.QuadraticFunction):
-        return f.A @ x - f.b + f.reg * x
-    labels = f.shard.labels
+def logistic_grad(features, labels, reg, x):
+    """The gradient of `logistic_value` at x."""
     # d/dt log(1 + exp(-t)) = -sigmoid(-t)
-    coeffs = -labels * expit(-labels * (f.shard.features @ x))
-    return f.shard.features.T @ coeffs / f.shard.m + f.reg * x
+    coeffs = -labels * expit(-labels * (features @ x))
+    return features.T @ coeffs / labels.size + reg * x
 
 
-def minimizer(f):
-    """The minimizer of a quadratic local function: the solution of (A + mu I) x = b."""
-    return np.linalg.solve(f.A + f.reg * np.eye(f.b.size), f.b)
+def quadratic_value(A, b, reg, x):
+    """x^T A x / 2 - b^T x + (reg/2)||x||^2."""
+    return float(0.5 * x @ (A @ x) - b @ x + 0.5 * reg * (x @ x))
+
+
+def quadratic_grad(A, b, reg, x):
+    """The gradient of `quadratic_value` at x."""
+    return A @ x - b + reg * x
+
+
+def quadratic_minimizer(A, b, reg=0.0):
+    """The minimizer of `quadratic_value`: the solution of (A + reg I) x = b."""
+    return np.linalg.solve(A + reg * np.eye(b.size), b)

@@ -200,17 +200,16 @@ def test_criterion_7_g_zero_reduction():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
     d, n = 6, 4
-    locals_ = []
+    A, b = [], []
     for _ in range(n):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         eigs = rng.uniform(0.02, 1.0, size=d)
         a = (q * eigs) @ q.T
-        locals_.append(obj.QuadraticFunction(0.5 * (a + a.T), rng.standard_normal(d), 0.0))
-    mu = min(f.mu for f in locals_)
-    original = obj.Problem(locals_, 0.0, d,
-                           max(f.L for f in locals_), mu)
+        A.append(0.5 * (a + a.T))
+        b.append(rng.standard_normal(d))
+    original = obj.Problem(obj._BatchedQuadratic(np.stack(A), np.stack(b)), 0.0, 0.0)
     ref = harness.solve_reference(original)
-    reduced = obj.reduce_g_zero(locals_, mu)
+    reduced = obj.reduce_g_zero(original, original.mu)
 
     spec = comp.make_spec("rand_k", d, k=2)
     params = alg.default_params(reduced.L, reduced.mu, spec.omega, spec.omega / n)

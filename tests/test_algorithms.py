@@ -92,8 +92,7 @@ class TestRateBound:
 
 class TestLoCoDLStep:
     def test_one_exact_step_on_symmetric_quadratic(self):
-        f = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.0)
-        problem = obj.Problem([f], 1.0, 3, 1.0, 1.0)
+        problem = obj.Problem(obj._BatchedQuadratic(np.eye(3)[None], np.zeros((1, 3))), 0.0, 1.0)
         params = alg.AlgoParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(1, 3)
         state.x[0] = state.y = np.array([1.0, -2.0, 0.5])
@@ -193,8 +192,7 @@ class TestLyapunov:
 
 class TestGD:
     def test_one_step_on_unit_quadratic(self):
-        f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
-        problem = obj.Problem([f], 0.0, 2, 1.0, 1.0)
+        problem = obj.Problem(obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2))), 0.0, 0.0)
         state = alg.GDState(np.array([3.0, -4.0]))
         alg.gd_step(state, problem, 1.0)
         assert np.allclose(state.x, 0.0)
@@ -206,9 +204,9 @@ class TestGD:
         assert np.array_equal(state.x, np.ones(quad_problem.d))
 
     def test_contraction_on_known_quadratic(self):
-        f = obj.QuadraticFunction(np.diag([0.5, 2.0]), np.array([1.0, 1.0]), 0.0)
-        problem = obj.Problem([f], 0.0, 2, 2.0, 0.5)
-        x_star = oracle.minimizer(f)
+        A, b = np.diag([0.5, 2.0]), np.array([1.0, 1.0])
+        problem = obj.Problem(obj._BatchedQuadratic(A[None], b[None]), 0.0, 0.0)
+        x_star = oracle.quadratic_minimizer(A, b)
         gamma = 1.0 / problem.L
         rate = max(1.0 - gamma * problem.mu, gamma * problem.L - 1.0) ** 2
         state = alg.GDState(np.zeros(2))
@@ -225,14 +223,12 @@ class TestGD:
 class TestDiana:
     def _two_client_quadratic(self):
         rng = np.random.default_rng(71)
-        locals_ = []
+        A, b = [], []
         for _ in range(2):
             a = rng.standard_normal((4, 4))
-            locals_.append(obj.QuadraticFunction(a @ a.T + 0.3 * np.eye(4),
-                                                 rng.standard_normal(4), 0.0))
-        L = max(f.L for f in locals_)
-        mu = min(f.mu for f in locals_)
-        return obj.Problem(locals_, 0.0, 4, L, mu)
+            A.append(a @ a.T + 0.3 * np.eye(4))
+            b.append(rng.standard_normal(4))
+        return obj.Problem(obj._BatchedQuadratic(np.stack(A), np.stack(b)), 0.0, 0.0)
 
     def test_identity_reduces_to_gd(self):
         problem = self._two_client_quadratic()
@@ -284,8 +280,8 @@ class TestDiana:
 
 class TestScaffnew:
     def test_single_client_p_one_is_gd(self):
-        f = obj.QuadraticFunction(np.diag([1.0, 0.5]), np.array([1.0, 1.0]), 0.0)
-        problem = obj.Problem([f], 0.0, 2, 1.0, 0.5)
+        batch = obj._BatchedQuadratic(np.diag([1.0, 0.5])[None], np.array([[1.0, 1.0]]))
+        problem = obj.Problem(batch, 0.0, 0.0)
         scaff = alg.ScaffnewState.zeros(1, 2)
         gd = alg.GDState.zeros(2)
         rng = alg.RngBundle.from_seed(12)
@@ -314,8 +310,8 @@ class TestScaffnew:
         eigs = np.linspace(0.01, 1.0, d)
         b = np.zeros(d)
         b[0] = 0.01   # x* = e_1, reached only through the smallest eigenvalue
-        locals_ = [obj.QuadraticFunction(np.diag(eigs), b, 0.0) for _ in range(n)]
-        folded = obj.Problem(locals_, 0.0, d, 1.0, 0.01)
+        batch = obj._BatchedQuadratic(np.tile(np.diag(eigs), (n, 1, 1)), np.tile(b, (n, 1)))
+        folded = obj.Problem(batch, 0.0, 0.0, lo=0.01, hi=1.0)
         ref = harness.solve_reference(folded)
         gamma = 1.0 / folded.L
         p = 1.0 / np.sqrt(folded.kappa)

@@ -29,6 +29,23 @@ k = 2
 """
 
 
+DIRICHLET_CONFIG = """\
+[problem]
+source = dirichlet
+d = 6
+alpha = 1.0
+n = 5
+kappa = 10
+
+[run]
+stop_metric = sqdist
+stop_ratio = 1e-3
+
+[algo:loco]
+algorithm = locodl
+"""
+
+
 @pytest.fixture
 def quad_config_path(tmp_path):
     path = tmp_path / "quad.ini"
@@ -80,13 +97,44 @@ class TestLoadConfig:
         ("kappa = 100", "kappa = inf", "kappa must be finite and at least 1, got inf"),
         ("data_seed = 3", "data_seed = -1", "data_seed must be non-negative, got -1"),
         ("seeds = 0,1", "seeds = 0,-1", "[run] seeds = '0,-1': seeds must be non-negative"),
+        ("seeds = 0,1", "seeds = ,", "[run] seeds = ',' names no seed"),
+        ("stop_ratio = 1e-6", "stop_ratio = nan",
+         "stop_ratio must be finite and positive, got nan"),
+        ("stop_ratio = 1e-6", "stop_ratio = inf",
+         "stop_ratio must be finite and positive, got inf"),
+        ("stop_ratio = 1e-6", "stop_ratio = 0",
+         "stop_ratio must be finite and positive, got 0.0"),
+        ("max_iters = 100000", "max_iters = -1", "max_iters must be non-negative, got -1"),
     ], ids=["n", "cadence", "round_cadence", "d", "kappa_zero", "kappa_half", "kappa_inf",
-            "data_seed", "seeds"])
+            "data_seed", "seeds", "seeds_empty", "stop_ratio_nan", "stop_ratio_inf",
+            "stop_ratio_zero", "max_iters"])
     def test_out_of_range_key_exits_2_and_names_it(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "bad.ini"
         path.write_text(QUAD_CONFIG.replace(old, new, 1))
         assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["dirichlet", "libsvm"])
+    def test_logistic_kappa_one_exits_2_and_names_it(self, tmp_path, capsys, source):
+        problem = "source = dirichlet\nd = 6\nalpha = 1.0\n"
+        if source == "libsvm":
+            data_path = tmp_path / "data.libsvm"
+            data_path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n"
+                                         for i in range(40)))
+            problem = f"source = libsvm\npath = {data_path}\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(DIRICHLET_CONFIG.replace("source = dirichlet\nd = 6\nalpha = 1.0\n",
+                                                 problem).replace("kappa = 10", "kappa = 1"))
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert "kappa must exceed 1 for a logistic problem, got 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_dirichlet_alpha_exits_2_and_names_it(self, tmp_path, capsys, alpha):
+        path = tmp_path / "bad.ini"
+        path.write_text(DIRICHLET_CONFIG.replace("alpha = 1.0", f"alpha = {alpha}"))
+        assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert f"alpha must be finite and positive, got {alpha}" in capsys.readouterr().err
 
     def test_unknown_source(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -173,6 +221,14 @@ class TestRun:
         assert "--seeds = '-1': seeds must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--seeds=,", "--seeds="])
+    def test_empty_seeds_flag_exits_2_and_names_it(self, quad_config_path, tmp_path, capsys,
+                                                    flag):
+        out = tmp_path / "s"
+        assert run_cli(["run", quad_config_path, "--out", str(out), flag]) == cli.EXIT_INPUT
+        assert f"--seeds = {flag.split('=', 1)[1]!r} names no seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolved_table_round_trips(self, quad_config_path, tmp_path, capsys):
         out1 = tmp_path / "r1"
         run_cli(["run", quad_config_path, "--out", str(out1)])
@@ -251,6 +307,14 @@ class TestSweep:
         assert run_cli(["sweep", quad_config_path, "--vary", "n=2,0,3",
                         "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
         assert "n must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_logistic_kappa_one_exits_2_before_any_run(self, tmp_path, capsys):
+        path = tmp_path / "dirichlet.ini"
+        path.write_text(DIRICHLET_CONFIG)
+        assert run_cli(["sweep", str(path), "--vary", "kappa=10,1",
+                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+        assert "kappa must exceed 1 for a logistic problem, got 1.0" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from locodl import harness
 from locodl import objectives as obj
+from locodl.data import dirichlet_synthetic, load_libsvm, partition
 from locodl.errors import ConfigurationError, ConvergenceError, InputError
 
 
@@ -25,7 +26,7 @@ def logistic_problem(sparse):
         feats = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
         shards.append(obj.Shard(feats, np.where(rng.random(m) < 0.5, -1.0, 1.0)))
     problem = obj.logistic_problem(shards, 0.05)
-    assert (problem._batch._block is not None) == sparse
+    assert (problem.batch._block is not None) == sparse
     return problem
 
 
@@ -41,14 +42,13 @@ def quad_run():
 class TestSolveReference:
     def test_shifted_identity_quadratic(self):
         c = np.array([2.0, -1.0, 0.5])
-        f = obj.QuadraticFunction(np.eye(3), c, 0.0)
-        problem = obj.Problem([f], 0.0, 3, 1.0, 1.0)
+        problem = obj.Problem(obj._BatchedQuadratic(np.eye(3)[None], c[None]), 0.0, 0.0)
         ref = harness.solve_reference(problem)
         assert np.allclose(ref.x_star, c, atol=1e-10)
 
     def test_diagonal_quadratic(self):
-        f = obj.QuadraticFunction(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
-        problem = obj.Problem([f], 0.0, 2, 2.0, 1.0)
+        batch = obj._BatchedQuadratic(np.diag([1.0, 2.0])[None], np.array([[1.0, 2.0]]))
+        problem = obj.Problem(batch, 0.0, 0.0)
         ref = harness.solve_reference(problem)
         assert np.allclose(ref.x_star, [1.0, 1.0], atol=1e-10)
 
@@ -96,8 +96,8 @@ class TestSolveReference:
             quad_config(problem={"source": "quadratic", "d": 50}, n=10, kappa=3e4, data_seed=0))
         ref = harness.solve_reference(problem)
         assert ref.grad_norm > 1e-12 * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
-        A = np.mean([f.A for f in problem.locals], axis=0) + problem.g_weight * np.eye(50)
-        b = np.mean([f.b for f in problem.locals], axis=0)
+        A = problem.batch.A.mean(axis=0) + problem.g_weight * np.eye(50)
+        b = problem.batch.b.mean(axis=0)
         assert np.allclose(ref.x_star, np.linalg.solve(A, b), rtol=1e-14, atol=0)
 
     def test_newton_step_cap_raises(self):
@@ -106,8 +106,7 @@ class TestSolveReference:
             harness.solve_reference(logistic_problem(sparse=False), tol=0.0)
 
     def test_rejects_non_strongly_convex(self):
-        f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)
-        problem = obj.Problem([f], 0.0, 2, 1.0, 1.0)
+        problem = obj.Problem(obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2))), 0.0, 0.0)
         problem.mu = 0.0
         with pytest.raises(InputError):
             harness.solve_reference(problem)
@@ -313,6 +312,43 @@ class TestBuildProblem:
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
         harness.build_problem(config)
         assert len(calls) == 87 + 1    # one per shard, shared by problem and baseline, + the dataset
+
+    @staticmethod
+    def _logistic_config(source, kappa, a5a_path):
+        if source == "libsvm":
+            return quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=kappa)
+        return quad_config(problem={"source": "dirichlet", "d": 50, "alpha": 1.0}, n=25,
+                           kappa=kappa, data_seed=7)
+
+    @pytest.mark.parametrize("source", ["libsvm", "dirichlet"])
+    def test_baseline_shares_the_feature_arrays(self, a5a_path, source):
+        problem, baseline = harness.build_problem(self._logistic_config(source, 1e3, a5a_path))
+        sparse = problem.batch._block is not None
+        assert sparse == (source == "libsvm")
+        features = (lambda p: p.batch._block.data) if sparse else (lambda p: p.batch.A)
+        assert np.shares_memory(features(baseline), features(problem))
+        assert baseline.g_weight == 0.0
+
+    @pytest.mark.parametrize("source, kappa", [("libsvm", 1e3), ("dirichlet", 1e2),
+                                               ("dirichlet", 3e2), ("dirichlet", 1e3)])
+    def test_logistic_baseline_constants_are_the_per_client_maximum(self, a5a_path, source,
+                                                                     kappa):
+        # the folded locals carry 2 mu, and the common L is the largest of their constants
+        config = self._logistic_config(source, kappa, a5a_path)
+        problem, baseline = harness.build_problem(config)
+        dataset = (load_libsvm(a5a_path) if source == "libsvm"
+                   else dirichlet_synthetic(25, 50, 1.0, 7))
+        mu = obj.regularization_for_kappa(dataset, kappa)
+        shards = partition(dataset, config.n, config.data_seed)
+        L = max(obj.max_eigenvalue_gram(s.features) / (4.0 * s.m) + 2.0 * mu for s in shards)
+        assert (baseline.L, baseline.mu) == (L, 2.0 * mu)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4])
+    def test_quadratic_baseline_constants_add_the_shared_weight(self, kappa):
+        problem, baseline = harness.build_problem(quad_config(kappa=kappa))
+        c = problem.g_weight
+        assert (baseline.L, baseline.mu) == (problem.L + c, problem.mu + c)
+        assert baseline.batch is problem.batch
 
     def test_libsvm(self, a5a_path):
         config = quad_config(problem={"source": "libsvm", "path": a5a_path},

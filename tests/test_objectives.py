@@ -1,6 +1,7 @@
 """Objectives: gradients, constants, reductions."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,19 @@ def finite_difference_grad(f, x, h):
     return g
 
 
-def alone(f, d):
-    """A one-client problem, whose batched evaluators compute f itself."""
-    return obj.Problem([f], 0.0, d, f.L, f.mu)
+def alone_logistic(shard, reg):
+    """A one-client logistic problem without g, whose batched evaluators compute f itself."""
+    return obj.Problem(obj._BatchedLogistic([shard]), reg, 0.0)
+
+
+def alone_quadratic(A, b, reg=0.0):
+    """A one-client quadratic problem without g."""
+    return obj.Problem(obj._BatchedQuadratic(A[None], b[None]), reg, 0.0)
+
+
+def quadratic_clients(problem):
+    """Each client's (A_i, b_i) of a quadratic problem."""
+    return list(zip(problem.batch.A, problem.batch.b))
 
 
 class TestGradLogistic:
@@ -39,12 +50,12 @@ class TestGradLogistic:
     def test_cancelling_pair_gives_zero(self):
         a = np.array([0.3, -1.2, 2.0])
         shard = obj.Shard(np.stack([a, a]), [1.0, -1.0])
-        problem = alone(obj.LogisticFunction(shard, 0.1), 3)
+        problem = alone_logistic(shard, 0.1)
         assert np.allclose(problem.grads_locals(np.zeros(3))[0], 0.0)
 
     def test_single_positive_sample_at_origin(self):
         shard = obj.Shard(e(0, 4)[None, :], [1.0])
-        g = alone(obj.LogisticFunction(shard, 0.1), 4).grads_locals(np.zeros(4))[0]
+        g = alone_logistic(shard, 0.1).grads_locals(np.zeros(4))[0]
         assert np.allclose(g, -0.5 * e(0, 4))
 
     def test_matches_finite_differences(self):
@@ -52,32 +63,34 @@ class TestGradLogistic:
         shard = obj.Shard(rng.standard_normal((7, 5)),
                           np.where(rng.random(7) < 0.5, -1.0, 1.0))
         x = rng.standard_normal(5)
-        problem = alone(obj.LogisticFunction(shard, 0.1), 5)
+        problem = alone_logistic(shard, 0.1)
         g = problem.grads_locals(x)[0]
         fd = finite_difference_grad(problem.value_mean, x, 1e-6)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
     def test_large_margins_stay_finite(self):
-        problem = alone(obj.LogisticFunction(obj.Shard(np.array([[1e4]]), [1.0]), 0.1), 1)
+        problem = alone_logistic(obj.Shard(np.array([[1e4]]), [1.0]), 0.1)
         assert np.all(np.isfinite(problem.grads_locals(np.array([100.0]))))
         assert np.isfinite(problem.value_mean(np.array([-100.0])))
 
 
 class TestSmoothness:
+    """A logistic client's curvature bounds 0 and lam_max(A^T A)/(4m), and L = hi + reg."""
+
     def test_single_unit_sample(self):
         shard = obj.Shard(e(0, 3)[None, :], [1.0])
-        assert obj.logistic_smoothness(shard, 0.0) == pytest.approx(0.25, rel=1e-8)
-        assert obj.logistic_smoothness(shard, 0.01) == pytest.approx(0.26, rel=1e-8)
+        assert obj._BatchedLogistic([shard]).hi[0] == pytest.approx(0.25, rel=1e-8)
+        assert obj.logistic_problem([shard], 0.01).L == pytest.approx(0.26, rel=1e-8)
 
     def test_at_least_mu(self):
         rng = np.random.default_rng(0)
         shard = obj.Shard(rng.standard_normal((6, 4)),
                           np.where(rng.random(6) < 0.5, -1.0, 1.0))
-        assert obj.logistic_smoothness(shard, 0.3) >= 0.3
+        assert obj.logistic_problem([shard], 0.3).L >= 0.3
 
     def test_zero_features_returns_mu(self):
         shard = obj.Shard(np.zeros((2, 3)), [1.0, -1.0])
-        assert obj.logistic_smoothness(shard, 0.7) == pytest.approx(0.7)
+        assert obj.logistic_problem([shard], 0.7).L == pytest.approx(0.7)
 
     def test_max_eigenvalue_is_exact(self):
         # close top eigenvalues: an iterative estimate would stop below lambda_max
@@ -101,7 +114,7 @@ class TestRegularizationForKappa:
         shard = obj.Shard(rng.standard_normal((20, 6)),
                           np.where(rng.random(20) < 0.5, -1.0, 1.0))
         mu = obj.regularization_for_kappa(shard, 500.0)
-        assert obj.logistic_smoothness(shard, mu) / mu == pytest.approx(500.0, rel=1e-10)
+        assert obj.logistic_problem([shard], mu).kappa == pytest.approx(500.0, rel=1e-10)
 
     def test_rejects_kappa_at_most_one(self):
         with pytest.raises(InputError):
@@ -121,31 +134,30 @@ class TestShard:
 class TestLocalFunctionProperties:
     """Each family's batched gradient, one client at a time, against its constants."""
 
-    def _functions(self):
+    def _problems(self):
+        """A quadratic, a logistic, and the quadratic shifted by half its mu."""
         rng = np.random.default_rng(11)
         shard = obj.Shard(rng.standard_normal((8, 5)),
                           np.where(rng.random(8) < 0.5, -1.0, 1.0))
         a = rng.standard_normal((5, 5))
-        quad = obj.QuadraticFunction(a @ a.T + np.eye(5), rng.standard_normal(5), 0.2)
-        logistic = obj.LogisticFunction(shard, 0.05)
-        shifted = obj.ShiftedFunction(quad, quad.mu / 2.0)
+        quad = alone_quadratic(a @ a.T + np.eye(5), rng.standard_normal(5), 0.2)
+        logistic = alone_logistic(shard, 0.05)
+        shifted = replace(quad, reg=quad.reg - quad.mu / 2.0)
         return [quad, logistic, shifted]
 
     def test_lipschitz_and_monotone_gradients(self):
         rng = np.random.default_rng(12)
-        for f in self._functions():
-            problem = alone(f, 5)
+        for problem in self._problems():
             for _ in range(100):
                 x, xp = rng.standard_normal(5), rng.standard_normal(5)
                 dg = problem.grads_locals(x)[0] - problem.grads_locals(xp)[0]
                 dx = x - xp
-                assert np.linalg.norm(dg) <= f.L * np.linalg.norm(dx) * (1 + 1e-9)
-                assert dg @ dx >= f.mu * (dx @ dx) * (1 - 1e-9)
+                assert np.linalg.norm(dg) <= problem.L * np.linalg.norm(dx) * (1 + 1e-9)
+                assert dg @ dx >= problem.mu * (dx @ dx) * (1 - 1e-9)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
-        for f in self._functions():
-            problem = alone(f, 5)
+        for problem in self._problems():
             for _ in range(20):
                 x = rng.standard_normal(5)
                 h = 1e-6 * (1.0 + np.linalg.norm(x))
@@ -155,89 +167,86 @@ class TestLocalFunctionProperties:
 
 
 class TestReduceGZero:
-    def _locals(self):
+    def _problem(self):
+        """Four quadratic clients and no shared function."""
         rng = np.random.default_rng(21)
-        out = []
+        A, b = [], []
         for _ in range(4):
             a = rng.standard_normal((3, 3))
-            out.append(obj.QuadraticFunction(a @ a.T + 0.5 * np.eye(3),
-                                             rng.standard_normal(3), 0.0))
-        return out
+            A.append(a @ a.T + 0.5 * np.eye(3))
+            b.append(rng.standard_normal(3))
+        return obj.Problem(obj._BatchedQuadratic(np.stack(A), np.stack(b)), 0.0, 0.0)
 
     def test_pointwise_objective_identity(self):
-        locals_ = self._locals()
-        mu = min(f.mu for f in locals_)
-        reduced = obj.reduce_g_zero(locals_, mu)
+        problem = self._problem()
+        reduced = obj.reduce_g_zero(problem, problem.mu)
         rng = np.random.default_rng(22)
         for _ in range(10):
             x = rng.standard_normal(3)
-            original = np.mean([oracle.value(f, x) for f in locals_])
+            original = np.mean([oracle.quadratic_value(A, b, 0.0, x)
+                                for A, b in quadratic_clients(problem)])
             assert reduced.value_mean(x) == pytest.approx(original, rel=1e-12, abs=1e-12)
 
     def test_constants_and_kappa_growth(self):
-        locals_ = self._locals()
-        mu = min(f.mu for f in locals_)
-        L = max(f.L for f in locals_)
-        reduced = obj.reduce_g_zero(locals_, mu)
+        problem = self._problem()
+        mu, L = problem.mu, problem.L
+        reduced = obj.reduce_g_zero(problem, mu)
         assert reduced.L == pytest.approx(L - mu / 2.0)
         assert reduced.mu == pytest.approx(mu / 2.0)
         kappa = L / mu
         assert kappa <= reduced.kappa <= 2.0 * kappa + 1e-9
 
     def test_shared_gradient_shrinks_y(self):
-        locals_ = self._locals()
-        mu = min(f.mu for f in locals_)
-        reduced = obj.reduce_g_zero(locals_, mu)
+        problem = self._problem()
+        mu = problem.mu
+        reduced = obj.reduce_g_zero(problem, mu)
         y = np.array([1.0, -2.0, 3.0])
         assert np.allclose(reduced.grad_g(y), 0.5 * mu * y)
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(InputError):
-            obj.reduce_g_zero(self._locals(), 0.0)
+            obj.reduce_g_zero(self._problem(), 0.0)
+
+    def test_rejects_a_problem_with_shared_function(self, quad_problem):
+        # the reduction would drop the problem's own g from the objective
+        with pytest.raises(InputError, match="without shared function"):
+            obj.reduce_g_zero(quad_problem, quad_problem.mu)
 
     def test_quadratic_reduction_is_batched(self):
-        locals_ = self._locals()
-        mu = min(f.mu for f in locals_)
-        reduced = obj.reduce_g_zero(locals_, mu)
-        assert isinstance(reduced._batch, obj._BatchedQuadratic)
+        problem = self._problem()
+        reduced = obj.reduce_g_zero(problem, problem.mu)
+        assert reduced.batch is problem.batch
         rng = np.random.default_rng(23)
-        X = rng.standard_normal((len(locals_), 3))
-        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(reduced.locals)])
+        X = rng.standard_normal((problem.n, 3))
+        clients = quadratic_clients(problem)
+        manual = np.stack([oracle.quadratic_grad(A, b, -problem.mu / 2.0, X[i])
+                           for i, (A, b) in enumerate(clients)])
         assert np.allclose(reduced.grads_locals(X), manual, atol=1e-12)
         x = X[0]
-        manual = np.stack([oracle.grad(f, x) for f in reduced.locals])
+        manual = np.stack([oracle.quadratic_grad(A, b, -problem.mu / 2.0, x) for A, b in clients])
         assert np.allclose(reduced.grads_locals(x), manual, atol=1e-12)
 
     def test_preserves_minimizer(self):
-        locals_ = self._locals()
-        mu = min(f.mu for f in locals_)
-        reduced = obj.reduce_g_zero(locals_, mu)
-        a_bar = np.mean([f.A for f in locals_], axis=0)
-        b_bar = np.mean([f.b for f in locals_], axis=0)
+        problem = self._problem()
+        reduced = obj.reduce_g_zero(problem, problem.mu)
+        a_bar = problem.batch.A.mean(axis=0)
+        b_bar = problem.batch.b.mean(axis=0)
         x_star = np.linalg.solve(a_bar, b_bar)
         assert np.allclose(reduced.grad_mean(x_star), 0.0, atol=1e-10)
 
 
 class TestProblem:
     def test_rejects_inconsistent_constants(self):
-        f = obj.QuadraticFunction(np.eye(2), np.zeros(2), 0.0)   # L = mu = 1
+        batch = obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2)))   # lo = hi = 1
         with pytest.raises(InputError):
-            obj.Problem([f], 0.1, 2, 0.5, 0.1)
+            obj.Problem(batch, 0.0, 0.1, lo=0.1, hi=0.5)
 
     def test_rejects_locals_that_do_not_stack(self):
         rng = np.random.default_rng(33)
-        quad = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.1)
-        logistic = obj.LogisticFunction(obj.Shard(rng.standard_normal((4, 3)),
-                                                  [1.0, -1.0, 1.0, -1.0]), 0.1)
-        short = obj.LogisticFunction(obj.Shard(rng.standard_normal((2, 3)), [1.0, -1.0]), 0.1)
-        other_reg = obj.QuadraticFunction(np.eye(3), np.zeros(3), 0.2)
-        g = 0.0
-        with pytest.raises(InputError, match="all logistic or all quadratic"):
-            obj.Problem([quad, logistic], g, 3, 10.0, 0.1)
+        logistic = obj.Shard(rng.standard_normal((4, 3)), [1.0, -1.0, 1.0, -1.0])
+        short = obj.Shard(rng.standard_normal((2, 3)), [1.0, -1.0])
         with pytest.raises(InputError, match="shard sizes"):
-            obj.Problem([logistic, short], g, 3, 10.0, 0.1)
-        with pytest.raises(InputError, match="regularization weight"):
-            obj.Problem([quad, other_reg], g, 3, 10.0, 0.1)
+            obj.logistic_problem([logistic, short], 0.1)
 
     def test_kappa(self, quad_problem):
         assert quad_problem.kappa == pytest.approx(100.0)
@@ -246,22 +255,25 @@ class TestProblem:
         rng = np.random.default_rng(31)
         X = rng.standard_normal((quad_problem.n, quad_problem.d))
         batched = quad_problem.grads_locals(X)
-        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(quad_problem.locals)])
+        clients = quadratic_clients(quad_problem)
+        manual = np.stack([oracle.quadratic_grad(A, b, 0.0, X[i])
+                           for i, (A, b) in enumerate(clients)])
         assert np.allclose(batched, manual, atol=1e-12)
         x = rng.standard_normal(quad_problem.d)
         common = quad_problem.grads_locals(x)
-        manual = np.stack([oracle.grad(f, x) for f in quad_problem.locals])
+        manual = np.stack([oracle.quadratic_grad(A, b, 0.0, x) for A, b in clients])
         assert np.allclose(common, manual, atol=1e-12)
 
     def test_value_mean_matches_loop(self, quad_problem):
         x = np.random.default_rng(32).standard_normal(quad_problem.d)
-        direct = np.mean([oracle.value(f, x) for f in quad_problem.locals]) \
+        direct = np.mean([oracle.quadratic_value(A, b, 0.0, x)
+                          for A, b in quadratic_clients(quad_problem)]) \
             + 0.5 * quad_problem.g_weight * (x @ x)
         assert quad_problem.value_mean(x) == pytest.approx(direct, rel=1e-12)
 
 
 class TestBatchedLogistic:
-    def _problem(self, sparse):
+    def _shards(self, sparse):
         rng = np.random.default_rng(41)
         n, m, d = 8, 70, 122   # n*m*d > 2^16 so the sparse path can trigger
         shards = []
@@ -274,19 +286,24 @@ class TestBatchedLogistic:
                 feats = rng.standard_normal((m, d))
             labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
             shards.append(obj.Shard(feats, labels))
-        return obj.logistic_problem(shards, 0.01)
+        return shards
+
+    def _problem(self, sparse):
+        return obj.logistic_problem(self._shards(sparse), 0.01)
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_matches_per_client_gradients(self, sparse):
-        problem = self._problem(sparse)
+        shards = self._shards(sparse)
+        problem = obj.logistic_problem(shards, 0.01)
         rng = np.random.default_rng(42)
         X = rng.standard_normal((problem.n, problem.d))
-        manual = np.stack([oracle.grad(f, X[i]) for i, f in enumerate(problem.locals)])
+        manual = np.stack([oracle.logistic_grad(s.features, s.labels, 0.01, X[i])
+                           for i, s in enumerate(shards)])
         assert np.allclose(problem.grads_locals(X), manual, atol=1e-10)
         x = X[0]
-        manual = np.stack([oracle.grad(f, x) for f in problem.locals])
+        manual = np.stack([oracle.logistic_grad(s.features, s.labels, 0.01, x) for s in shards])
         assert np.allclose(problem.grads_locals(x), manual, atol=1e-10)
-        direct = np.mean([oracle.value(f, x) for f in problem.locals]) \
+        direct = np.mean([oracle.logistic_value(s.features, s.labels, 0.01, x) for s in shards]) \
             + 0.5 * problem.g_weight * (x @ x)
         assert problem.value_mean(x) == pytest.approx(direct, rel=1e-10)
 
@@ -302,9 +319,9 @@ class TestBatchedLogistic:
 
     def test_sparse_path_is_active_for_sparse_data(self):
         problem = self._problem(sparse=True)
-        assert problem._batch._block is not None
+        assert problem.batch._block is not None
         dense = self._problem(sparse=False)
-        assert dense._batch._block is None
+        assert dense.batch._block is None
 
 
 class TestLogisticCoefficient:
@@ -318,7 +335,7 @@ class TestLogisticCoefficient:
     @staticmethod
     def _coefficients(t, b):
         m = t.size
-        batch = obj._BatchedLogistic(np.eye(m)[None], b[None], 0.0)
+        batch = obj._BatchedLogistic([obj.Shard(np.eye(m), b)])
         assert (batch._block is not None) == (m > 256)
         return batch.grads(t[None])[0]
 
@@ -354,7 +371,7 @@ class TestSparseLogisticGradient:
     """The sparse batch against the formula of the stored-transpose design, bit for bit."""
 
     @staticmethod
-    def _batch(seed):
+    def _problem(seed):
         rng = np.random.default_rng(seed)
         n, m, d = 6, 90, 140     # n*m*d > 2^16 and density < 1/4: the sparse path
         A = np.zeros((n, m, d))
@@ -365,30 +382,32 @@ class TestSparseLogisticGradient:
         A[:, rng.integers(m), :] = 0.0
         A[:, :, 7] = 0.0                         # empty columns: 7, and the last 5 never drawn
         b = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
-        batch = obj._BatchedLogistic(A, b, 0.01)
-        assert batch._block is not None
-        return batch
+        problem = obj.Problem(obj._BatchedLogistic([obj.Shard(a, y) for a, y in zip(A, b)]),
+                              0.01, 0.0)
+        assert problem.batch._block is not None
+        return problem
 
     @staticmethod
-    def _oracle(batch, X):
+    def _oracle(problem, X):
+        batch = problem.batch
         block = batch._block
         flat = X.ravel() if X.ndim == 2 else np.tile(X, batch.n)
         margins = (block @ flat).reshape(batch.b.shape)
         c = (-batch.b / batch.m) / (1.0 + np.exp(np.minimum(batch.b * margins, 700.0)))
-        return (block.T.tocsr() @ c.ravel()).reshape(batch.n, batch.d) + batch.reg * X
+        return (block.T.tocsr() @ c.ravel()).reshape(batch.n, batch.d) + problem.reg * X
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grads_equal_the_explicit_formula(self, seed):
-        batch = self._batch(seed)
+        problem = self._problem(seed)
         rng = np.random.default_rng(100 + seed)
         for scale in (1e-3, 1e-1, 1.0, 1e2):
-            X = scale * rng.standard_normal((batch.n, batch.d))
-            assert np.array_equal(batch.grads(X), self._oracle(batch, X))
-            x = scale * rng.standard_normal(batch.d)
-            assert np.array_equal(batch.grads(x), self._oracle(batch, x))
+            X = scale * rng.standard_normal((problem.n, problem.d))
+            assert np.array_equal(problem.grads_locals(X), self._oracle(problem, X))
+            x = scale * rng.standard_normal(problem.d)
+            assert np.array_equal(problem.grads_locals(x), self._oracle(problem, x))
 
     def test_one_stored_copy_of_the_features(self):
-        batch = self._batch(3)
+        batch = self._problem(3).batch
         block = batch._block
         for view in (batch._block_t, batch._flat):
             assert np.shares_memory(view.data, block.data)
@@ -410,7 +429,7 @@ class TestFolding:
         shards = [obj.Shard(rng.standard_normal((4, 3)),
                             np.where(rng.random(4) < 0.5, -1.0, 1.0)) for _ in range(2)]
         plain = obj.logistic_problem(shards, 0.1)
-        folded = obj.folded_logistic_problem(shards, 0.1)
+        folded = obj.fold_shared(plain)
         assert folded.mu == pytest.approx(2 * plain.mu)
         x = rng.standard_normal(3)
         assert folded.value_mean(x) == pytest.approx(plain.value_mean(x), rel=1e-12)
@@ -418,29 +437,29 @@ class TestFolding:
 
 class TestQuadraticHelpers:
     def test_minimizer_closed_form(self):
-        f = obj.QuadraticFunction(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), 0.0)
-        assert np.allclose(oracle.minimizer(f), [1.0, 1.0])
-        assert np.allclose(alone(f, 2).grad_mean(oracle.minimizer(f)), 0.0)
+        A, b = np.diag([1.0, 2.0]), np.array([1.0, 2.0])
+        assert np.allclose(oracle.quadratic_minimizer(A, b), [1.0, 1.0])
+        assert np.allclose(alone_quadratic(A, b).grad_mean(oracle.quadratic_minimizer(A, b)), 0.0)
 
     def test_quadratic_minimizer_of_problem(self, quad_problem):
         x_star = harness.solve_reference(quad_problem).x_star
         assert np.linalg.norm(quad_problem.grad_mean(x_star)) <= 1e-10
-        A = np.mean([f.A for f in quad_problem.locals], axis=0)
-        b = np.mean([f.b for f in quad_problem.locals], axis=0)
+        A = quad_problem.batch.A.mean(axis=0)
+        b = quad_problem.batch.b.mean(axis=0)
         closed_form = np.linalg.solve(A + quad_problem.g_weight * np.eye(quad_problem.d), b)
         assert np.allclose(x_star, closed_form, rtol=1e-12, atol=1e-12)
 
     def test_quadratic_hessian(self, quad_problem):
-        A = np.mean([f.A for f in quad_problem.locals], axis=0)
+        A = quad_problem.batch.A.mean(axis=0)
         x = np.ones(quad_problem.d)
         expected = A + quad_problem.g_weight * np.eye(quad_problem.d)
         assert np.allclose(quad_problem.hessian_mean(x), expected, rtol=0, atol=1e-15)
         # the reduction moves mu/2 between the locals and g; the sum is unchanged
-        reduced = obj.reduce_g_zero(quad_problem.locals, quad_problem.mu)
+        reduced = obj.reduce_g_zero(replace(quad_problem, g_weight=0.0), quad_problem.mu)
         assert np.allclose(reduced.hessian_mean(x), A, rtol=0, atol=1e-15)
 
     def test_hessian_mean_leaves_the_cached_means(self, quad_problem):
-        batch = quad_problem._batch
+        batch = quad_problem.batch
         x = np.linspace(-1.0, 1.0, quad_problem.d)
         value = batch.mean_value(x)
         first = batch.hessian_mean(x)
@@ -456,14 +475,12 @@ class TestQuadraticHelpers:
         problem = obj.random_quadratic_problem(d, 10, 1e4, np.random.default_rng(seed))
         assert problem.mu <= 1e-4
         assert problem.mu == pytest.approx(1e-4, rel=1e-10)
-        for f in problem.locals:
-            assert f.mu >= problem.mu
-            # L = 1 is returned up to an ulp or two high, far inside Problem's 1e-12 slack
-            assert f.L <= problem.L * (1 + 1e-12)
+        assert np.all(problem.batch.lo >= problem.mu)
+        # L = 1 is returned up to an ulp or two high, far inside Problem's 1e-12 slack
+        assert np.all(problem.batch.hi <= problem.L * (1 + 1e-12))
 
     def test_random_problem_constants(self, quad_problem):
         assert quad_problem.L == pytest.approx(1.0)
         assert quad_problem.mu == pytest.approx(0.01)
-        for f in quad_problem.locals:
-            assert f.L <= quad_problem.L * (1 + 1e-9)
-            assert f.mu >= quad_problem.mu * (1 - 1e-9)
+        assert np.all(quad_problem.batch.hi <= quad_problem.L * (1 + 1e-9))
+        assert np.all(quad_problem.batch.lo >= quad_problem.mu * (1 - 1e-9))
