@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 
 KINDS = ("identity", "rand_k", "natural", "rand_k_natural", "l1_selection")
+K_KINDS = ("rand_k", "rand_k_natural")     # the kinds that take a k
 CERTIFY_BATCH = 500     # trials compressed per round by `certification`
 
 # natural quantization budgets one sign bit plus an 8-bit exponent
@@ -66,10 +67,10 @@ class CompressorSpec:
 def make_spec(kind, d, k=None):
     """Build a CompressorSpec with the closed-form omega and bit cost."""
     if kind not in KINDS:
-        raise InputError(f"unknown compressor kind {kind!r}")
+        raise InputError(f"unknown compressor {kind!r} (choose from {KINDS})")
     if d < 1:
         raise InputError("d must be positive")
-    if kind in ("rand_k", "rand_k_natural"):
+    if kind in K_KINDS:
         if k is None or not (1 <= k <= d):
             raise InputError("rand-k needs 1 <= k <= d")
     else:

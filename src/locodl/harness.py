@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algorithms as alg
 from . import objectives as obj
-from .compressors import make_spec
+from .compressors import KINDS, K_KINDS, make_spec
 from .data import dirichlet_synthetic, load_libsvm, partition
 from .errors import ConfigurationError, ConvergenceError, InputError
 
@@ -118,6 +118,16 @@ class ExperimentConfig:
             raise InputError(f"unknown stop metric {self.stop_metric!r}")
         if self.algorithm not in ("locodl", "gd", "diana", "scaffnew"):
             raise InputError(f"unknown algorithm {self.algorithm!r}")
+        if self.compressor not in KINDS:
+            raise InputError(f"unknown compressor {self.compressor!r} (choose from {KINDS})")
+        if (self.k is None) == (self.compressor in K_KINDS):
+            raise InputError(f"compressor {self.compressor!r} " + (
+                "needs a k" if self.k is None else f"takes no k, got k = {self.k}"))
+
+    @property
+    def stop_column(self):
+        """The trace column that the stop metric reads."""
+        return "lyapunov" if self.stop_metric == "psi" else "sqdist_mean"
 
     def content_hash(self):
         text = repr(sorted(self.__dict__.items(), key=lambda kv: kv[0]))
@@ -128,9 +138,6 @@ class ExperimentConfig:
 class ExperimentTrace:
     columns: dict              # column name -> list, keys follow CSV_COLUMNS
     metadata: dict
-
-    def last(self, name):
-        return self.columns[name][-1]
 
     def array(self, name):
         return np.asarray(self.columns[name])
@@ -271,7 +278,7 @@ def run_single(config, problem, baseline, ref, seed):
                                                alg.RngBundle.from_seed(seed), extra)
     rec = _Recorder(meta, ref, objective)
     rows = rec.rows
-    stop = VARYING_COLUMNS.index("lyapunov" if config.stop_metric == "psi" else "sqdist_mean")
+    stop = VARYING_COLUMNS.index(config.stop_column)
     rec.record(state.t, state.rounds, state.bits_uplink, *observe())
     threshold = config.stop_ratio * rows[-1][stop]
     max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
@@ -280,7 +287,9 @@ def run_single(config, problem, baseline, ref, seed):
         step()
         new_round = state.rounds != rounds_seen
         rounds_seen = state.rounds
-        if (new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0:
+        # the state a run stops at is always recorded, also when it stops on max_iters
+        if ((new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0
+                or state.t == max_iters):
             rec.record(state.t, rounds_seen, state.bits_uplink, *observe())
             value = rows[-1][stop]
             if value <= threshold:

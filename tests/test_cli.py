@@ -46,6 +46,17 @@ algorithm = locodl
 """
 
 
+# a second block whose compressor is refused, after the valid [algo:loco]
+BAD_COMPRESSOR_BLOCKS = [
+    pytest.param("\n[algo:plain]\nalgorithm = locodl\ncompressor = identity\nk = 3\n",
+                 "compressor 'identity' takes no k, got k = 3", id="k_for_identity"),
+    pytest.param("\n[algo:odd]\nalgorithm = locodl\ncompressor = bogus\n",
+                 "unknown compressor 'bogus'", id="unknown"),
+    pytest.param("\n[algo:sparse]\nalgorithm = locodl\ncompressor = rand_k\n",
+                 "compressor 'rand_k' needs a k", id="no_k_for_rand_k"),
+]
+
+
 @pytest.fixture
 def quad_config_path(tmp_path):
     path = tmp_path / "quad.ini"
@@ -98,6 +109,7 @@ class TestLoadConfig:
         ("data_seed = 3", "data_seed = -1", "data_seed must be non-negative, got -1"),
         ("seeds = 0,1", "seeds = 0,-1", "[run] seeds = '0,-1': seeds must be non-negative"),
         ("seeds = 0,1", "seeds = ,", "[run] seeds = ',' names no seed"),
+        ("seeds = 0,1", "seeds = 0,1,0", "[run] seeds = '0,1,0' repeats a seed"),
         ("stop_ratio = 1e-6", "stop_ratio = nan",
          "stop_ratio must be finite and positive, got nan"),
         ("stop_ratio = 1e-6", "stop_ratio = inf",
@@ -106,8 +118,8 @@ class TestLoadConfig:
          "stop_ratio must be finite and positive, got 0.0"),
         ("max_iters = 100000", "max_iters = -1", "max_iters must be non-negative, got -1"),
     ], ids=["n", "cadence", "round_cadence", "d", "kappa_zero", "kappa_half", "kappa_inf",
-            "data_seed", "seeds", "seeds_empty", "stop_ratio_nan", "stop_ratio_inf",
-            "stop_ratio_zero", "max_iters"])
+            "data_seed", "seeds", "seeds_empty", "seeds_repeated", "stop_ratio_nan",
+            "stop_ratio_inf", "stop_ratio_zero", "max_iters"])
     def test_out_of_range_key_exits_2_and_names_it(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "bad.ini"
         path.write_text(QUAD_CONFIG.replace(old, new, 1))
@@ -229,6 +241,36 @@ class TestRun:
         assert f"--seeds = {flag.split('=', 1)[1]!r} names no seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_seeds_flag_exits_2_and_names_it(self, quad_config_path, tmp_path,
+                                                       capsys):
+        out = tmp_path / "s"
+        assert run_cli(["run", quad_config_path, "--out", str(out), "--seeds", "0,0"]) \
+            == cli.EXIT_INPUT
+        assert "--seeds = '0,0' repeats a seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, message", BAD_COMPRESSOR_BLOCKS)
+    def test_bad_compressor_exits_2_before_any_trace(self, tmp_path, capsys, block, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(QUAD_CONFIG + block)
+        out = tmp_path / "o"
+        assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_stopped_by_max_iters_records_its_final_state(self, tmp_path, capsys):
+        path = tmp_path / "short.ini"
+        path.write_text(QUAD_CONFIG.replace("max_iters = 100000", "max_iters = 10")
+                        .replace("cadence = 50", "cadence = 100\nround_cadence = 1000"))
+        out = tmp_path / "o"
+        assert run_cli(["run", str(path), "--out", str(out), "--seeds", "0"]) == 0
+        with open(out / "loco_rand_k2_0.csv", newline="", encoding="utf-8") as fh:
+            t = [row["t"] for row in csv.DictReader(fh)]
+        assert t == ["0", "10"]
+        table = capsys.readouterr().out.strip().split("\n")
+        row = dict(zip(table[0].split("\t"), table[1].split("\t")))
+        assert row["bits_to_target"] == "-"
+
     def test_resolved_table_round_trips(self, quad_config_path, tmp_path, capsys):
         out1 = tmp_path / "r1"
         run_cli(["run", quad_config_path, "--out", str(out1)])
@@ -316,6 +358,24 @@ class TestSweep:
                         "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
         assert "kappa must exceed 1 for a logistic problem, got 1.0" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("block, message", BAD_COMPRESSOR_BLOCKS)
+    def test_bad_compressor_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                   block, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(QUAD_CONFIG + block)
+        runs = []
+        run_single = harness.run_single
+
+        def counting(*args):
+            runs.append(args[-1])
+            return run_single(*args)
+
+        monkeypatch.setattr(harness, "run_single", counting)
+        assert run_cli(["sweep", str(path), "--vary", "kappa=20,60,200",
+                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert runs == []
 
 
 class TestCertify:

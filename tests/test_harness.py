@@ -127,6 +127,24 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             quad_config(algorithm="adam")
 
+    def test_rejects_unknown_compressor(self):
+        with pytest.raises(InputError, match="unknown compressor 'topk'"):
+            quad_config(compressor="topk", k=None)
+
+    @pytest.mark.parametrize("kind", ["identity", "natural", "l1_selection"])
+    def test_rejects_k_for_a_kind_without_k(self, kind):
+        with pytest.raises(InputError, match=f"compressor '{kind}' takes no k, got k = 2"):
+            quad_config(compressor=kind, k=2)
+
+    @pytest.mark.parametrize("kind", ["rand_k", "rand_k_natural"])
+    def test_rejects_a_missing_k(self, kind):
+        with pytest.raises(InputError, match=f"compressor '{kind}' needs a k"):
+            quad_config(compressor=kind, k=None)
+
+    @pytest.mark.parametrize("metric, column", [("psi", "lyapunov"), ("sqdist", "sqdist_mean")])
+    def test_stop_column(self, metric, column):
+        assert quad_config(stop_metric=metric).stop_column == column
+
     def test_content_hash_changes_with_fields(self):
         assert quad_config().content_hash() != quad_config(kappa=200.0).content_hash()
         assert quad_config().content_hash() == quad_config().content_hash()
@@ -158,6 +176,14 @@ class TestRunSingle:
         trace = harness.run_single(config, problem, baseline, ref, 0)
         assert trace.columns["t"] == [0]
         assert trace.columns["bits_per_client"] == [0]
+
+    @pytest.mark.parametrize("max_iters, cadence, t", [(10, 100, [0, 10]),
+                                                      (100, 50, [0, 50, 100])])
+    def test_max_iters_stop_records_the_final_state_once(self, max_iters, cadence, t):
+        config = quad_config(max_iters=max_iters, cadence=cadence, round_cadence=1000)
+        problem, baseline = harness.build_problem(config)
+        ref = harness.solve_reference(problem)
+        assert harness.run_single(config, problem, baseline, ref, 0).columns["t"] == t
 
     def test_same_seed_byte_identical_csv(self, quad_run):
         config, problem, baseline, ref, trace = quad_run

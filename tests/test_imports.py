@@ -1,7 +1,7 @@
 """Every name a module imports is used somewhere in that module.
 
 The guard covers the package (apart from `__init__.py`, which imports to
-re-export), the tests and the scripts.
+re-export) and the tests.
 """
 
 import ast
@@ -17,11 +17,10 @@ def _python_files(directory):
                   if name.endswith(".py"))
 
 
-# a package module's test id is its file name; a test's or script's is its path from the root
+# a package module's test id is its file name; a test's is its path from the root
 MODULES = {name: os.path.join("src", "locodl", name)
            for name in _python_files(os.path.join("src", "locodl")) if name != "__init__.py"}
-MODULES.update({f"{directory}/{name}": os.path.join(directory, name)
-                for directory in ("tests", "scripts") for name in _python_files(directory)})
+MODULES.update({f"tests/{name}": os.path.join("tests", name) for name in _python_files("tests")})
 
 
 def unused_imports(source):
