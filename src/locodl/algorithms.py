@@ -23,6 +23,11 @@ import numpy as np
 from .compressors import compress_round
 from .errors import ConfigurationError, InputError
 
+# the schedule fields each algorithm takes as overrides, in the order a config
+# holds them (the order is hashed); locodl takes every one
+SCHEDULE_KEYS = {"locodl": ("gamma", "chi", "rho", "p"), "scaffnew": ("gamma", "p"),
+                 "gd": ("gamma",), "diana": ("gamma",)}
+
 
 @dataclass
 class RngBundle:

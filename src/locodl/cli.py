@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import compressors, harness
+from .algorithms import SCHEDULE_KEYS
 from .compressors import make_spec
 from .errors import ConfigurationError, ConvergenceError, InputError
 
@@ -28,8 +29,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_CONVERGENCE = 4
-
-OUT_ENV_VAR = "LOCODL_OUT"
 
 # nothing here calls it: it stays only because perfbench's layer tracer wraps `cli.compress`
 compress = compressors.compress
@@ -50,88 +49,88 @@ def _parse_seeds(text, where):
     return seeds
 
 
-def _value(section, key, convert, default=None):
-    """section[key] through `convert`, or `default` if absent (None: the key is required).
-
-    Raises InputError naming the section and key when the key is missing or
-    its value does not convert.
-    """
-    if key not in section:
-        if default is None:
-            raise InputError(f"[{section.name}] is missing key {key!r}")
-        return default
-    return _convert(f"[{section.name}] {key}", section[key], convert)
-
-
 def _convert(where, text, convert):
     """convert(text); raises InputError naming `where` when the text does not convert."""
     try:
         return convert(text)
+    except InputError:
+        raise
     except (ValueError, OverflowError):
         raise InputError(f"{where} = {text!r} is not a valid value") from None
+
+
+# the keys each section takes, key -> converter; an absent key keeps its default.
+# [problem] holds ExperimentConfig fields plus the keys of its source's problem dict.
+PROBLEM_FIELDS = {"n": int, "kappa": float, "data_seed": int}
+SOURCE_KEYS = {"quadratic": {"source": str, "d": int}, "libsvm": {"source": str, "path": str},
+               "dirichlet": {"source": str, "d": int, "alpha": float}}
+RUN_KEYS = {"seeds": lambda text: _parse_seeds(text, "[run] seeds"), "stop_metric": str,
+            "stop_ratio": float, "max_iters": lambda text: int(float(text)), "cadence": int,
+            "round_cadence": int, "out": str}
+ALGO_KEYS = {"algorithm": str, "compressor": str, "k": int,
+             **dict.fromkeys(SCHEDULE_KEYS["locodl"], float)}   # locodl takes every override
+
+
+def _read(section, table, required=()):
+    """`section`'s keys in `table` order, converted; InputError names a bad or missing key."""
+    for key in section:
+        if key not in table:
+            raise InputError(f"[{section.name}] {key} is not a known key "
+                             f"(choose from {', '.join(table)})")
+    for key in required:
+        if key not in section:
+            raise InputError(f"[{section.name}] is missing key {key!r}")
+    return {key: _convert(f"[{section.name}] {key}", section[key], convert)
+            for key, convert in table.items() if key in section}
 
 
 def load_config(path, seeds_override=None):
     """Parse an experiment config file into a list of ExperimentConfig."""
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
     if "problem" not in parser:
         raise InputError("config needs a [problem] section")
     if "run" not in parser:
         parser.add_section("run")
 
-    prob = parser["problem"]
-    source = prob.get("source")
-    if source not in ("quadratic", "libsvm", "dirichlet"):
+    source = parser["problem"].get("source")
+    if source not in SOURCE_KEYS:
         raise InputError(f"unknown problem source {source!r}")
-    problem = {"source": source}
-    if source == "libsvm":
-        problem["path"] = _value(prob, "path", str)
-        if not os.path.exists(problem["path"]):
-            raise InputError(f"dataset file not found: {problem['path']}")
-    else:
-        problem["d"] = _value(prob, "d", int)
+    common = _read(parser["problem"], {**SOURCE_KEYS[source], **PROBLEM_FIELDS},
+                   ("n", "path" if source == "libsvm" else "d"))
+    # in table order: the config hash reads the dict's repr
+    problem = {key: common.pop(key) for key in SOURCE_KEYS[source] if key in common}
     if source == "dirichlet":
-        problem["alpha"] = _value(prob, "alpha", float, 1.0)
-
-    run = parser["run"]
-    common = dict(
-        problem=problem,
-        n=_value(prob, "n", int),
-        kappa=_value(prob, "kappa", float, 100.0),
-        seeds=(seeds_override if seeds_override is not None
-               else _parse_seeds(run.get("seeds", "0"), "[run] seeds")),
-        stop_metric=run.get("stop_metric", "psi"),
-        stop_ratio=_value(run, "stop_ratio", float, 1e-8),
-        max_iters=_value(run, "max_iters", lambda text: int(float(text)), 10_000_000),
-        cadence=_value(run, "cadence", int, 100),
-        round_cadence=_value(run, "round_cadence", int, 1),
-        data_seed=_value(prob, "data_seed", int, 0),
-    )
+        problem.setdefault("alpha", 1.0)
+    if source == "libsvm" and not os.path.exists(problem["path"]):
+        raise InputError(f"dataset file not found: {problem['path']}")
+    common.update(_read(parser["run"], RUN_KEYS))
+    out = common.pop("out", None)
+    if seeds_override is not None:
+        common["seeds"] = seeds_override
 
     configs = []
     for section in parser.sections():
-        if not section.startswith("algo:"):
+        if section in ("problem", "run"):
             continue
-        a = parser[section]
-        configs.append(harness.ExperimentConfig(
-            algorithm=a.get("algorithm", "locodl"),
-            compressor=a.get("compressor", "identity"),
-            k=_value(a, "k", int) if "k" in a else None,
-            overrides={key: _value(a, key, float) for key in ("gamma", "chi", "rho", "p")
-                       if key in a},
-            label=section.split(":", 1)[1],
-            **common,
-        ))
+        if not section.startswith("algo:"):
+            raise InputError(f"unknown section [{section}]")
+        fields = _read(parser[section], ALGO_KEYS)
+        overrides = {key: fields.pop(key) for key in SCHEDULE_KEYS["locodl"] if key in fields}
+        configs.append(harness.ExperimentConfig(problem=problem, label=section.split(":", 1)[1],
+                                                overrides=overrides, **fields, **common))
     if not configs:
         raise InputError("config needs at least one [algo:<label>] section")
-    return configs, run.get("out")
+    return configs, out
 
 
 def _out_dir(cli_out, config_out):
-    return cli_out or config_out or os.environ.get(OUT_ENV_VAR) or "results"
+    return cli_out or config_out or "results"
 
 
 def _median_bits(config, traces):
@@ -149,19 +148,11 @@ def _run_configs(configs, out_dir):
         for trace, seed in zip(traces, config.seeds):
             name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
             harness.write_trace(trace, os.path.join(out_dir, name))
-        meta = traces[0].metadata
         try:
             bits = _median_bits(config, traces)
         except ConvergenceError:
-            bits = None
-        rows.append({
-            "label": config.label, "algorithm": config.algorithm,
-            "compressor": harness._compressor_name(config),
-            "gamma": meta.get("gamma"), "chi": meta.get("chi"), "rho": meta.get("rho"),
-            "p": meta.get("p"), "omega": meta.get("omega"),
-            "omega_av": meta.get("omega_av"), "tau": meta.get("tau"),
-            "bits_to_target": bits, "config_hash": meta["config_hash"],
-        })
+            bits = "-"
+        rows.append(dict(traces[0].metadata, label=config.label, bits_to_target=bits))
     return rows
 
 
@@ -170,7 +161,7 @@ def _print_table(rows, stream):
               "omega", "omega_av", "tau", "bits_to_target"]
     print("\t".join(header), file=stream)
     for row in rows:
-        print("\t".join("-" if row[h] is None else f"{row[h]}" for h in header), file=stream)
+        print("\t".join(str(row.get(h, "-")) for h in header), file=stream)
 
 
 def cmd_run(args):
@@ -191,8 +182,7 @@ def cmd_sweep(args):
     texts = [v for v in texts.split(",") if v.strip()]
     if not texts or key not in ("kappa", "n"):
         raise InputError("--vary must look like kappa=1e2,1e3,1e4 or n=6,37,73")
-    convert = float if key == "kappa" else int
-    values = [(text, _convert(f"--vary {key}", text, convert)) for text in texts]
+    values = [(text, _convert(f"--vary {key}", text, PROBLEM_FIELDS[key])) for text in texts]
     base_configs, config_out = load_config(args.config)
     out_dir = _out_dir(args.out, config_out)
 
@@ -328,7 +318,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigurationError as exc:
@@ -337,9 +327,6 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def entry():

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import InputError
 
-KINDS = ("identity", "rand_k", "natural", "rand_k_natural", "l1_selection")
-K_KINDS = ("rand_k", "rand_k_natural")     # the kinds that take a k
 CERTIFY_BATCH = 500     # trials compressed per round by `certification`
 
 # natural quantization budgets one sign bit plus an 8-bit exponent
@@ -27,32 +25,16 @@ def _index_bits(d):
     return (d - 1).bit_length() if d > 1 else 0
 
 
-def _omega(kind, d, k):
-    if kind == "identity":
-        return 0.0
-    if kind == "rand_k":
-        return d / k - 1.0
-    if kind == "natural":
-        return 1.0 / 8.0
-    if kind == "rand_k_natural":
-        return 9.0 * d / (8.0 * k) - 1.0
-    if kind == "l1_selection":
-        return float(d - 1)
-    raise InputError(f"unknown compressor kind {kind!r}")
-
-
-def _bits(kind, d, k):
-    if kind == "identity":
-        return 32 * d
-    if kind == "rand_k":
-        return 32 * k + k * _index_bits(d)
-    if kind == "natural":
-        return 9 * d
-    if kind == "rand_k_natural":
-        return 9 * k + k * _index_bits(d)
-    if kind == "l1_selection":
-        return 32 + _index_bits(d)
-    raise InputError(f"unknown compressor kind {kind!r}")
+# kind -> (omega, bits per message) as functions of d and k
+_COSTS = {
+    "identity": lambda d, k: (0.0, 32 * d),
+    "rand_k": lambda d, k: (d / k - 1.0, 32 * k + k * _index_bits(d)),
+    "natural": lambda d, k: (1.0 / 8.0, 9 * d),
+    "rand_k_natural": lambda d, k: (9.0 * d / (8.0 * k) - 1.0, 9 * k + k * _index_bits(d)),
+    "l1_selection": lambda d, k: (float(d - 1), 32 + _index_bits(d)),
+}
+KINDS = tuple(_COSTS)
+K_KINDS = ("rand_k", "rand_k_natural")     # the kinds that take a k
 
 
 @dataclass(frozen=True)
@@ -72,11 +54,10 @@ def make_spec(kind, d, k=None):
         raise InputError("d must be positive")
     if kind in K_KINDS:
         if k is None or not (1 <= k <= d):
-            raise InputError("rand-k needs 1 <= k <= d")
+            raise InputError(f"rand-k needs 1 <= k <= d, got k = {k}, d = {d}")
     else:
         k = None
-    w = _omega(kind, d, k)
-    return CompressorSpec(kind, d, k, w, _bits(kind, d, k))
+    return CompressorSpec(kind, d, k, *_COSTS[kind](d, k))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import algorithms as alg
 from . import objectives as obj
 from .compressors import KINDS, K_KINDS, make_spec
 from .data import dirichlet_synthetic, load_libsvm, partition
-from .errors import ConfigurationError, ConvergenceError, InputError
+from .errors import ConvergenceError, InputError
 
 CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
                "t", "rounds", "bits_per_client", "sqdist_mean", "sqdist_ybar",
@@ -83,8 +83,8 @@ def solve_reference(problem, tol=1e-12):
 class ExperimentConfig:
     problem: dict                 # {'source': 'libsvm'|'quadratic'|'dirichlet', ...}
     n: int
-    kappa: float
-    algorithm: str                # locodl | gd | diana | scaffnew
+    kappa: float = 100.0
+    algorithm: str = "locodl"     # a key of algorithms.SCHEDULE_KEYS
     compressor: str = "identity"
     k: int | None = None
     seeds: tuple = (0,)
@@ -93,7 +93,7 @@ class ExperimentConfig:
     max_iters: int = 10_000_000
     cadence: int = 100
     round_cadence: int = 1
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = field(default_factory=dict)   # schedule field -> value, held as float
     data_seed: int = 0
     label: str = ""
 
@@ -116,13 +116,27 @@ class ExperimentConfig:
             raise InputError(f"max_iters must be non-negative, got {self.max_iters}")
         if self.stop_metric not in ("psi", "sqdist"):
             raise InputError(f"unknown stop metric {self.stop_metric!r}")
-        if self.algorithm not in ("locodl", "gd", "diana", "scaffnew"):
-            raise InputError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm not in alg.SCHEDULE_KEYS:
+            raise InputError(f"unknown algorithm {self.algorithm!r} "
+                             f"(choose from {', '.join(alg.SCHEDULE_KEYS)})")
+        takes = alg.SCHEDULE_KEYS[self.algorithm]
+        for key in self.overrides:
+            if key not in takes:
+                raise InputError(f"[algo:{self.label}] {key}: {self.algorithm} takes only "
+                                 f"{', '.join(takes)}")
+        self.overrides = {key: float(value) for key, value in self.overrides.items()}
+        if self.stop_metric == "psi" and self.algorithm != "locodl":
+            raise InputError(f"[algo:{self.label}] stop_metric psi is defined only for locodl")
         if self.compressor not in KINDS:
             raise InputError(f"unknown compressor {self.compressor!r} (choose from {KINDS})")
         if (self.k is None) == (self.compressor in K_KINDS):
             raise InputError(f"compressor {self.compressor!r} " + (
                 "needs a k" if self.k is None else f"takes no k, got k = {self.k}"))
+        # a LibSVM d is known only in make_spec; a d below 1 is reported when the problem is built
+        d = self.problem.get("d")
+        if self.k is not None and (self.k < 1 or (d is not None and 1 <= d < self.k)):
+            raise InputError(f"[algo:{self.label}] k = {self.k}: {self.compressor} needs "
+                             "1 <= k <= d" + ("" if d is None else f" = {d}"))
 
     @property
     def stop_column(self):
@@ -163,17 +177,9 @@ def build_problem(config):
 
 
 def resolve_params(config, problem, spec):
-    """Theoretical schedule with optional per-field overrides from the config."""
-    defaults = alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / config.n)
-    if not config.overrides:
-        return defaults
-    fields = {name: getattr(defaults, name) for name in
-              ("gamma", "chi", "rho", "p", "omega", "omega_av")}
-    for key, value in config.overrides.items():
-        if key not in ("gamma", "chi", "rho", "p"):
-            raise InputError(f"unknown parameter override {key!r}")
-        fields[key] = float(value)
-    return alg.AlgoParams(**fields)
+    """Theoretical schedule with the config's overrides in place of its fields."""
+    return replace(alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / config.n),
+                   **config.overrides)
 
 
 class _Recorder:
@@ -204,19 +210,17 @@ class _Recorder:
         return ExperimentTrace(columns, meta)
 
 
-def _stepper(config, problem, baseline, ref, spec, rng, extra):
-    """(objective, state, step, observe) of the configured algorithm.
+def _stepper(config, problem, baseline, ref, spec, rng):
+    """(objective, state, step, observe, schedule) of the configured algorithm.
 
     `step()` advances the state one iteration; `observe()` returns the record
-    fields beyond the counters: (x_mean, x_clients, y, psi).  The algorithm's
-    resolved schedule is added to `extra`.
+    fields beyond the counters: (x_mean, x_clients, y, psi).  `schedule` is
+    the resolved schedule, as it goes into the trace's metadata.
     """
     n, d = config.n, problem.d
     if config.algorithm == "locodl":
         params = resolve_params(config, problem, spec)
-        tau = alg.rate_bound(params, problem.L, problem.mu)
-        extra.update(gamma=params.gamma, chi=params.chi, rho=params.rho, p=params.p,
-                     omega=params.omega, omega_av=params.omega_av, tau=tau)
+        schedule = dict(asdict(params), tau=alg.rate_bound(params, problem.L, problem.mu))
         state = alg.LoCoDLState.zeros(n, d)
 
         def step():
@@ -224,16 +228,14 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
 
         def observe():
             return state.x.sum(axis=0) / n, state.x, state.y, alg.lyapunov(state, ref, params)
-        return problem, state, step, observe
+        return problem, state, step, observe, schedule
 
     # baselines run on the folded problem
-    if config.stop_metric == "psi":
-        raise ConfigurationError("stop metric 'psi' is only defined for locodl runs")
     prob = baseline
     if config.algorithm == "scaffnew":
-        gamma = float(config.overrides.get("gamma", 1.0 / prob.L))
-        p = float(config.overrides.get("p", min(1.0, 1.0 / np.sqrt(prob.kappa))))
-        extra.update(gamma=gamma, p=p)
+        schedule = {"gamma": 1.0 / prob.L, "p": float(min(1.0, 1.0 / np.sqrt(prob.kappa))),
+                    **config.overrides}
+        gamma, p = schedule["gamma"], schedule["p"]
         state = alg.ScaffnewState.zeros(n, d)
 
         def step():
@@ -242,19 +244,19 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
         def observe():
             xm = state.x.sum(axis=0) / n
             return xm, state.x, xm, float("nan")
-        return prob, state, step, observe
+        return prob, state, step, observe, schedule
 
     if config.algorithm == "gd":
-        gamma = float(config.overrides.get("gamma", 1.0 / prob.L))
-        extra.update(gamma=gamma)
+        schedule = {"gamma": 1.0 / prob.L, **config.overrides}
+        gamma = schedule["gamma"]
         state = alg.GDState.zeros(d)
 
         def step():
             alg.gd_step(state, prob, gamma)
     else:  # diana
-        gamma = float(config.overrides.get("gamma",
-                                           alg.diana_gamma(prob.L, prob.mu, spec.omega, n)))
-        extra.update(gamma=gamma, omega=spec.omega)
+        schedule = {"gamma": alg.diana_gamma(prob.L, prob.mu, spec.omega, n),
+                    **config.overrides, "omega": spec.omega}
+        gamma = schedule["gamma"]
         state = alg.DianaState.zeros(n, d)
 
         def step():
@@ -262,7 +264,7 @@ def _stepper(config, problem, baseline, ref, spec, rng, extra):
 
     def observe():
         return state.x, state.x[None, :], state.x, float("nan")
-    return prob, state, step, observe
+    return prob, state, step, observe, schedule
 
 
 def run_single(config, problem, baseline, ref, seed):
@@ -271,11 +273,11 @@ def run_single(config, problem, baseline, ref, seed):
     meta = {"algorithm": config.algorithm, "dataset": config.problem.get("path", config.problem["source"]),
             "n": config.n, "d": problem.d, "kappa": problem.kappa,
             "compressor": _compressor_name(config), "seed": seed}
+    objective, state, step, observe, schedule = _stepper(config, problem, baseline, ref, spec,
+                                                         alg.RngBundle.from_seed(seed))
     extra = {"config_hash": config.content_hash(), "stop_metric": config.stop_metric,
              "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin",
-             "reference_grad_norm": ref.grad_norm}
-    objective, state, step, observe = _stepper(config, problem, baseline, ref, spec,
-                                               alg.RngBundle.from_seed(seed), extra)
+             "reference_grad_norm": ref.grad_norm, **schedule}
     rec = _Recorder(meta, ref, objective)
     rows = rec.rows
     stop = VARYING_COLUMNS.index(config.stop_column)

@@ -46,7 +46,7 @@ algorithm = locodl
 """
 
 
-# a second block whose compressor is refused, after the valid [algo:loco]
+# a second block whose compressor is refused, after the valid [algo:loco] (d = 8)
 BAD_COMPRESSOR_BLOCKS = [
     pytest.param("\n[algo:plain]\nalgorithm = locodl\ncompressor = identity\nk = 3\n",
                  "compressor 'identity' takes no k, got k = 3", id="k_for_identity"),
@@ -54,6 +54,38 @@ BAD_COMPRESSOR_BLOCKS = [
                  "unknown compressor 'bogus'", id="unknown"),
     pytest.param("\n[algo:sparse]\nalgorithm = locodl\ncompressor = rand_k\n",
                  "compressor 'rand_k' needs a k", id="no_k_for_rand_k"),
+    pytest.param("\n[algo:sparse]\nalgorithm = locodl\ncompressor = rand_k\nk = 0\n",
+                 "[algo:sparse] k = 0: rand_k needs 1 <= k <= d = 8", id="k_zero"),
+    pytest.param("\n[algo:sparse]\nalgorithm = locodl\ncompressor = rand_k_natural\nk = 9\n",
+                 "[algo:sparse] k = 9: rand_k_natural needs 1 <= k <= d = 8", id="k_above_d"),
+]
+
+# a second block whose schedule is refused, after the valid [algo:loco] (stop_metric = psi)
+BAD_SCHEDULE_BLOCKS = [
+    pytest.param("\n[algo:gd]\nalgorithm = gd\ncompressor = identity\n",
+                 "[algo:gd] stop_metric psi is defined only for locodl", id="psi_for_gd"),
+    pytest.param("\n[algo:gd]\nalgorithm = gd\np = 0.5\n",
+                 "[algo:gd] p: gd takes only gamma", id="p_for_gd"),
+    pytest.param("\n[algo:gd]\nalgorithm = gd\nchi = 0.3\n",
+                 "[algo:gd] chi: gd takes only gamma", id="chi_for_gd"),
+    pytest.param("\n[algo:sn]\nalgorithm = scaffnew\nrho = 0.5\n",
+                 "[algo:sn] rho: scaffnew takes only gamma, p",
+                 id="rho_for_scaffnew"),
+    pytest.param("\n[algo:dn]\nalgorithm = diana\ncompressor = rand_k\nk = 2\np = 0.5\n",
+                 "[algo:dn] p: diana takes only gamma", id="p_for_diana"),
+]
+
+# a key no section of its kind takes, each in an otherwise valid config
+UNKNOWN_KEYS = [
+    pytest.param("kappa = 100", "kapa = 1e4", "[problem] kapa is not a known key", id="problem"),
+    pytest.param("stop_ratio = 1e-6", "stop_ratoi = 1e-6", "[run] stop_ratoi is not a known key",
+                 id="run"),
+    pytest.param("compressor = rand_k\nk = 2", "compresor = rand_k\nk = 2",
+                 "[algo:loco] compresor is not a known key", id="algo"),
+    pytest.param("d = 8", "d = 8\npath = data.txt",
+                 "[problem] path is not a known key (choose from source, d, n, kappa, data_seed)",
+                 id="path_for_quadratic"),
+    pytest.param("[run]", "[runs]", "unknown section [runs]", id="section"),
 ]
 
 
@@ -148,6 +180,46 @@ class TestLoadConfig:
         assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert f"alpha must be finite and positive, got {alpha}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", UNKNOWN_KEYS)
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(QUAD_CONFIG.replace(old, new, 1))
+        out = tmp_path / "o"
+        assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[problem]\nsource = quadratic\n[problem]\n", "section 'problem' already exists"),
+        ("[problem]\nn = 2\nn = 3\n", "option 'n' in section 'problem' already exists"),
+        ("[problem]\nn\n", "Source contains parsing errors"),
+        ("n = 2\n[problem]\n", "File contains no section headers"),
+        ("[problem]\nsource = quadratic\nd = 4\nn = 2\n[run]\nstop_metric = 100%\n[algo:a]\n",
+         "unknown stop metric '100%'"),
+    ], ids=["duplicate_section", "duplicate_key", "key_without_value", "no_section", "percent"])
+    def test_malformed_ini_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_required_keys_alone_give_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text("[problem]\nsource = quadratic\nd = 4\nn = 2\n[algo:a]\n")
+        configs, out = cli.load_config(str(path))
+        assert configs == [harness.ExperimentConfig(problem={"source": "quadratic", "d": 4},
+                                                    n=2, label="a")]
+        assert out is None
+
+    def test_overrides_are_held_in_schedule_order(self, tmp_path):
+        path = tmp_path / "overrides.ini"
+        path.write_text(QUAD_CONFIG + "p = 0.5\nrho = 0.4\ngamma = 0.1\nchi = 0.2\n")
+        (config,) = cli.load_config(str(path))[0]
+        assert list(config.overrides.items()) \
+            == [("gamma", 0.1), ("chi", 0.2), ("rho", 0.4), ("p", 0.5)]
+
     def test_unknown_source(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nsource = mnist\nd = 4\nn = 2\n[algo:a]\n")
@@ -213,13 +285,6 @@ class TestRun:
         assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert f"{data_path}: unsupported label alphabet" in capsys.readouterr().err
 
-    def test_env_var_output_dir(self, quad_config_path, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv(cli.OUT_ENV_VAR, str(target))
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(["run", quad_config_path]) == 0
-        assert any(target.glob("*.csv"))
-
     def test_seeds_override(self, quad_config_path, tmp_path):
         out = tmp_path / "s"
         run_cli(["run", quad_config_path, "--out", str(out), "--seeds", "7"])
@@ -251,6 +316,14 @@ class TestRun:
 
     @pytest.mark.parametrize("block, message", BAD_COMPRESSOR_BLOCKS)
     def test_bad_compressor_exits_2_before_any_trace(self, tmp_path, capsys, block, message):
+        self.assert_refused_before_any_trace(tmp_path, capsys, block, message)
+
+    @pytest.mark.parametrize("block, message", BAD_SCHEDULE_BLOCKS)
+    def test_bad_schedule_exits_2_before_any_trace(self, tmp_path, capsys, block, message):
+        self.assert_refused_before_any_trace(tmp_path, capsys, block, message)
+
+    @staticmethod
+    def assert_refused_before_any_trace(tmp_path, capsys, block, message):
         path = tmp_path / "bad.ini"
         path.write_text(QUAD_CONFIG + block)
         out = tmp_path / "o"
@@ -362,6 +435,15 @@ class TestSweep:
     @pytest.mark.parametrize("block, message", BAD_COMPRESSOR_BLOCKS)
     def test_bad_compressor_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                    block, message):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message)
+
+    @pytest.mark.parametrize("block, message", BAD_SCHEDULE_BLOCKS)
+    def test_bad_schedule_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                 block, message):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message)
+
+    @staticmethod
+    def assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message):
         path = tmp_path / "bad.ini"
         path.write_text(QUAD_CONFIG + block)
         runs = []

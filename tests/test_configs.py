@@ -1,5 +1,7 @@
-"""The shipped configs: each one loads, and `run` prints the bits its traces hold."""
+"""The shipped configs and README's grammar: each config loads, `run` prints the bits its
+traces hold, and the grammar lists the keys `load_config` reads."""
 
+import configparser
 import csv
 import os
 import statistics
@@ -7,6 +9,7 @@ import statistics
 import pytest
 
 from locodl import cli, harness
+from locodl.algorithms import SCHEDULE_KEYS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -47,3 +50,16 @@ def test_run_table_gives_the_median_bits_of_the_written_traces(tmp_path, capsys)
                                        config.stop_ratio, config.stop_column)
                 for seed in config.seeds]
         assert row["bits_to_target"] == str(statistics.median(bits))
+
+
+def test_readme_grammar_lists_the_keys_load_config_reads():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    grammar = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(grammar)
+    assert parser.sections() == ["problem", "run", "algo:mylabel"]
+    assert set(parser["problem"]) == set(cli.PROBLEM_FIELDS).union(*cli.SOURCE_KEYS.values())
+    assert list(parser["run"]) == list(cli.RUN_KEYS)
+    assert list(parser["algo:mylabel"]) == list(cli.ALGO_KEYS) \
+        == ["algorithm", "compressor", "k", *SCHEDULE_KEYS["locodl"]]

@@ -145,6 +145,23 @@ class TestExperimentConfig:
     def test_stop_column(self, metric, column):
         assert quad_config(stop_metric=metric).stop_column == column
 
+    def test_psi_stop_rejected_for_baselines(self):
+        with pytest.raises(InputError, match=r"\[algo:test\] stop_metric psi is defined only"):
+            quad_config(algorithm="gd", compressor="identity", k=None)
+
+    def test_overrides_are_held_as_floats(self):
+        config = quad_config(algorithm="gd", stop_metric="sqdist", compressor="identity", k=None,
+                             overrides={"gamma": 1})
+        assert repr(config.overrides) == "{'gamma': 1.0}"
+
+    def test_libsvm_k_is_checked_against_d_in_make_spec(self, tmp_path):
+        path = tmp_path / "tiny.libsvm"
+        path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)))
+        config = quad_config(problem={"source": "libsvm", "path": str(path)}, k=3)
+        problem, _ = harness.build_problem(config)
+        with pytest.raises(InputError, match="rand-k needs 1 <= k <= d, got k = 3, d = 2"):
+            harness.run_single(config, problem, problem, None, 0)
+
     def test_content_hash_changes_with_fields(self):
         assert quad_config().content_hash() != quad_config(kappa=200.0).content_hash()
         assert quad_config().content_hash() == quad_config().content_hash()
@@ -197,13 +214,6 @@ class TestRunSingle:
 
     def test_invalid_schedule_refused_before_running(self):
         config = quad_config(overrides={"gamma": 5.0})
-        problem, baseline = harness.build_problem(config)
-        ref = harness.solve_reference(problem)
-        with pytest.raises(ConfigurationError):
-            harness.run_single(config, problem, baseline, ref, 0)
-
-    def test_psi_stop_rejected_for_baselines(self):
-        config = quad_config(algorithm="gd", compressor="identity", k=None)
         problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         with pytest.raises(ConfigurationError):
