@@ -88,7 +88,9 @@ def load_config(path, seeds_override=None):
     """Parse an experiment config file into a list of ExperimentConfig."""
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header spells the empty name, so [DEFAULT] is read as an unknown
+    # section instead of having its keys copied into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -143,8 +145,10 @@ def _run_configs(configs, out_dir):
     """Execute configs and write their traces; returns one table row per config."""
     rows = []
     cache = {}
-    for config in configs:
-        traces = harness.run_experiment(config, cache)
+    # every block's problem is built and checked before any run
+    prepared = [harness.prepare(config, cache) for config in configs]
+    for config, setup in zip(configs, prepared):
+        traces = [harness.run_single(config, *setup, seed) for seed in config.seeds]
         for trace, seed in zip(traces, config.seeds):
             name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
             harness.write_trace(trace, os.path.join(out_dir, name))
@@ -186,14 +190,16 @@ def cmd_sweep(args):
     base_configs, config_out = load_config(args.config)
     out_dir = _out_dir(args.out, config_out)
 
-    # every config is built, and so validated, before anything runs
+    # every config and its problem are built, and so validated, before anything runs
     configs = [(text, value, harness.ExperimentConfig(**dict(base.__dict__, **{key: value})))
                for text, value in values for base in base_configs]
+    cache = {}
+    prepared = [harness.prepare(config, cache) for _, _, config in configs]
     summary = []
     bits_by_label = {}
-    cache = {}
-    for text, value, config in configs:
-        med = _median_bits(config, harness.run_experiment(config, cache))
+    for (text, value, config), setup in zip(configs, prepared):
+        med = _median_bits(config, [harness.run_single(config, *setup, seed)
+                                    for seed in config.seeds])
         summary.append((config.label, text, float(value), med))
         bits_by_label.setdefault(config.label, {})[float(value)] = med
 

@@ -7,6 +7,7 @@ labels in {-1, +1}.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -14,12 +15,12 @@ from .errors import InputError, ParseError
 from .objectives import Shard
 
 
-def _normalize_labels(raw):
-    alphabet = set(raw)
+def _normalize_labels(labels):
+    alphabet = set(labels.tolist())
     if alphabet <= {-1.0, 1.0}:
-        return raw
+        return labels
     if alphabet <= {0.0, 1.0}:
-        return [1.0 if v == 1.0 else -1.0 for v in raw]
+        return np.where(labels == 1.0, 1.0, -1.0)
     raise InputError(f"unsupported label alphabet {sorted(alphabet)}; need binary labels")
 
 
@@ -28,12 +29,66 @@ def parse_libsvm(stream):
 
     Indices are 1-based and strictly increasing in the source; values must be
     finite; '#' starts a comment; blank lines are skipped.  Labels in {0,1}
-    are mapped to {-1,+1}.  d is the largest index present.
+    are mapped to {-1,+1}.  d is the largest index present.  The text is
+    converted and checked in bulk; text that fails is parsed again line by
+    line, so that the ParseError names the first bad line.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
         lines = [line.rstrip("\n") for line in stream]
+    parsed = _parse_bulk(lines)
+    labels, features = _parse_lines(lines) if parsed is None else parsed
+    return Shard(features, _normalize_labels(np.asarray(labels, dtype=np.float64)))
+
+
+def _parse_bulk(lines):
+    """(labels, features) of the lines, or None if any line is malformed."""
+    if any("#" in line for line in lines):
+        lines = [line.split("#", 1)[0] for line in lines]
+    # each token is held as the number of distinct tokens seen before its first
+    # occurrence, so only the distinct tokens stay in memory as strings
+    code = defaultdict()
+    code.default_factory = code.__len__
+    lengths, codes = [], []
+    for tokens in map(str.split, lines):
+        if tokens:
+            lengths.append(len(tokens))
+            codes.extend(map(code.__getitem__, tokens))
+    distinct = list(code)
+    codes = np.array(codes, dtype=np.intp)
+    lengths = np.array(lengths, dtype=np.intp)
+    is_label = np.zeros(codes.size, dtype=bool)
+    is_label[np.cumsum(lengths) - lengths] = True     # each row's first token
+    counts = lengths - 1                              # feature pairs per row
+    label_codes, pair_codes = codes[is_label], codes[~is_label]
+    used_as_label = np.flatnonzero(np.bincount(label_codes, minlength=len(distinct)))
+    used_as_pair = np.flatnonzero(np.bincount(pair_codes, minlength=len(distinct)))
+    splits = [distinct[c].split(":") for c in used_as_pair.tolist()]
+    if any(len(split) != 2 for split in splits):
+        return None
+    label_of, index_of, value_of = (np.zeros(len(distinct), dtype=dtype)
+                                    for dtype in (np.float64, np.int64, np.float64))
+    try:
+        label_of[used_as_label] = [float(distinct[c]) for c in used_as_label.tolist()]
+        index_of[used_as_pair] = [int(split[0]) for split in splits]
+        value_of[used_as_pair] = [float(split[1]) for split in splits]
+    except (ValueError, OverflowError):
+        return None
+    index, value = index_of[pair_codes], value_of[pair_codes]
+    # each index must exceed the one before it in its row, the first one 0
+    before = np.empty_like(index)
+    before[1:] = index[:-1]
+    before[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    if not ((index > before).all() and np.isfinite(value).all()):
+        return None
+    features = np.zeros((counts.size, int(index.max()) if index.size else 0))
+    features[np.repeat(np.arange(counts.size), counts), index - 1] = value
+    return label_of[label_codes], features
+
+
+def _parse_lines(lines):
+    """(labels, features), one line at a time; a ParseError names the first bad line."""
     labels, rows, cols, vals = [], [], [], []
     d = 0
     for lineno, line in enumerate(lines, start=1):
@@ -67,7 +122,7 @@ def parse_libsvm(stream):
         labels.append(label)
     features = np.zeros((len(labels), d))
     features[rows, cols] = vals
-    return Shard(features, _normalize_labels(labels))
+    return labels, features
 
 
 def serialize_libsvm(shard):

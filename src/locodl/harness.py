@@ -132,8 +132,11 @@ class ExperimentConfig:
         if (self.k is None) == (self.compressor in K_KINDS):
             raise InputError(f"compressor {self.compressor!r} " + (
                 "needs a k" if self.k is None else f"takes no k, got k = {self.k}"))
-        # a LibSVM d is known only in make_spec; a d below 1 is reported when the problem is built
-        d = self.problem.get("d")
+        # a LibSVM d is known once the problem is built; a d below 1 is reported there
+        self.check_k(self.problem.get("d"))
+
+    def check_k(self, d):
+        """InputError naming the block if k is below 1 or above d; d is None while unknown."""
         if self.k is not None and (self.k < 1 or (d is not None and 1 <= d < self.k)):
             raise InputError(f"[algo:{self.label}] k = {self.k}: {self.compressor} needs "
                              "1 <= k <= d" + ("" if d is None else f" = {d}"))
@@ -312,18 +315,27 @@ def _compressor_name(config):
     return config.compressor
 
 
-def run_experiment(config, cache=None):
-    """Run every seed of the config; returns one ExperimentTrace per seed.
+def prepare(config, cache):
+    """The config's (problem, baseline, reference); refuses a k above the problem's d.
 
     `cache` maps a problem's identity to its (problem, baseline, reference),
     so configs that share a problem build and solve it only once.
     """
-    cache = {} if cache is None else cache
     key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
     if key not in cache:
         problem, baseline = build_problem(config)
         cache[key] = (problem, baseline, solve_reference(problem))
-    return [run_single(config, *cache[key], seed) for seed in config.seeds]
+    config.check_k(cache[key][0].d)
+    return cache[key]
+
+
+def run_experiment(config, cache=None):
+    """Run every seed of the config; returns one ExperimentTrace per seed.
+
+    `cache` is `prepare`'s, so configs that share a problem build and solve it once.
+    """
+    prepared = prepare(config, {} if cache is None else cache)
+    return [run_single(config, *prepared, seed) for seed in config.seeds]
 
 
 def bits_to_target(trace, target_ratio, metric="sqdist_mean"):

@@ -80,9 +80,10 @@ class _BatchedLogistic:
     Sparse data (typical for one-hot encodings) are one block-diagonal CSR
     matrix, so that one sparse matvec computes every client's margins
     against its own model; A^T c goes through the block's transpose, a CSC
-    view of the same arrays.  A flat (n*m, d) CSR that shares the block's
-    values and row pointers, with column indices taken modulo d, serves a
-    common (d,) point and the Hessian.  `lo` and `hi` are each client's
+    view of the same arrays.  The block is built from a flat (n*m, d) CSR
+    of the stack by shifting client i's column indices by i*d; it shares the
+    flat matrix's values and row pointers.  The flat matrix serves a common
+    (d,) point and the Hessian.  `lo` and `hi` are each client's
     curvature bounds, 0 and lam_max(A_i^T A_i) / (4m).
     """
 
@@ -103,12 +104,17 @@ class _BatchedLogistic:
         self._block = None
         if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
             from scipy import sparse
-            self._block = sparse.block_diag([sparse.csr_matrix(a) for a in A], format="csr")
+            nonzero = A != 0
+            entries = np.flatnonzero(nonzero)   # row-major: by row, then by column
+            indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))
+            self._flat = sparse.csr_matrix((A.ravel()[entries], entries % self.d, indptr),
+                                           shape=(self.n * self.m, self.d))
+            # client i's entries lie at flat indices i*m*d .. (i+1)*m*d - 1; its columns move i*d
+            block_cols = entries // (self.m * self.d) * self.d + self._flat.indices
+            self._block = sparse.csr_matrix((self._flat.data, block_cols, self._flat.indptr),
+                                            shape=(self.n * self.m, self.n * self.d))
             # a CSC view of the block's arrays, built once: scipy's .T costs tens of us per call
             self._block_t = self._block.T
-            self._flat = sparse.csr_matrix(
-                (self._block.data, self._block.indices % self.d, self._block.indptr),
-                shape=(self.n * self.m, self.d))
             self.A = None
         self._coef = -self.b / self.m
 
@@ -142,7 +148,11 @@ class _BatchedLogistic:
         margins = self._margins(x).ravel()
         w = expit(margins) * expit(-margins) / (self.n * self.m)
         if self._block is not None:
-            return (self._flat.T @ self._flat.multiply(w[:, None])).toarray()
+            from scipy import sparse
+            flat = self._flat     # scaled below shares its indices and row pointers
+            scaled = sparse.csr_matrix((flat.data * np.repeat(w, np.diff(flat.indptr)),
+                                        flat.indices, flat.indptr), shape=flat.shape)
+            return (flat.T @ scaled).toarray()
         flat = self.A.reshape(-1, self.d)
         return (flat.T * w) @ flat
 

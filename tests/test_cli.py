@@ -86,7 +86,23 @@ UNKNOWN_KEYS = [
                  "[problem] path is not a known key (choose from source, d, n, kappa, data_seed)",
                  id="path_for_quadratic"),
     pytest.param("[run]", "[runs]", "unknown section [runs]", id="section"),
+    pytest.param("[problem]", "[DEFAULT]\nseeds = 1\n\n[problem]", "unknown section [DEFAULT]",
+                 id="default_section"),
 ]
+
+
+def libsvm_config(tmp_path):
+    """A LibSVM config (40 rows, d = 2) whose [algo:a] block is valid."""
+    data_path = tmp_path / "tiny.libsvm"
+    data_path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)))
+    return (f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\nkappa = 10\n\n"
+            "[run]\nstop_metric = sqdist\nstop_ratio = 1e-3\n\n"
+            "[algo:a]\nalgorithm = locodl\ncompressor = identity\n")
+
+
+# a block whose k exceeds the d of the LibSVM file, known only once the file is read
+LIBSVM_K_ABOVE_D = ("\n[algo:b]\nalgorithm = locodl\ncompressor = rand_k\nk = 3\n",
+                    "[algo:b] k = 3: rand_k needs 1 <= k <= d = 2")
 
 
 @pytest.fixture
@@ -322,10 +338,14 @@ class TestRun:
     def test_bad_schedule_exits_2_before_any_trace(self, tmp_path, capsys, block, message):
         self.assert_refused_before_any_trace(tmp_path, capsys, block, message)
 
+    def test_libsvm_k_above_d_exits_2_before_any_trace(self, tmp_path, capsys):
+        self.assert_refused_before_any_trace(tmp_path, capsys, *LIBSVM_K_ABOVE_D,
+                                             base=libsvm_config(tmp_path))
+
     @staticmethod
-    def assert_refused_before_any_trace(tmp_path, capsys, block, message):
+    def assert_refused_before_any_trace(tmp_path, capsys, block, message, base=QUAD_CONFIG):
         path = tmp_path / "bad.ini"
-        path.write_text(QUAD_CONFIG + block)
+        path.write_text(base + block)
         out = tmp_path / "o"
         assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
         assert message in capsys.readouterr().err
@@ -442,10 +462,15 @@ class TestSweep:
                                                  block, message):
         self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message)
 
+    def test_libsvm_k_above_d_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, *LIBSVM_K_ABOVE_D,
+                                           base=libsvm_config(tmp_path), vary="kappa=5,10,20")
+
     @staticmethod
-    def assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message):
+    def assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
+                                      base=QUAD_CONFIG, vary="kappa=20,60,200"):
         path = tmp_path / "bad.ini"
-        path.write_text(QUAD_CONFIG + block)
+        path.write_text(base + block)
         runs = []
         run_single = harness.run_single
 
@@ -454,7 +479,7 @@ class TestSweep:
             return run_single(*args)
 
         monkeypatch.setattr(harness, "run_single", counting)
-        assert run_cli(["sweep", str(path), "--vary", "kappa=20,60,200",
+        assert run_cli(["sweep", str(path), "--vary", vary,
                         "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
         assert message in capsys.readouterr().err
         assert runs == []

@@ -71,6 +71,151 @@ class TestParseLibsvm:
             data.parse_libsvm(text)
 
 
+def both_paths(text):
+    """(bulk, line-by-line) parses of `text`; the line-by-line one may be the error it raised."""
+    lines = text.splitlines()
+    try:
+        by_line = data._parse_lines(lines)
+    except ValueError as exc:     # a ParseError, or an index too large for an array dimension
+        by_line = exc
+    return data._parse_bulk(lines), by_line
+
+
+def refuse_line_parse(monkeypatch):
+    def refuse(lines):
+        raise AssertionError("valid input reached the line-by-line parse")
+
+    monkeypatch.setattr(data, "_parse_lines", refuse)
+
+
+# one LibSVM token of a valid file, spelled the ways int() and float() accept
+INDEX_SPELLINGS = ["{}", "+{}", "0{}", "{}"]
+VALUE_SPELLINGS = ["1", "1.0", "-0.5", "+2", "1e-3", "1_0", "3.25E2", "-7", "0.1", ".5"]
+
+
+@st.composite
+def valid_libsvm(draw):
+    """LibSVM text that parses: comments, blank and label-only rows, mixed separators."""
+    labels = draw(st.sampled_from([("+1", "-1"), ("1", "-1"), ("0", "1"), ("1.0", "-1.0")]))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append("# " + draw(st.sampled_from(["header", "1:2 x", "#"])))
+            continue
+        indices = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
+        pairs = [draw(st.sampled_from(INDEX_SPELLINGS)).format(i) + ":"
+                 + draw(st.sampled_from(VALUE_SPELLINGS)) for i in indices]
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        line = sep.join([draw(st.sampled_from(labels))] + pairs)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" ", " # trailing", "#c"]))
+        lines.append(line)
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        lines.append(labels[0])
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+# text that differs from a valid file in one token
+BAD_TOKENS = ["abc", "1:", ":1", "x:1", "1:x", "1:2:3", "0:1", "-1:1", "1:nan", "1:inf",
+              "1:-inf", "nocolon", "1::2", "+", "1:1e999", "99999999999999999999:1"]
+
+
+class TestBulkParse:
+    """The bulk parse against the line-by-line parse, which stays the reference."""
+
+    @pytest.mark.parametrize("text", [
+        "# header\n\n+1 1:2 # trailing\n-1 2:1\n",
+        "+1\n-1 2:1\n-1",
+        "+1 1:0.5 3:-2\r\n-1 2:1\r\n",
+        "0 1:1\n1 2:1",
+        "+1 +3:1 1_0:1e-3\n-1 1:1_0 12:2",
+        "-1 7:1\n+1 2:1 5:1",
+        "+1 \t1:1   2:1\t\n\n# only a comment\n-1",
+    ], ids=["comments", "label_only_rows", "crlf", "zero_one_labels", "int_float_spellings",
+            "d_from_largest_index", "mixed_whitespace"])
+    def test_valid_input_is_parsed_in_bulk(self, text, monkeypatch):
+        by_line = data._parse_lines(text.splitlines())
+        refuse_line_parse(monkeypatch)
+        shard = data.parse_libsvm(text)
+        assert np.array_equal(shard.features, by_line[1])
+        assert np.array_equal(shard.labels, data._normalize_labels(np.array(by_line[0])))
+
+    def test_crlf_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "crlf.libsvm"
+        path.write_bytes(b"+1 1:0.5 3:-2\r\n# note\r\n-1 2:1\r\n")
+        by_line = data.parse_libsvm("+1 1:0.5 3:-2\n# note\n-1 2:1\n")
+        refuse_line_parse(monkeypatch)
+        shard = data.load_libsvm(str(path))
+        assert np.array_equal(shard.features, by_line.features)
+        assert np.array_equal(shard.labels, by_line.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_libsvm())
+    def test_valid_input_gives_the_line_by_line_arrays(self, text):
+        bulk, by_line = both_paths(text)
+        assert bulk is not None
+        assert np.array_equal(bulk[0], by_line[0])
+        assert bulk[1].shape == by_line[1].shape
+        assert np.array_equal(bulk[1], by_line[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_libsvm(), st.sampled_from(BAD_TOKENS), st.integers(0, 10_000))
+    def test_one_bad_token_falls_back_or_agrees(self, text, token, where):
+        lines = text.split("\n")
+        rows = [i for i, line in enumerate(lines) if line.split("#", 1)[0].split()]
+        i = rows[where % len(rows)]
+        parts = lines[i].split("#", 1)[0].split()
+        parts[where % len(parts)] = token
+        lines[i] = " ".join(parts)
+        bulk, by_line = both_paths("\n".join(lines))
+        if isinstance(by_line, ValueError):
+            assert bulk is None
+        elif bulk is not None:
+            assert np.array_equal(bulk[0], by_line[0])
+            assert np.array_equal(bulk[1], by_line[1])
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("+1 1:1\n\nabc 1:1", 3, "non-numeric label 'abc'"),
+        ("+1 1:1\n-1 nocolon", 2, "malformed feature pair 'nocolon'"),
+        ("+1 1:1\n-1 1:2:3", 2, "malformed feature pair '1:2:3'"),
+        ("+1 5 6:1:2", 1, "malformed feature pair '5'"),
+        ("+1 1:x", 1, "malformed feature pair '1:x'"),
+        ("+1 1:1\n+1 0:1", 2, "feature indices must be strictly increasing (saw 0 after 0)"),
+        ("+1 2:1 2:3", 1, "feature indices must be strictly increasing (saw 2 after 2)"),
+        ("-1 1:1\n+1 3:1 1:2", 2, "feature indices must be strictly increasing (saw 1 after 3)"),
+        ("+1 1:1\n-1 1:nan 2:1", 2, "non-finite feature value '1:nan'"),
+        ("+1 1:inf", 1, "non-finite feature value '1:inf'"),
+        ("+1 1:1\n+1 2:1\n-1 1:1e999", 3, "non-finite feature value '1:1e999'"),
+    ], ids=["label", "missing_colon", "two_colons", "balanced_colons", "value", "index_zero",
+            "repeated_index", "decreasing_index", "nan", "inf", "overflow"])
+    def test_each_error_names_the_line_of_the_line_by_line_parse(self, text, line, message):
+        bulk, by_line = both_paths(text)
+        assert bulk is None
+        assert isinstance(by_line, ParseError)
+        with pytest.raises(ParseError) as raised:
+            data.parse_libsvm(text)
+        assert str(raised.value) == str(by_line) == f"line {line}: {message}"
+        assert raised.value.lineno == by_line.lineno == line
+
+    @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
+    def test_empty_input_gives_the_line_by_line_error(self, text):
+        bulk, by_line = both_paths(text)
+        assert bulk[1].shape == by_line[1].shape == (0, 0)
+        with pytest.raises(InputError, match="shard must contain at least one row"):
+            data.parse_libsvm(text)
+
+    def test_a5a_stand_in_is_parsed_in_bulk(self, a5a_path):
+        with open(a5a_path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+        bulk, by_line = data._parse_bulk(lines), data._parse_lines(lines)
+        assert np.array_equal(bulk[0], by_line[0])
+        assert np.array_equal(bulk[1], by_line[1])
+
+
 class TestRoundTrip:
     def test_fixed_example(self):
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"

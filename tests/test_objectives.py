@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from locodl import harness
+from locodl import data, harness
 from locodl import objectives as obj
 from locodl.errors import InputError
 
@@ -371,7 +371,8 @@ class TestSparseLogisticGradient:
     """The sparse batch against the formula of the stored-transpose design, bit for bit."""
 
     @staticmethod
-    def _problem(seed):
+    def _stack(seed):
+        """(A, b) of a block-sparse (n, m, d) stack with empty rows and columns."""
         rng = np.random.default_rng(seed)
         n, m, d = 6, 90, 140     # n*m*d > 2^16 and density < 1/4: the sparse path
         A = np.zeros((n, m, d))
@@ -382,6 +383,14 @@ class TestSparseLogisticGradient:
         A[:, rng.integers(m), :] = 0.0
         A[:, :, 7] = 0.0                         # empty columns: 7, and the last 5 never drawn
         b = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+        return A, b
+
+    @classmethod
+    def _problem(cls, seed):
+        return cls._problem_of(*cls._stack(seed))
+
+    @staticmethod
+    def _problem_of(A, b):
         problem = obj.Problem(obj._BatchedLogistic([obj.Shard(a, y) for a, y in zip(A, b)]),
                               0.01, 0.0)
         assert problem.batch._block is not None
@@ -405,6 +414,49 @@ class TestSparseLogisticGradient:
             assert np.array_equal(problem.grads_locals(X), self._oracle(problem, X))
             x = scale * rng.standard_normal(problem.d)
             assert np.array_equal(problem.grads_locals(x), self._oracle(problem, x))
+
+    @staticmethod
+    def _assert_block_diag(batch, A):
+        """The batch's block is `sparse.block_diag` of the clients' CSRs, array for array."""
+        from scipy import sparse
+        expected = sparse.block_diag([sparse.csr_matrix(a) for a in A], format="csr")
+        block = batch._block
+        assert block.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(block, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert block.has_sorted_indices == expected.has_sorted_indices
+        assert block.has_canonical_format == expected.has_canonical_format
+
+    @pytest.mark.parametrize("seed, zero_client", [(0, None), (1, None), (2, 3), (4, 0)])
+    def test_block_equals_block_diag(self, seed, zero_client):
+        A, b = self._stack(seed)
+        if zero_client is not None:
+            A[zero_client] = 0.0
+        self._assert_block_diag(self._problem_of(A, b).batch, A)
+
+    def test_a5a_block_equals_block_diag(self, a5a_path):
+        config = harness.ExperimentConfig(problem={"source": "libsvm", "path": a5a_path},
+                                          n=87, kappa=1000.0)
+        problem, _ = harness.build_problem(config)
+        shards = data.partition(data.load_libsvm(a5a_path), 87, 0)
+        self._assert_block_diag(problem.batch, np.stack([s.features for s in shards]))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hessian_equals_the_multiply_form(self, seed):
+        problem = self._problem(seed)
+        batch = problem.batch
+        rng = np.random.default_rng(200 + seed)
+        # at scale 1e3 most margins pass 745, where expit(-t) and so w underflow to 0
+        for scale in (0.0, 1e-3, 1.0, 30.0, 1e3):
+            x = scale * rng.standard_normal(problem.d)
+            margins = batch._margins(x).ravel()
+            w = expit(margins) * expit(-margins) / (batch.n * batch.m)
+            if scale == 1e3:
+                assert 0 < np.count_nonzero(w) < w.size
+            expected = (batch._flat.T @ batch._flat.multiply(w[:, None])).toarray()
+            assert np.array_equal(batch.hessian_mean(x), expected)
 
     def test_one_stored_copy_of_the_features(self):
         batch = self._problem(3).batch
