@@ -146,9 +146,10 @@ def _run_configs(configs, out_dir):
     rows = []
     cache = {}
     # every block's problem is built and checked before any run
-    prepared = [harness.prepare(config, cache) for config in configs]
-    for config, setup in zip(configs, prepared):
-        traces = [harness.run_single(config, *setup, seed) for seed in config.seeds]
+    for config in configs:
+        harness.prepare(config, cache)
+    for config in configs:
+        traces = harness.run_experiment(config, cache)
         for trace, seed in zip(traces, config.seeds):
             name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
             harness.write_trace(trace, os.path.join(out_dir, name))
@@ -194,12 +195,12 @@ def cmd_sweep(args):
     configs = [(text, value, harness.ExperimentConfig(**dict(base.__dict__, **{key: value})))
                for text, value in values for base in base_configs]
     cache = {}
-    prepared = [harness.prepare(config, cache) for _, _, config in configs]
+    for _, _, config in configs:
+        harness.prepare(config, cache)
     summary = []
     bits_by_label = {}
-    for (text, value, config), setup in zip(configs, prepared):
-        med = _median_bits(config, [harness.run_single(config, *setup, seed)
-                                    for seed in config.seeds])
+    for text, value, config in configs:
+        med = _median_bits(config, harness.run_experiment(config, cache))
         summary.append((config.label, text, float(value), med))
         bits_by_label.setdefault(config.label, {})[float(value)] = med
 

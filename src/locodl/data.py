@@ -82,7 +82,10 @@ def _parse_bulk(lines):
     before[(np.cumsum(counts) - counts)[counts > 0]] = 0
     if not ((index > before).all() and np.isfinite(value).all()):
         return None
-    features = np.zeros((counts.size, int(index.max()) if index.size else 0))
+    try:
+        features = np.zeros((counts.size, int(index.max()) if index.size else 0))
+    except (ValueError, MemoryError):
+        return None     # an index too large for an array: the line-by-line parse names it
     features[np.repeat(np.arange(counts.size), counts), index - 1] = value
     return label_of[label_codes], features
 
@@ -118,9 +121,14 @@ def _parse_lines(lines):
             rows.append(len(labels))
             cols.append(idx - 1)
             vals.append(val)
-        d = max(d, prev)
+        if prev > d:
+            d, d_line = prev, lineno
         labels.append(label)
-    features = np.zeros((len(labels), d))
+    try:
+        features = np.zeros((len(labels), d))
+    except (ValueError, MemoryError):
+        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
+                                 f"{len(labels)} x {d} features") from None
     features[rows, cols] = vals
     return labels, features
 
@@ -144,13 +152,14 @@ def load_libsvm(path):
             raise InputError(f"{path}: {exc}") from exc
 
 
-def partition(shard, n, seed):
-    """Shuffle and split into n equal shards of m = rows // n; the rest is discarded."""
-    if n < 1 or n > shard.m:
-        raise InputError(f"cannot split {shard.m} rows across {n} clients")
-    order = np.random.default_rng(seed).permutation(shard.m)
-    m = shard.m // n
-    return [Shard(shard.features[idx], shard.labels[idx]) for idx in order[:n * m].reshape(n, m)]
+def partition(dataset, n, seed):
+    """Shuffled rows, m = rows // n per client: (n, m, d) features and (n, m) labels."""
+    if n < 1 or n > dataset.m:
+        raise InputError(f"cannot split {dataset.m} rows across {n} clients")
+    order = np.random.default_rng(seed).permutation(dataset.m)
+    m = dataset.m // n
+    idx = order[:n * m].reshape(n, m)
+    return dataset.features[idx], dataset.labels[idx]
 
 
 def dirichlet_synthetic(n, d, alpha, seed):

@@ -21,7 +21,7 @@ from . import algorithms as alg
 from . import objectives as obj
 from .compressors import KINDS, K_KINDS, make_spec
 from .data import dirichlet_synthetic, load_libsvm, partition
-from .errors import ConvergenceError, InputError
+from .errors import ConfigurationError, ConvergenceError, InputError
 
 CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
                "t", "rounds", "bits_per_client", "sqdist_mean", "sqdist_ybar",
@@ -134,6 +134,13 @@ class ExperimentConfig:
                 "needs a k" if self.k is None else f"takes no k, got k = {self.k}"))
         # a LibSVM d is known once the problem is built; a d below 1 is reported there
         self.check_k(self.problem.get("d"))
+        if self.algorithm != "locodl":
+            # a baseline's override is used as given; locodl's is checked against L when it runs
+            for key, value in self.overrides.items():
+                if not (0.0 < value <= 1.0 if key == "p" else 0.0 < value < math.inf):
+                    raise ConfigurationError(
+                        f"[algo:{self.label}] {key} = {value}: {self.algorithm} needs "
+                        + ("0 < p <= 1" if key == "p" else f"a finite positive {key}"))
 
     def check_k(self, d):
         """InputError naming the block if k is below 1 or above d; d is None while unknown."""
@@ -174,8 +181,8 @@ def build_problem(config):
                                       config.data_seed)
     else:
         raise InputError(f"unknown problem source {src['source']!r}")
-    shards = partition(dataset, config.n, config.data_seed)
-    problem = obj.logistic_problem(shards, obj.regularization_for_kappa(dataset, config.kappa))
+    A, b = partition(dataset, config.n, config.data_seed)
+    problem = obj.logistic_problem(A, b, obj.regularization_for_kappa(dataset, config.kappa))
     return problem, obj.fold_shared(problem)
 
 
@@ -329,12 +336,12 @@ def prepare(config, cache):
     return cache[key]
 
 
-def run_experiment(config, cache=None):
+def run_experiment(config, cache):
     """Run every seed of the config; returns one ExperimentTrace per seed.
 
     `cache` is `prepare`'s, so configs that share a problem build and solve it once.
     """
-    prepared = prepare(config, {} if cache is None else cache)
+    prepared = prepare(config, cache)
     return [run_single(config, *prepared, seed) for seed in config.seeds]
 
 

@@ -3,10 +3,10 @@
 A `Problem` is one batch of client losses l_1 .. l_n, stacked once and
 evaluated with numpy across clients, plus two weights: every local function
 is f_i = l_i + (reg/2)||x||^2, and the shared regularizer is
-g(x) = (g_weight/2)||x||^2.  A batch holds only its family's data (the
-logistic shards of equal size, or the quadratics' A_i and b_i) and each
-client's curvature bounds; the problem adds the weights and the common
-(L, mu) constants used by all stepsize schedules.  The folded baseline
+g(x) = (g_weight/2)||x||^2.  A batch holds only its family's stacked data
+(the logistic clients' features and labels, or the quadratics' A_i and b_i)
+and each client's curvature bounds; the problem adds the weights and the
+common (L, mu) constants used by all stepsize schedules.  The folded baseline
 (`fold_shared`) and the g = 0 reduction (`reduce_g_zero`) are the same batch
 with the weights moved between reg and g_weight.
 """
@@ -14,7 +14,6 @@ with the weights moved between reg and g_weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -31,7 +30,7 @@ def _as_2d(a):
 
 @dataclass(frozen=True)
 class Shard:
-    """One client's slice of a binary classification dataset."""
+    """A binary classification dataset, as parsed or synthesized."""
 
     features: np.ndarray  # (m, d)
     labels: np.ndarray    # (m,), entries in {-1, +1}
@@ -54,11 +53,6 @@ class Shard:
     def d(self):
         return self.features.shape[1]
 
-    @cached_property
-    def gram_max_eigenvalue(self):
-        """Largest eigenvalue of A^T A, solved once per shard."""
-        return max_eigenvalue_gram(self.features)
-
 
 def max_eigenvalue_gram(features):
     """Largest eigenvalue of A^T A, computed exactly from the d x d Gram matrix."""
@@ -67,16 +61,16 @@ def max_eigenvalue_gram(features):
 
 
 def regularization_for_kappa(dataset, kappa_target):
-    """Regularization weight mu giving condition number kappa_target on the whole dataset's shard."""
+    """Regularization weight mu giving condition number kappa_target on the whole dataset."""
     if kappa_target <= 1:
         raise InputError("kappa_target must exceed 1")
-    return dataset.gram_max_eigenvalue / (4.0 * dataset.m * (kappa_target - 1.0))
+    return max_eigenvalue_gram(dataset.features) / (4.0 * dataset.m * (kappa_target - 1.0))
 
 
 class _BatchedLogistic:
-    """The logistic losses of clients with equal shard sizes, as one batch.
+    """The logistic losses of n clients with m rows each, as one batch.
 
-    The features are stored once.  Dense data are one (n, m, d) stack.
+    The features are stored once.  Dense data are the (n, m, d) stack itself.
     Sparse data (typical for one-hot encodings) are one block-diagonal CSR
     matrix, so that one sparse matvec computes every client's margins
     against its own model; A^T c goes through the block's transpose, a CSC
@@ -92,14 +86,11 @@ class _BatchedLogistic:
     # coefficient needs no errstate; past the cap the true value is below 1e-304
     _LOGIT_CAP = 700.0
 
-    def __init__(self, shards):
-        if len({s.m for s in shards}) != 1:
-            raise InputError("logistic clients must have equal shard sizes")
-        A = np.stack([s.features for s in shards])
-        self.b = np.stack([s.labels for s in shards])     # (n, m)
+    def __init__(self, A, b):
+        self.b = b         # (n, m)
         self.n, self.m, self.d = A.shape
         self.lo = np.zeros(self.n)
-        self.hi = np.array([s.gram_max_eigenvalue / (4.0 * s.m) for s in shards])
+        self.hi = np.array([max_eigenvalue_gram(a) for a in A]) / (4.0 * self.m)
         self.A = A          # (n, m, d), or None once the sparse block replaces it
         self._block = None
         if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
@@ -259,13 +250,14 @@ class Problem:
         return H
 
 
-def logistic_problem(shards, mu):
+def logistic_problem(A, b, mu):
     """Problem with f_i = logistic_i + (mu/2)||.||^2 and g = (mu/2)||.||^2.
 
-    The common L is the largest per-client smoothness constant, so that
-    every local function actually satisfies it.
+    Client i's rows are A[i] (m, d) with labels b[i] (m,), as `data.partition`
+    returns them.  The common L is the largest per-client smoothness
+    constant, so that every local function actually satisfies it.
     """
-    return Problem(_BatchedLogistic(shards), float(mu), float(mu))
+    return Problem(_BatchedLogistic(A, b), float(mu), float(mu))
 
 
 def fold_shared(problem):

@@ -75,6 +75,27 @@ BAD_SCHEDULE_BLOCKS = [
                  "[algo:dn] p: diana takes only gamma", id="p_for_diana"),
 ]
 
+# the quadratic config with a stop metric that baseline blocks may use
+SQDIST_CONFIG = QUAD_CONFIG.replace("stop_metric = psi", "stop_metric = sqdist")
+
+# a second block whose baseline override is refused (exit 3), after the valid [algo:loco]
+BAD_BASELINE_OVERRIDES = [
+    pytest.param("\n[algo:g]\nalgorithm = gd\ngamma = 0\n",
+                 "[algo:g] gamma = 0.0: gd needs a finite positive gamma", id="gd_gamma_zero"),
+    pytest.param("\n[algo:g]\nalgorithm = gd\ngamma = nan\n",
+                 "[algo:g] gamma = nan: gd needs a finite positive gamma", id="gd_gamma_nan"),
+    pytest.param("\n[algo:d]\nalgorithm = diana\ncompressor = rand_k\nk = 2\ngamma = -1\n",
+                 "[algo:d] gamma = -1.0: diana needs a finite positive gamma",
+                 id="diana_gamma_negative"),
+    pytest.param("\n[algo:s]\nalgorithm = scaffnew\ngamma = inf\n",
+                 "[algo:s] gamma = inf: scaffnew needs a finite positive gamma",
+                 id="scaffnew_gamma_inf"),
+    pytest.param("\n[algo:s]\nalgorithm = scaffnew\np = 0\n",
+                 "[algo:s] p = 0.0: scaffnew needs 0 < p <= 1", id="scaffnew_p_zero"),
+    pytest.param("\n[algo:s]\nalgorithm = scaffnew\np = 1.5\n",
+                 "[algo:s] p = 1.5: scaffnew needs 0 < p <= 1", id="scaffnew_p_above_one"),
+]
+
 # a key no section of its kind takes, each in an otherwise valid config
 UNKNOWN_KEYS = [
     pytest.param("kappa = 100", "kapa = 1e4", "[problem] kapa is not a known key", id="problem"),
@@ -292,6 +313,19 @@ class TestRun:
         assert f"{data_path}: line 7: non-finite feature value '1:nan'" \
             in capsys.readouterr().err
 
+    def test_libsvm_index_too_large_for_an_array_exits_2_and_names_the_line(self, tmp_path,
+                                                                              capsys):
+        data_path = tmp_path / "huge.libsvm"
+        rows = [f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)]
+        rows[4] = "+1 1:1 99999999999999999999:1\n"
+        data_path.write_text("".join(rows))
+        config = tmp_path / "huge.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
+                          "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert (f"{data_path}: line 5: feature index 99999999999999999999 is too large"
+                in capsys.readouterr().err)
+
     def test_libsvm_label_error_names_the_file(self, tmp_path, capsys):
         data_path = tmp_path / "labels.libsvm"
         data_path.write_text("".join(f"{i % 3} 1:1 2:{i}\n" for i in range(40)))
@@ -342,12 +376,19 @@ class TestRun:
         self.assert_refused_before_any_trace(tmp_path, capsys, *LIBSVM_K_ABOVE_D,
                                              base=libsvm_config(tmp_path))
 
+    @pytest.mark.parametrize("block, message", BAD_BASELINE_OVERRIDES)
+    def test_bad_baseline_override_exits_3_before_any_trace(self, tmp_path, capsys, block,
+                                                            message):
+        self.assert_refused_before_any_trace(tmp_path, capsys, block, message,
+                                             base=SQDIST_CONFIG, code=cli.EXIT_CONFIG)
+
     @staticmethod
-    def assert_refused_before_any_trace(tmp_path, capsys, block, message, base=QUAD_CONFIG):
+    def assert_refused_before_any_trace(tmp_path, capsys, block, message, base=QUAD_CONFIG,
+                                        code=cli.EXIT_INPUT):
         path = tmp_path / "bad.ini"
         path.write_text(base + block)
         out = tmp_path / "o"
-        assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert run_cli(["run", str(path), "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -466,9 +507,16 @@ class TestSweep:
         self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, *LIBSVM_K_ABOVE_D,
                                            base=libsvm_config(tmp_path), vary="kappa=5,10,20")
 
+    @pytest.mark.parametrize("block, message", BAD_BASELINE_OVERRIDES)
+    def test_bad_baseline_override_exits_3_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                          block, message):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
+                                           base=SQDIST_CONFIG, code=cli.EXIT_CONFIG)
+
     @staticmethod
     def assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
-                                      base=QUAD_CONFIG, vary="kappa=20,60,200"):
+                                      base=QUAD_CONFIG, vary="kappa=20,60,200",
+                                      code=cli.EXIT_INPUT):
         path = tmp_path / "bad.ini"
         path.write_text(base + block)
         runs = []
@@ -480,7 +528,7 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "run_single", counting)
         assert run_cli(["sweep", str(path), "--vary", vary,
-                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+                        "--out", str(tmp_path / "sweep")]) == code
         assert message in capsys.readouterr().err
         assert runs == []
 

@@ -76,7 +76,7 @@ def both_paths(text):
     lines = text.splitlines()
     try:
         by_line = data._parse_lines(lines)
-    except ValueError as exc:     # a ParseError, or an index too large for an array dimension
+    except ParseError as exc:
         by_line = exc
     return data._parse_bulk(lines), by_line
 
@@ -172,7 +172,7 @@ class TestBulkParse:
         parts[where % len(parts)] = token
         lines[i] = " ".join(parts)
         bulk, by_line = both_paths("\n".join(lines))
-        if isinstance(by_line, ValueError):
+        if isinstance(by_line, ParseError):
             assert bulk is None
         elif bulk is not None:
             assert np.array_equal(bulk[0], by_line[0])
@@ -190,8 +190,15 @@ class TestBulkParse:
         ("+1 1:1\n-1 1:nan 2:1", 2, "non-finite feature value '1:nan'"),
         ("+1 1:inf", 1, "non-finite feature value '1:inf'"),
         ("+1 1:1\n+1 2:1\n-1 1:1e999", 3, "non-finite feature value '1:1e999'"),
+        # past int64, so the bulk parse refuses the token; then no array has that many columns
+        ("+1 1:1 99999999999999999999:1\n-1 1:2", 1, "feature index 99999999999999999999 is "
+         "too large: numpy cannot allocate 2 x 99999999999999999999 features"),
+        # an int64, but 2 rows of that many float64 columns pass numpy's array size limit
+        ("-1 1:2\n+1 1:1 9000000000000000000:1\n+1 3:1", 2, "feature index 9000000000000000000 "
+         "is too large: numpy cannot allocate 3 x 9000000000000000000 features"),
     ], ids=["label", "missing_colon", "two_colons", "balanced_colons", "value", "index_zero",
-            "repeated_index", "decreasing_index", "nan", "inf", "overflow"])
+            "repeated_index", "decreasing_index", "nan", "inf", "overflow", "index_past_int64",
+            "index_past_array_size"])
     def test_each_error_names_the_line_of_the_line_by_line_parse(self, text, line, message):
         bulk, by_line = both_paths(text)
         assert bulk is None
@@ -248,26 +255,37 @@ class TestPartition:
                      [1.0 if i % 2 else -1.0 for i in range(rows)])
 
     def test_a5a_arithmetic(self):
-        shards = data.partition(self._dataset(6414), 87, 0)
-        assert len(shards) == 87
-        assert all(s.m == 73 for s in shards)
+        A, b = data.partition(self._dataset(6414), 87, 0)
+        assert A.shape == (87, 73, 1)
+        assert b.shape == (87, 73)
         assert 6414 - 87 * 73 == 63   # discarded remainder
 
     def test_single_client_gets_all_rows(self):
-        shards = data.partition(self._dataset(10), 1, 3)
-        assert shards[0].m == 10
+        A, b = data.partition(self._dataset(10), 1, 3)
+        assert A.shape == (1, 10, 1) and b.shape == (1, 10)
 
     def test_same_seed_same_shards(self):
-        a = data.partition(self._dataset(50), 7, 5)
-        b = data.partition(self._dataset(50), 7, 5)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.features, sb.features)
-            assert np.array_equal(sa.labels, sb.labels)
+        A, b = data.partition(self._dataset(50), 7, 5)
+        A2, b2 = data.partition(self._dataset(50), 7, 5)
+        assert np.array_equal(A, A2)
+        assert np.array_equal(b, b2)
+
+    @pytest.mark.parametrize("rows, n, seed", [(23, 4, 1), (50, 7, 5), (6414, 87, 0)])
+    def test_client_i_holds_the_ith_slice_of_the_permutation(self, rows, n, seed):
+        rng = np.random.default_rng(rows)
+        ds = Shard(rng.standard_normal((rows, 3)), np.where(rng.random(rows) < 0.5, -1.0, 1.0))
+        A, b = data.partition(ds, n, seed)
+        perm = np.random.default_rng(seed).permutation(rows)
+        m = rows // n
+        for i in range(n):
+            assert np.array_equal(A[i], ds.features[perm[i * m:(i + 1) * m]])
+            assert np.array_equal(b[i], ds.labels[perm[i * m:(i + 1) * m]])
 
     def test_union_is_a_subset_of_rows(self):
         ds = self._dataset(23)
-        shards = data.partition(ds, 4, 1)
-        kept = sorted(float(v) for s in shards for v in s.features[:, 0])
+        A, b = data.partition(ds, 4, 1)
+        kept = sorted(A[:, :, 0].ravel().tolist())
+        assert np.array_equal(b, np.where(A[:, :, 0] % 2, 1.0, -1.0))   # labels follow their rows
         assert len(kept) == 20
         assert set(kept) <= set(range(23))
         assert len(set(kept)) == 20   # no duplicates

@@ -1,5 +1,7 @@
 """Harness: reference solves, trace recording, stop rules, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,11 @@ def quad_config(**overrides):
 def logistic_problem(sparse):
     rng = np.random.default_rng(61)
     n, m, d = 6, 120, 100   # n*m*d > 2^16, so sparse features take the sparse path
-    shards = []
-    for _ in range(n):
-        feats = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
-        shards.append(obj.Shard(feats, np.where(rng.random(m) < 0.5, -1.0, 1.0)))
-    problem = obj.logistic_problem(shards, 0.05)
+    A, b = np.zeros((n, m, d)), np.zeros((n, m))
+    for i in range(n):
+        A[i] = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
+        b[i] = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    problem = obj.logistic_problem(A, b, 0.05)
     assert (problem.batch._block is not None) == sparse
     return problem
 
@@ -154,6 +156,24 @@ class TestExperimentConfig:
                              overrides={"gamma": 1})
         assert repr(config.overrides) == "{'gamma': 1.0}"
 
+    @pytest.mark.parametrize("algorithm, key, value, message", [
+        ("gd", "gamma", 0.0, "gamma = 0.0: gd needs a finite positive gamma"),
+        ("gd", "gamma", float("nan"), "gamma = nan: gd needs a finite positive gamma"),
+        ("diana", "gamma", -1.0, "gamma = -1.0: diana needs a finite positive gamma"),
+        ("scaffnew", "gamma", float("inf"), "gamma = inf: scaffnew needs a finite positive gamma"),
+        ("scaffnew", "p", 0.0, "p = 0.0: scaffnew needs 0 < p <= 1"),
+        ("scaffnew", "p", 1.5, "p = 1.5: scaffnew needs 0 < p <= 1"),
+    ])
+    def test_rejects_a_baseline_override_out_of_range(self, algorithm, key, value, message):
+        with pytest.raises(ConfigurationError, match=r"\[algo:test\] " + message):
+            quad_config(algorithm=algorithm, stop_metric="sqdist", compressor="identity", k=None,
+                        overrides={key: value})
+
+    def test_accepts_baseline_overrides_at_the_range_ends(self):
+        config = quad_config(algorithm="scaffnew", stop_metric="sqdist", compressor="identity",
+                             k=None, overrides={"gamma": 1e-300, "p": 1})
+        assert config.overrides == {"gamma": 1e-300, "p": 1.0}
+
     def test_libsvm_k_is_checked_against_d_in_make_spec(self, tmp_path):
         path = tmp_path / "tiny.libsvm"
         path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)))
@@ -233,6 +253,21 @@ class TestRunSingle:
         for key in ("gamma", "chi", "rho", "p", "omega", "omega_av", "tau",
                     "config_hash", "max_dual_residual"):
             assert key in trace.metadata
+
+
+class TestRunExperiment:
+    def test_one_trace_per_seed_equal_to_run_single(self):
+        config = quad_config(seeds=(3, 0, 1), stop_ratio=1e-4)
+        cache = {}
+        traces = harness.run_experiment(config, cache)
+        setup = harness.prepare(config, cache)
+        assert len(cache) == 1
+        assert len(traces) == 3
+        for trace, seed in zip(traces, config.seeds):
+            single = harness.run_single(config, *setup, seed)
+            assert trace.metadata["seed"] == seed
+            assert harness.trace_to_csv(trace) == harness.trace_to_csv(single)
+            assert harness.metadata_text(trace) == harness.metadata_text(single)
 
 
 class TestBitsToTarget:
@@ -347,7 +382,37 @@ class TestBuildProblem:
         monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
         harness.build_problem(config)
-        assert len(calls) == 87 + 1    # one per shard, shared by problem and baseline, + the dataset
+        assert len(calls) == 87 + 1    # one per client, shared by problem and baseline, + the dataset
+
+    def test_libsvm_build_holds_the_features_less_than_twice(self, a5a_path, monkeypatch):
+        # the parse is not traced; the build holds the (n, m, d) stack, the sparse block and
+        # their temporaries, so one more copy of the stack would pass 2x
+        dataset = load_libsvm(a5a_path)
+        monkeypatch.setattr(harness, "load_libsvm", lambda path: dataset)
+        config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
+        limit = 2 * dataset.features.nbytes
+        harness.build_problem(config)     # imports scipy.sparse outside the traced build
+        tracemalloc.start()
+        try:
+            harness.build_problem(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+    def test_dense_batch_keeps_the_partition_stack(self, monkeypatch):
+        stacks = []
+
+        def keeping(*args):
+            stacks.append(partition(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(harness, "partition", keeping)
+        problem, baseline = harness.build_problem(self._logistic_config("dirichlet", 1e2, None))
+        A, b = stacks[0]
+        assert A.shape == (25, 1, 50)
+        assert problem.batch.A is A and problem.batch.b is b
+        assert baseline.batch is problem.batch
 
     @staticmethod
     def _logistic_config(source, kappa, a5a_path):
@@ -375,8 +440,8 @@ class TestBuildProblem:
         dataset = (load_libsvm(a5a_path) if source == "libsvm"
                    else dirichlet_synthetic(25, 50, 1.0, 7))
         mu = obj.regularization_for_kappa(dataset, kappa)
-        shards = partition(dataset, config.n, config.data_seed)
-        L = max(obj.max_eigenvalue_gram(s.features) / (4.0 * s.m) + 2.0 * mu for s in shards)
+        A, _ = partition(dataset, config.n, config.data_seed)
+        L = max(obj.max_eigenvalue_gram(a) / (4.0 * a.shape[0]) + 2.0 * mu for a in A)
         assert (baseline.L, baseline.mu) == (L, 2.0 * mu)
 
     @pytest.mark.parametrize("kappa", [1e2, 1e4])

@@ -29,9 +29,10 @@ def finite_difference_grad(f, x, h):
     return g
 
 
-def alone_logistic(shard, reg):
+def alone_logistic(features, labels, reg):
     """A one-client logistic problem without g, whose batched evaluators compute f itself."""
-    return obj.Problem(obj._BatchedLogistic([shard]), reg, 0.0)
+    labels = np.asarray(labels, dtype=np.float64)
+    return obj.Problem(obj._BatchedLogistic(features[None], labels[None]), reg, 0.0)
 
 
 def alone_quadratic(A, b, reg=0.0):
@@ -49,27 +50,25 @@ class TestGradLogistic:
 
     def test_cancelling_pair_gives_zero(self):
         a = np.array([0.3, -1.2, 2.0])
-        shard = obj.Shard(np.stack([a, a]), [1.0, -1.0])
-        problem = alone_logistic(shard, 0.1)
+        problem = alone_logistic(np.stack([a, a]), [1.0, -1.0], 0.1)
         assert np.allclose(problem.grads_locals(np.zeros(3))[0], 0.0)
 
     def test_single_positive_sample_at_origin(self):
-        shard = obj.Shard(e(0, 4)[None, :], [1.0])
-        g = alone_logistic(shard, 0.1).grads_locals(np.zeros(4))[0]
+        g = alone_logistic(e(0, 4)[None, :], [1.0], 0.1).grads_locals(np.zeros(4))[0]
         assert np.allclose(g, -0.5 * e(0, 4))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        shard = obj.Shard(rng.standard_normal((7, 5)),
-                          np.where(rng.random(7) < 0.5, -1.0, 1.0))
+        features = rng.standard_normal((7, 5))
+        labels = np.where(rng.random(7) < 0.5, -1.0, 1.0)
         x = rng.standard_normal(5)
-        problem = alone_logistic(shard, 0.1)
+        problem = alone_logistic(features, labels, 0.1)
         g = problem.grads_locals(x)[0]
         fd = finite_difference_grad(problem.value_mean, x, 1e-6)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
     def test_large_margins_stay_finite(self):
-        problem = alone_logistic(obj.Shard(np.array([[1e4]]), [1.0]), 0.1)
+        problem = alone_logistic(np.array([[1e4]]), [1.0], 0.1)
         assert np.all(np.isfinite(problem.grads_locals(np.array([100.0]))))
         assert np.isfinite(problem.value_mean(np.array([-100.0])))
 
@@ -78,19 +77,19 @@ class TestSmoothness:
     """A logistic client's curvature bounds 0 and lam_max(A^T A)/(4m), and L = hi + reg."""
 
     def test_single_unit_sample(self):
-        shard = obj.Shard(e(0, 3)[None, :], [1.0])
-        assert obj._BatchedLogistic([shard]).hi[0] == pytest.approx(0.25, rel=1e-8)
-        assert obj.logistic_problem([shard], 0.01).L == pytest.approx(0.26, rel=1e-8)
+        A, b = e(0, 3)[None, None, :], np.ones((1, 1))
+        assert obj._BatchedLogistic(A, b).hi[0] == pytest.approx(0.25, rel=1e-8)
+        assert obj.logistic_problem(A, b, 0.01).L == pytest.approx(0.26, rel=1e-8)
 
     def test_at_least_mu(self):
         rng = np.random.default_rng(0)
-        shard = obj.Shard(rng.standard_normal((6, 4)),
-                          np.where(rng.random(6) < 0.5, -1.0, 1.0))
-        assert obj.logistic_problem([shard], 0.3).L >= 0.3
+        A = rng.standard_normal((1, 6, 4))
+        b = np.where(rng.random((1, 6)) < 0.5, -1.0, 1.0)
+        assert obj.logistic_problem(A, b, 0.3).L >= 0.3
 
     def test_zero_features_returns_mu(self):
-        shard = obj.Shard(np.zeros((2, 3)), [1.0, -1.0])
-        assert obj.logistic_problem([shard], 0.7).L == pytest.approx(0.7)
+        assert obj.logistic_problem(np.zeros((1, 2, 3)), np.array([[1.0, -1.0]]), 0.7).L \
+            == pytest.approx(0.7)
 
     def test_max_eigenvalue_is_exact(self):
         # close top eigenvalues: an iterative estimate would stop below lambda_max
@@ -114,7 +113,8 @@ class TestRegularizationForKappa:
         shard = obj.Shard(rng.standard_normal((20, 6)),
                           np.where(rng.random(20) < 0.5, -1.0, 1.0))
         mu = obj.regularization_for_kappa(shard, 500.0)
-        assert obj.logistic_problem([shard], mu).kappa == pytest.approx(500.0, rel=1e-10)
+        problem = obj.logistic_problem(shard.features[None], shard.labels[None], mu)
+        assert problem.kappa == pytest.approx(500.0, rel=1e-10)
 
     def test_rejects_kappa_at_most_one(self):
         with pytest.raises(InputError):
@@ -137,11 +137,11 @@ class TestLocalFunctionProperties:
     def _problems(self):
         """A quadratic, a logistic, and the quadratic shifted by half its mu."""
         rng = np.random.default_rng(11)
-        shard = obj.Shard(rng.standard_normal((8, 5)),
-                          np.where(rng.random(8) < 0.5, -1.0, 1.0))
+        features = rng.standard_normal((8, 5))
+        labels = np.where(rng.random(8) < 0.5, -1.0, 1.0)
         a = rng.standard_normal((5, 5))
         quad = alone_quadratic(a @ a.T + np.eye(5), rng.standard_normal(5), 0.2)
-        logistic = alone_logistic(shard, 0.05)
+        logistic = alone_logistic(features, labels, 0.05)
         shifted = replace(quad, reg=quad.reg - quad.mu / 2.0)
         return [quad, logistic, shifted]
 
@@ -241,13 +241,6 @@ class TestProblem:
         with pytest.raises(InputError):
             obj.Problem(batch, 0.0, 0.1, lo=0.1, hi=0.5)
 
-    def test_rejects_locals_that_do_not_stack(self):
-        rng = np.random.default_rng(33)
-        logistic = obj.Shard(rng.standard_normal((4, 3)), [1.0, -1.0, 1.0, -1.0])
-        short = obj.Shard(rng.standard_normal((2, 3)), [1.0, -1.0])
-        with pytest.raises(InputError, match="shard sizes"):
-            obj.logistic_problem([logistic, short], 0.1)
-
     def test_kappa(self, quad_problem):
         assert quad_problem.kappa == pytest.approx(100.0)
 
@@ -273,37 +266,35 @@ class TestProblem:
 
 
 class TestBatchedLogistic:
-    def _shards(self, sparse):
+    def _stack(self, sparse):
         rng = np.random.default_rng(41)
         n, m, d = 8, 70, 122   # n*m*d > 2^16 so the sparse path can trigger
-        shards = []
-        for _ in range(n):
+        A, b = np.zeros((n, m, d)), np.zeros((n, m))
+        for i in range(n):
             if sparse:
-                feats = np.zeros((m, d))
                 for r in range(m):
-                    feats[r, rng.choice(d, size=10, replace=False)] = 1.0
+                    A[i, r, rng.choice(d, size=10, replace=False)] = 1.0
             else:
-                feats = rng.standard_normal((m, d))
-            labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-            shards.append(obj.Shard(feats, labels))
-        return shards
+                A[i] = rng.standard_normal((m, d))
+            b[i] = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        return A, b
 
     def _problem(self, sparse):
-        return obj.logistic_problem(self._shards(sparse), 0.01)
+        return obj.logistic_problem(*self._stack(sparse), 0.01)
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_matches_per_client_gradients(self, sparse):
-        shards = self._shards(sparse)
-        problem = obj.logistic_problem(shards, 0.01)
+        A, b = self._stack(sparse)
+        problem = obj.logistic_problem(A, b, 0.01)
         rng = np.random.default_rng(42)
         X = rng.standard_normal((problem.n, problem.d))
-        manual = np.stack([oracle.logistic_grad(s.features, s.labels, 0.01, X[i])
-                           for i, s in enumerate(shards)])
+        manual = np.stack([oracle.logistic_grad(a, y, 0.01, X[i])
+                           for i, (a, y) in enumerate(zip(A, b))])
         assert np.allclose(problem.grads_locals(X), manual, atol=1e-10)
         x = X[0]
-        manual = np.stack([oracle.logistic_grad(s.features, s.labels, 0.01, x) for s in shards])
+        manual = np.stack([oracle.logistic_grad(a, y, 0.01, x) for a, y in zip(A, b)])
         assert np.allclose(problem.grads_locals(x), manual, atol=1e-10)
-        direct = np.mean([oracle.logistic_value(s.features, s.labels, 0.01, x) for s in shards]) \
+        direct = np.mean([oracle.logistic_value(a, y, 0.01, x) for a, y in zip(A, b)]) \
             + 0.5 * problem.g_weight * (x @ x)
         assert problem.value_mean(x) == pytest.approx(direct, rel=1e-10)
 
@@ -335,7 +326,7 @@ class TestLogisticCoefficient:
     @staticmethod
     def _coefficients(t, b):
         m = t.size
-        batch = obj._BatchedLogistic([obj.Shard(np.eye(m), b)])
+        batch = obj._BatchedLogistic(np.eye(m)[None], b[None])
         assert (batch._block is not None) == (m > 256)
         return batch.grads(t[None])[0]
 
@@ -391,8 +382,7 @@ class TestSparseLogisticGradient:
 
     @staticmethod
     def _problem_of(A, b):
-        problem = obj.Problem(obj._BatchedLogistic([obj.Shard(a, y) for a, y in zip(A, b)]),
-                              0.01, 0.0)
+        problem = obj.Problem(obj._BatchedLogistic(A, b), 0.01, 0.0)
         assert problem.batch._block is not None
         return problem
 
@@ -440,8 +430,8 @@ class TestSparseLogisticGradient:
         config = harness.ExperimentConfig(problem={"source": "libsvm", "path": a5a_path},
                                           n=87, kappa=1000.0)
         problem, _ = harness.build_problem(config)
-        shards = data.partition(data.load_libsvm(a5a_path), 87, 0)
-        self._assert_block_diag(problem.batch, np.stack([s.features for s in shards]))
+        A, _ = data.partition(data.load_libsvm(a5a_path), 87, 0)
+        self._assert_block_diag(problem.batch, A)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hessian_equals_the_multiply_form(self, seed):
@@ -478,9 +468,9 @@ class TestFolding:
 
     def test_folded_logistic_doubles_regularization(self):
         rng = np.random.default_rng(52)
-        shards = [obj.Shard(rng.standard_normal((4, 3)),
-                            np.where(rng.random(4) < 0.5, -1.0, 1.0)) for _ in range(2)]
-        plain = obj.logistic_problem(shards, 0.1)
+        A = rng.standard_normal((2, 4, 3))
+        b = np.where(rng.random((2, 4)) < 0.5, -1.0, 1.0)
+        plain = obj.logistic_problem(A, b, 0.1)
         folded = obj.fold_shared(plain)
         assert folded.mu == pytest.approx(2 * plain.mu)
         x = rng.standard_normal(3)
