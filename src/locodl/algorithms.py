@@ -60,7 +60,7 @@ class AlgoParams:
             raise ConfigurationError(
                 f"stepsize condition 0 < gamma < 2/L violated: gamma={self.gamma}, 2/L={2.0 / L}")
         slack = 2.0 * self.rho - self.rho ** 2 * (1.0 + self.omega_av) - self.chi
-        if slack < -1e-12:
+        if not slack >= -1e-12:     # a NaN chi or rho gives a NaN slack
             raise ConfigurationError(
                 "condition 2*rho - rho^2*(1+omega_av) - chi >= 0 violated "
                 f"(rho={self.rho}, chi={self.chi}, omega_av={self.omega_av}, slack={slack})")

@@ -188,6 +188,8 @@ def cmd_sweep(args):
     if not texts or key not in ("kappa", "n"):
         raise InputError("--vary must look like kappa=1e2,1e3,1e4 or n=6,37,73")
     values = [(text, _convert(f"--vary {key}", text, PROBLEM_FIELDS[key])) for text in texts]
+    if len({value for _, value in values}) != len(values):
+        raise InputError(f"--vary {args.vary!r} repeats a {key} value")
     base_configs, config_out = load_config(args.config)
     out_dir = _out_dir(args.out, config_out)
 

@@ -47,16 +47,19 @@ class CompressorSpec:
 
 
 def make_spec(kind, d, k=None):
-    """Build a CompressorSpec with the closed-form omega and bit cost."""
+    """Build a CompressorSpec with the closed-form omega and bit cost.
+
+    The only check of (kind, d, k): a k in 1 .. d exactly when the kind takes one.
+    """
     if kind not in KINDS:
         raise InputError(f"unknown compressor {kind!r} (choose from {KINDS})")
     if d < 1:
         raise InputError("d must be positive")
-    if kind in K_KINDS:
-        if k is None or not (1 <= k <= d):
-            raise InputError(f"rand-k needs 1 <= k <= d, got k = {k}, d = {d}")
-    else:
-        k = None
+    if (k is None) == (kind in K_KINDS):
+        raise InputError(f"compressor {kind!r} " + ("needs a k" if k is None
+                                                    else f"takes no k, got k = {k}"))
+    if k is not None and not 1 <= k <= d:
+        raise InputError(f"k = {k}: {kind} needs 1 <= k <= d = {d}")
     return CompressorSpec(kind, d, k, *_COSTS[kind](d, k))
 
 

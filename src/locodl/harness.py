@@ -14,12 +14,13 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import algorithms as alg
 from . import objectives as obj
-from .compressors import KINDS, K_KINDS, make_spec
+from .compressors import make_spec
 from .data import dirichlet_synthetic, load_libsvm, partition
 from .errors import ConfigurationError, ConvergenceError, InputError
 
@@ -127,26 +128,9 @@ class ExperimentConfig:
         self.overrides = {key: float(value) for key, value in self.overrides.items()}
         if self.stop_metric == "psi" and self.algorithm != "locodl":
             raise InputError(f"[algo:{self.label}] stop_metric psi is defined only for locodl")
-        if self.compressor not in KINDS:
-            raise InputError(f"unknown compressor {self.compressor!r} (choose from {KINDS})")
-        if (self.k is None) == (self.compressor in K_KINDS):
-            raise InputError(f"compressor {self.compressor!r} " + (
-                "needs a k" if self.k is None else f"takes no k, got k = {self.k}"))
-        # a LibSVM d is known once the problem is built; a d below 1 is reported there
-        self.check_k(self.problem.get("d"))
-        if self.algorithm != "locodl":
-            # a baseline's override is used as given; locodl's is checked against L when it runs
-            for key, value in self.overrides.items():
-                if not (0.0 < value <= 1.0 if key == "p" else 0.0 < value < math.inf):
-                    raise ConfigurationError(
-                        f"[algo:{self.label}] {key} = {value}: {self.algorithm} needs "
-                        + ("0 < p <= 1" if key == "p" else f"a finite positive {key}"))
-
-    def check_k(self, d):
-        """InputError naming the block if k is below 1 or above d; d is None while unknown."""
-        if self.k is not None and (self.k < 1 or (d is not None and 1 <= d < self.k)):
-            raise InputError(f"[algo:{self.label}] k = {self.k}: {self.compressor} needs "
-                             "1 <= k <= d" + ("" if d is None else f" = {d}"))
+        if self.algorithm in ("gd", "scaffnew") and self.compressor != "identity":
+            raise InputError(f"[algo:{self.label}] compressor = {self.compressor}: "
+                             f"{self.algorithm} sends full vectors, so it takes only identity")
 
     @property
     def stop_column(self):
@@ -186,12 +170,6 @@ def build_problem(config):
     return problem, obj.fold_shared(problem)
 
 
-def resolve_params(config, problem, spec):
-    """Theoretical schedule with the config's overrides in place of its fields."""
-    return replace(alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / config.n),
-                   **config.overrides)
-
-
 class _Recorder:
     """Collects one row of the varying columns per record point.
 
@@ -223,58 +201,51 @@ class _Recorder:
 def _stepper(config, problem, baseline, ref, spec, rng):
     """(objective, state, step, observe, schedule) of the configured algorithm.
 
-    `step()` advances the state one iteration; `observe()` returns the record
-    fields beyond the counters: (x_mean, x_clients, y, psi).  `schedule` is
-    the resolved schedule, as it goes into the trace's metadata.
+    The only code that resolves a schedule (the theory's, with the config's
+    overrides in place of its fields) and checks it: locodl's against the
+    convergence conditions, a baseline's overrides against their ranges.
+    `step()` advances the state one iteration; it binds `alg.<name>_step` at
+    each call of `_stepper`, so a wrapper installed on it sees every step.
+    `observe()` returns the record fields beyond the counters:
+    (x_mean, x_clients, y, psi).  `schedule` goes into the trace's metadata.
     """
-    n, d = config.n, problem.d
-    if config.algorithm == "locodl":
-        params = resolve_params(config, problem, spec)
+    n, d, algo, params = config.n, problem.d, config.algorithm, None
+    if algo == "locodl":
+        objective = problem
+        params = replace(alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / n),
+                         **config.overrides)
         schedule = dict(asdict(params), tau=alg.rate_bound(params, problem.L, problem.mu))
         state = alg.LoCoDLState.zeros(n, d)
-
-        def step():
-            alg.locodl_step(state, problem, spec, params, rng)
-
-        def observe():
-            return state.x.sum(axis=0) / n, state.x, state.y, alg.lyapunov(state, ref, params)
-        return problem, state, step, observe, schedule
-
-    # baselines run on the folded problem
-    prob = baseline
-    if config.algorithm == "scaffnew":
-        schedule = {"gamma": 1.0 / prob.L, "p": float(min(1.0, 1.0 / np.sqrt(prob.kappa))),
-                    **config.overrides}
-        gamma, p = schedule["gamma"], schedule["p"]
-        state = alg.ScaffnewState.zeros(n, d)
-
-        def step():
-            alg.scaffnew_step(state, prob, gamma, p, rng)
-
-        def observe():
-            xm = state.x.sum(axis=0) / n
-            return xm, state.x, xm, float("nan")
-        return prob, state, step, observe, schedule
-
-    if config.algorithm == "gd":
-        schedule = {"gamma": 1.0 / prob.L, **config.overrides}
-        gamma = schedule["gamma"]
-        state = alg.GDState.zeros(d)
-
-        def step():
-            alg.gd_step(state, prob, gamma)
-    else:  # diana
-        schedule = {"gamma": alg.diana_gamma(prob.L, prob.mu, spec.omega, n),
-                    **config.overrides, "omega": spec.omega}
-        gamma = schedule["gamma"]
-        state = alg.DianaState.zeros(n, d)
-
-        def step():
-            alg.diana_step(state, prob, spec, gamma, rng)
+        step = partial(alg.locodl_step, state, problem, spec, params, rng)
+    else:
+        objective = baseline      # baselines run on the folded problem
+        for key, value in config.overrides.items():
+            if not (0.0 < value <= 1.0 if key == "p" else 0.0 < value < math.inf):
+                raise ConfigurationError(f"{key} = {value}: {algo} needs " + (
+                    "0 < p <= 1" if key == "p" else f"a finite positive {key}"))
+        if algo == "scaffnew":
+            schedule = {"gamma": 1.0 / baseline.L,
+                        "p": float(min(1.0, 1.0 / np.sqrt(baseline.kappa))), **config.overrides}
+            state = alg.ScaffnewState.zeros(n, d)
+            step = partial(alg.scaffnew_step, state, baseline, schedule["gamma"], schedule["p"],
+                           rng)
+        elif algo == "gd":
+            schedule = {"gamma": 1.0 / baseline.L, **config.overrides}
+            state = alg.GDState.zeros(d)
+            step = partial(alg.gd_step, state, baseline, schedule["gamma"])
+        else:  # diana
+            schedule = {"gamma": alg.diana_gamma(baseline.L, baseline.mu, spec.omega, n),
+                        **config.overrides, "omega": spec.omega}
+            state = alg.DianaState.zeros(n, d)
+            step = partial(alg.diana_step, state, baseline, spec, schedule["gamma"], rng)
 
     def observe():
-        return state.x, state.x[None, :], state.x, float("nan")
-    return prob, state, step, observe, schedule
+        x = state.x.reshape(-1, d)    # gd and diana keep one (d,) model: a one-row stack
+        x_mean = x.sum(axis=0) / x.shape[0]
+        if params is None:
+            return x_mean, x, x_mean, float("nan")
+        return x_mean, x, state.y, alg.lyapunov(state, ref, params)
+    return objective, state, step, observe, schedule
 
 
 def run_single(config, problem, baseline, ref, seed):
@@ -323,16 +294,23 @@ def _compressor_name(config):
 
 
 def prepare(config, cache):
-    """The config's (problem, baseline, reference); refuses a k above the problem's d.
+    """The config's (problem, baseline, reference), once its compressor and schedule pass.
 
-    `cache` maps a problem's identity to its (problem, baseline, reference),
-    so configs that share a problem build and solve it only once.
+    Runs `make_spec` and `_stepper` against the built problem; their errors
+    are raised again with the block's `[algo:<label>] ` in front.  `cache`
+    maps a problem's identity to its (problem, baseline, reference), so
+    configs that share a problem build and solve it only once.
     """
     key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
     if key not in cache:
         problem, baseline = build_problem(config)
         cache[key] = (problem, baseline, solve_reference(problem))
-    config.check_k(cache[key][0].d)
+    problem, baseline, ref = cache[key]
+    try:
+        _stepper(config, problem, baseline, ref, make_spec(config.compressor, problem.d, config.k),
+                 None)
+    except (InputError, ConfigurationError) as exc:
+        raise type(exc)(f"[algo:{config.label}] {exc}") from None
     return cache[key]
 
 

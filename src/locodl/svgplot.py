@@ -12,6 +12,10 @@ from .errors import InputError
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 20, 50
 
+# the characters SVG text may not hold raw; `xml.sax.saxutils.escape` does the same, but its
+# import pulls in urllib, http and ssl (7 MB of resident memory)
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf"]
 
@@ -74,9 +78,10 @@ def render(series, x_label="x", y_label="y"):
                    f'font-size="12">{x:.3g}</text>')
 
     out.append(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-               f'font-size="13">{x_label}</text>')
+               f'font-size="13">{x_label.translate(_TEXT_ESCAPES)}</text>')
     out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" font-size="13" '
-               f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2})">{y_label}</text>')
+               f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2})">'
+               f'{y_label.translate(_TEXT_ESCAPES)}</text>')
 
     for idx, (label, pts) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
@@ -88,7 +93,7 @@ def render(series, x_label="x", y_label="y"):
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 20}" y2="{ly}" stroke="{color}" '
                    'stroke-width="1.5" class="legend"/>')
         out.append(f'<text x="{lx + 25}" y="{ly + 4}" font-size="12" class="legend">'
-                   f'{label}</text>')
+                   f'{label.translate(_TEXT_ESCAPES)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

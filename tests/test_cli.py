@@ -1,6 +1,7 @@
 """CLI: config loading, run/sweep/certify/plot subcommands, exit codes."""
 
 import csv
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ BAD_BASELINE_OVERRIDES = [
                  "[algo:s] p = 0.0: scaffnew needs 0 < p <= 1", id="scaffnew_p_zero"),
     pytest.param("\n[algo:s]\nalgorithm = scaffnew\np = 1.5\n",
                  "[algo:s] p = 1.5: scaffnew needs 0 < p <= 1", id="scaffnew_p_above_one"),
+]
+
+# a second locodl block whose overrides break a convergence condition (exit 3), after a valid
+# block: the condition needs the problem's L, so it is checked once the problem is built
+BAD_LOCODL_OVERRIDES = [
+    pytest.param("\n[algo:bad]\nalgorithm = locodl\nchi = 5\n",
+                 "configuration error: [algo:bad] condition 2*rho - rho^2*(1+omega_av) - chi >= 0 "
+                 "violated", id="chi_five"),
+    pytest.param("\n[algo:bad]\nalgorithm = locodl\nchi = nan\n",
+                 "configuration error: [algo:bad] condition 2*rho - rho^2*(1+omega_av) - chi >= 0 "
+                 "violated", id="chi_nan"),
+    pytest.param("\n[algo:bad]\nalgorithm = locodl\ngamma = 5\n",
+                 "configuration error: [algo:bad] stepsize condition 0 < gamma < 2/L violated: "
+                 "gamma=5.0, 2/L=2.0", id="gamma_above_two_over_l"),
+]
+
+# a second block that gives a compressor to a baseline that sends full vectors (exit 2)
+BAD_BASELINE_COMPRESSORS = [
+    pytest.param("\n[algo:g]\nalgorithm = gd\ncompressor = rand_k\nk = 2\n",
+                 "[algo:g] compressor = rand_k: gd sends full vectors, so it takes only identity",
+                 id="rand_k_for_gd"),
+    pytest.param("\n[algo:s]\nalgorithm = scaffnew\ncompressor = natural\n",
+                 "[algo:s] compressor = natural: scaffnew sends full vectors, so it takes only "
+                 "identity", id="natural_for_scaffnew"),
 ]
 
 # a key no section of its kind takes, each in an otherwise valid config
@@ -382,6 +407,19 @@ class TestRun:
         self.assert_refused_before_any_trace(tmp_path, capsys, block, message,
                                              base=SQDIST_CONFIG, code=cli.EXIT_CONFIG)
 
+    @pytest.mark.parametrize("block, message", BAD_LOCODL_OVERRIDES)
+    def test_bad_locodl_override_exits_3_before_any_trace(self, tmp_path, capsys, block,
+                                                          message):
+        self.assert_refused_before_any_trace(tmp_path, capsys, block, message,
+                                             base=QUAD_CONFIG.replace("[algo:loco]", "[algo:ok]"),
+                                             code=cli.EXIT_CONFIG)
+
+    @pytest.mark.parametrize("block, message", BAD_BASELINE_COMPRESSORS)
+    def test_compressor_for_a_full_vector_baseline_exits_2_before_any_trace(self, tmp_path,
+                                                                           capsys, block,
+                                                                           message):
+        self.assert_refused_before_any_trace(tmp_path, capsys, block, message, base=SQDIST_CONFIG)
+
     @staticmethod
     def assert_refused_before_any_trace(tmp_path, capsys, block, message, base=QUAD_CONFIG,
                                         code=cli.EXIT_INPUT):
@@ -513,6 +551,32 @@ class TestSweep:
         self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
                                            base=SQDIST_CONFIG, code=cli.EXIT_CONFIG)
 
+    @pytest.mark.parametrize("block, message", BAD_LOCODL_OVERRIDES)
+    def test_bad_locodl_override_exits_3_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                        block, message):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
+                                           base=QUAD_CONFIG.replace("[algo:loco]", "[algo:ok]"),
+                                           code=cli.EXIT_CONFIG)
+
+    @pytest.mark.parametrize("block, message", BAD_BASELINE_COMPRESSORS)
+    def test_compressor_for_a_full_vector_baseline_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                         monkeypatch, block,
+                                                                         message):
+        self.assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
+                                           base=SQDIST_CONFIG)
+
+    @pytest.mark.parametrize("vary", ["kappa=10,10,20", "kappa=10,20,10,40", "kappa=1e2,100,20",
+                                      "n=2,3,2"])
+    def test_repeated_vary_value_exits_2_before_any_build(self, quad_config_path, tmp_path,
+                                                          capsys, monkeypatch, vary):
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", lambda config: builds.append(config))
+        assert run_cli(["sweep", quad_config_path, "--vary", vary,
+                        "--out", str(tmp_path / "sweep")]) == cli.EXIT_INPUT
+        assert f"--vary {vary!r} repeats a {vary.split('=')[0]} value" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / "sweep").exists()
+
     @staticmethod
     def assert_refused_before_any_run(tmp_path, capsys, monkeypatch, block, message,
                                       base=QUAD_CONFIG, vary="kappa=20,60,200",
@@ -570,6 +634,13 @@ class TestCertify:
         assert run_cli(["certify", "identity", "--seed", "-1"]) == cli.EXIT_INPUT
         assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["identity", "natural", "l1_selection"])
+    def test_k_for_a_kind_without_k_exits_2(self, capsys, kind):
+        assert run_cli(["certify", kind, "--k", "3", "--trials", "10000"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"compressor '{kind}' takes no k, got k = 3" in captured.err
+        assert captured.out == ""
+
     def test_too_few_trials_exits_2(self):
         assert run_cli(["certify", "identity", "--trials", "100"]) == cli.EXIT_INPUT
 
@@ -603,6 +674,23 @@ class TestPlot:
         text = svg.read_text()
         assert text.count("<polyline") == 2
         assert text.count('<text') >= 2
+
+    def test_svg_is_well_formed_for_any_label(self, trace_csvs, tmp_path):
+        column = harness.CSV_COLUMNS.index("algorithm")
+        with open(trace_csvs[0], newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[column] = "gd<1>&co"
+        odd = tmp_path / "odd.csv"
+        with open(odd, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        svg = tmp_path / "odd.svg"
+        assert run_cli(["plot", str(odd), "--x", "t", "--y", "lyapunov",
+                        "--out", str(svg)]) == 0
+        root = ElementTree.parse(svg).getroot()
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "gd<1>&co rand_k2" in texts
+        assert {"t", "lyapunov"} <= set(texts)
 
     def test_schema_mismatch_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.csv"

@@ -24,13 +24,17 @@ class TestSpecs:
         assert comp.make_spec("l1_selection", 122).omega == pytest.approx(121.0)
 
     def test_omega_av_is_omega_over_n(self, quad_problem):
-        config = harness.ExperimentConfig(problem={"source": "quadratic", "d": 10},
-                                          n=quad_problem.n, kappa=100.0, algorithm="locodl")
+        ref = harness.solve_reference(quad_problem)
+
+        def omega_av(compressor, k=None):
+            config = harness.ExperimentConfig(problem={"source": "quadratic", "d": 10},
+                                              n=quad_problem.n, kappa=100.0, algorithm="locodl",
+                                              compressor=compressor, k=k, max_iters=0)
+            trace = harness.run_single(config, quad_problem, quad_problem, ref, 0)
+            return trace.metadata["omega_av"]
         spec = comp.make_spec("rand_k", 10, k=2)
-        params = harness.resolve_params(config, quad_problem, spec)
-        assert params.omega_av == pytest.approx(spec.omega / quad_problem.n)
-        identity = comp.make_spec("identity", 10)
-        assert harness.resolve_params(config, quad_problem, identity).omega_av == 0.0
+        assert omega_av("rand_k", 2) == pytest.approx(spec.omega / quad_problem.n)
+        assert omega_av("identity") == 0.0
 
     def test_bit_costs(self):
         assert comp.make_spec("rand_k", 122, k=2).bits_per_message == 78
@@ -48,6 +52,17 @@ class TestSpecs:
             comp.make_spec("rand_k", 8, k=9)
         with pytest.raises(InputError):
             comp.make_spec("identity", 0)
+
+    @pytest.mark.parametrize("kind, k, message", [
+        ("rand_k", 3, "k = 3: rand_k needs 1 <= k <= d = 2"),
+        ("rand_k_natural", 0, "k = 0: rand_k_natural needs 1 <= k <= d = 2"),
+        ("rand_k", None, "compressor 'rand_k' needs a k"),
+        ("identity", 3, "compressor 'identity' takes no k, got k = 3"),
+        ("l1_selection", 1, "compressor 'l1_selection' takes no k, got k = 1"),
+    ])
+    def test_each_refusal_names_kind_and_k(self, kind, k, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            comp.make_spec(kind, 2, k)
 
 
 class TestCompress:

@@ -20,6 +20,13 @@ def quad_config(**overrides):
     return harness.ExperimentConfig(**fields)
 
 
+def refused_in_prepare(error, message, **overrides):
+    """The config builds as given; `prepare` refuses it, naming its block."""
+    config = quad_config(**overrides)
+    with pytest.raises(error, match=r"^\[algo:test\] " + message):
+        harness.prepare(config, {})
+
+
 def logistic_problem(sparse):
     rng = np.random.default_rng(61)
     n, m, d = 6, 120, 100   # n*m*d > 2^16, so sparse features take the sparse path
@@ -130,18 +137,25 @@ class TestExperimentConfig:
             quad_config(algorithm="adam")
 
     def test_rejects_unknown_compressor(self):
-        with pytest.raises(InputError, match="unknown compressor 'topk'"):
-            quad_config(compressor="topk", k=None)
+        refused_in_prepare(InputError, "unknown compressor 'topk'", compressor="topk", k=None)
 
     @pytest.mark.parametrize("kind", ["identity", "natural", "l1_selection"])
     def test_rejects_k_for_a_kind_without_k(self, kind):
-        with pytest.raises(InputError, match=f"compressor '{kind}' takes no k, got k = 2"):
-            quad_config(compressor=kind, k=2)
+        refused_in_prepare(InputError, f"compressor '{kind}' takes no k, got k = 2",
+                           compressor=kind, k=2)
 
     @pytest.mark.parametrize("kind", ["rand_k", "rand_k_natural"])
     def test_rejects_a_missing_k(self, kind):
-        with pytest.raises(InputError, match=f"compressor '{kind}' needs a k"):
-            quad_config(compressor=kind, k=None)
+        refused_in_prepare(InputError, f"compressor '{kind}' needs a k", compressor=kind, k=None)
+
+    @pytest.mark.parametrize("algorithm, kind, k", [("gd", "rand_k", 2), ("gd", "natural", None),
+                                                    ("scaffnew", "natural", None),
+                                                    ("scaffnew", "rand_k_natural", 1)])
+    def test_rejects_a_compressor_for_an_uncompressed_baseline(self, algorithm, kind, k):
+        with pytest.raises(InputError, match=rf"^\[algo:test\] compressor = {kind}: "
+                                             f"{algorithm} sends full vectors, so it takes only "
+                                             "identity"):
+            quad_config(algorithm=algorithm, stop_metric="sqdist", compressor=kind, k=k)
 
     @pytest.mark.parametrize("metric, column", [("psi", "lyapunov"), ("sqdist", "sqdist_mean")])
     def test_stop_column(self, metric, column):
@@ -165,9 +179,8 @@ class TestExperimentConfig:
         ("scaffnew", "p", 1.5, "p = 1.5: scaffnew needs 0 < p <= 1"),
     ])
     def test_rejects_a_baseline_override_out_of_range(self, algorithm, key, value, message):
-        with pytest.raises(ConfigurationError, match=r"\[algo:test\] " + message):
-            quad_config(algorithm=algorithm, stop_metric="sqdist", compressor="identity", k=None,
-                        overrides={key: value})
+        refused_in_prepare(ConfigurationError, message, algorithm=algorithm, stop_metric="sqdist",
+                           compressor="identity", k=None, overrides={key: value})
 
     def test_accepts_baseline_overrides_at_the_range_ends(self):
         config = quad_config(algorithm="scaffnew", stop_metric="sqdist", compressor="identity",
@@ -178,9 +191,9 @@ class TestExperimentConfig:
         path = tmp_path / "tiny.libsvm"
         path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)))
         config = quad_config(problem={"source": "libsvm", "path": str(path)}, k=3)
-        problem, _ = harness.build_problem(config)
-        with pytest.raises(InputError, match="rand-k needs 1 <= k <= d, got k = 3, d = 2"):
-            harness.run_single(config, problem, problem, None, 0)
+        with pytest.raises(InputError,
+                           match=r"^\[algo:test\] k = 3: rand_k needs 1 <= k <= d = 2$"):
+            harness.prepare(config, {})
 
     def test_content_hash_changes_with_fields(self):
         assert quad_config().content_hash() != quad_config(kappa=200.0).content_hash()
