@@ -5,7 +5,7 @@ from .algorithms import (AlgoParams, LoCoDLState, ReferenceSolution, RngBundle,
                          rate_bound, scaffnew_step)
 from .compressors import (CompressedMessage, CompressorSpec, certification, compress,
                           make_spec)
-from .data import dirichlet_synthetic, parse_libsvm, partition, serialize_libsvm
+from .data import dirichlet_synthetic, parse_libsvm, partition
 from .harness import (ExperimentConfig, ExperimentTrace, bits_to_target,
                       fit_communication_exponent, run_experiment, solve_reference)
 from .objectives import (Problem, Shard, fold_shared, logistic_problem, reduce_g_zero,

@@ -227,6 +227,8 @@ def cmd_certify(args):
         raise InputError("certification needs at least 10000 trials")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
+    if args.d < 1:
+        raise InputError(f"--d must be positive, got {args.d}")
     spec = make_spec(args.compressor, args.d, k=args.k)
     declared = args.declared_omega if args.declared_omega is not None else spec.omega
     rng = np.random.default_rng(args.seed)

@@ -133,16 +133,6 @@ def _parse_lines(lines):
     return labels, features
 
 
-def serialize_libsvm(shard):
-    """Inverse of parse_libsvm: the nonzero features of every row, labels as -1/+1."""
-    lines = []
-    for row, label in zip(shard.features.tolist(), shard.labels.tolist()):
-        pairs = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0)
-        head = "+1" if label > 0 else "-1"
-        lines.append(f"{head} {pairs}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def load_libsvm(path):
     """`parse_libsvm` of the file at `path`; its input errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:

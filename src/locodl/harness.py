@@ -151,22 +151,37 @@ class ExperimentTrace:
         return np.asarray(self.columns[name])
 
 
-def build_problem(config):
-    """Returns (problem, baseline_problem); the baseline is the same batch, folded."""
+def build_problem(config, cache=None):
+    """Returns (problem, baseline_problem); the baseline is the same batch, folded.
+
+    kappa sets only a logistic problem's mu = lam_max(A^T A) / (4m(kappa - 1)),
+    so its dataset, partition, client batch and lam_max are built once per
+    (source, n, data_seed) in `cache` (`prepare`'s) and shared by every kappa;
+    each kappa builds its own mu, L and Problem.  A quadratic, whose spectra
+    depend on kappa, is always built whole.
+    """
     src = config.problem
     if src["source"] == "quadratic":
         rng = np.random.default_rng(config.data_seed)
         problem = obj.random_quadratic_problem(int(src["d"]), config.n, config.kappa, rng)
         return problem, obj.fold_shared(problem)
-    if src["source"] == "libsvm":
-        dataset = load_libsvm(src["path"])
-    elif src["source"] == "dirichlet":
-        dataset = dirichlet_synthetic(config.n, int(src["d"]), float(src["alpha"]),
-                                      config.data_seed)
-    else:
-        raise InputError(f"unknown problem source {src['source']!r}")
-    A, b = partition(dataset, config.n, config.data_seed)
-    problem = obj.logistic_problem(A, b, obj.regularization_for_kappa(dataset, config.kappa))
+    cache = {} if cache is None else cache
+    key = ("logistic batch", repr(sorted(src.items())), config.n, config.data_seed)
+    if key not in cache:
+        if src["source"] == "libsvm":
+            dataset = load_libsvm(src["path"])
+        elif src["source"] == "dirichlet":
+            dataset = dirichlet_synthetic(config.n, int(src["d"]), float(src["alpha"]),
+                                          config.data_seed)
+        else:
+            raise InputError(f"unknown problem source {src['source']!r}")
+        A, b = partition(dataset, config.n, config.data_seed)
+        lam_max = obj.max_eigenvalue_gram(dataset.features)
+        mu = obj.mu_for_kappa(lam_max, dataset.m, config.kappa)
+        cache[key] = (obj.logistic_problem(A, b, mu).batch, lam_max, dataset.m)
+    batch, lam_max, m = cache[key]
+    mu = obj.mu_for_kappa(lam_max, m, config.kappa)
+    problem = obj.Problem(batch, mu, mu)
     return problem, obj.fold_shared(problem)
 
 
@@ -299,11 +314,13 @@ def prepare(config, cache):
     Runs `make_spec` and `_stepper` against the built problem; their errors
     are raised again with the block's `[algo:<label>] ` in front.  `cache`
     maps a problem's identity to its (problem, baseline, reference), so
-    configs that share a problem build and solve it only once.
+    configs that share a problem build and solve it only once; configs that
+    differ only in kappa share a logistic dataset, partition, client batch
+    and lam_max (see `build_problem`), but not mu, L or the reference.
     """
     key = (repr(sorted(config.problem.items())), config.n, config.kappa, config.data_seed)
     if key not in cache:
-        problem, baseline = build_problem(config)
+        problem, baseline = build_problem(config, cache)
         cache[key] = (problem, baseline, solve_reference(problem))
     problem, baseline, ref = cache[key]
     try:

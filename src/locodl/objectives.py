@@ -62,9 +62,14 @@ def max_eigenvalue_gram(features):
 
 def regularization_for_kappa(dataset, kappa_target):
     """Regularization weight mu giving condition number kappa_target on the whole dataset."""
+    return mu_for_kappa(max_eigenvalue_gram(dataset.features), dataset.m, kappa_target)
+
+
+def mu_for_kappa(lam_max, m, kappa_target):
+    """`regularization_for_kappa` of a dataset of m rows with lam_max(A^T A) = lam_max."""
     if kappa_target <= 1:
         raise InputError("kappa_target must exceed 1")
-    return max_eigenvalue_gram(dataset.features) / (4.0 * dataset.m * (kappa_target - 1.0))
+    return lam_max / (4.0 * m * (kappa_target - 1.0))
 
 
 class _BatchedLogistic:

@@ -3,7 +3,8 @@
 The library evaluates local functions only in batches, through a `Problem`
 (`grads_locals`, `value_mean`).  These one-client-at-a-time formulas take
 the client's own arrays and regularization weight, and are the reference
-that the tests hold the batched paths to.
+that the tests hold the batched paths to.  `serialize_libsvm` writes a
+dataset back as LibSVM text, the inverse the parser's round trips check.
 """
 
 import numpy as np
@@ -36,3 +37,13 @@ def quadratic_grad(A, b, reg, x):
 def quadratic_minimizer(A, b, reg=0.0):
     """The minimizer of `quadratic_value`: the solution of (A + reg I) x = b."""
     return np.linalg.solve(A + reg * np.eye(b.size), b)
+
+
+def serialize_libsvm(shard):
+    """Inverse of `data.parse_libsvm`: the nonzero features of every row, labels as -1/+1."""
+    lines = []
+    for row, label in zip(shard.features.tolist(), shard.labels.tolist()):
+        pairs = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0)
+        head = "+1" if label > 0 else "-1"
+        lines.append(f"{head} {pairs}".rstrip())
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ The dual-feasibility criterion aggregates residuals over every run executed
 here, so its test is defined last in the file.
 """
 
+import math
 import statistics
 import sys
 import time
@@ -130,12 +131,17 @@ def test_criterion_3_trajectory_bound(quad_setup):
     start = time.perf_counter()
     problem, ref, spec, params, tau = quad_setup
     n_seeds = 20
+    # 3x the horizon at which the bound 2 psi^0 tau^t reaches the loop's 1e-8 psi^0
+    cap = 3 * math.ceil(math.log(5e-9) / math.log(tau))
     histories = []
     for seed in range(n_seeds):
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
         rng = alg.RngBundle.from_seed(seed)
         psi = [alg.lyapunov(state, ref, params)]
         while psi[-1] > 1e-8 * psi[0]:
+            if len(psi) > cap:     # cap steps taken
+                report(3, "trajectory Lyapunov bound", False,
+                       f"seed {seed}: psi above 1e-8*psi^0 after the cap of {cap} iterations")
             alg.locodl_step(state, problem, spec, params, rng)
             psi.append(alg.lyapunov(state, ref, params))
         register_locodl_state(f"criterion3/seed{seed}", state)

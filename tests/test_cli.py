@@ -634,6 +634,15 @@ class TestCertify:
         assert run_cli(["certify", "identity", "--seed", "-1"]) == cli.EXIT_INPUT
         assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, d", [(["identity", "--d", "0"], "0"),
+                                         (["rand_k", "--d", "-3", "--k", "1"], "-3")],
+                             ids=["identity_d_0", "rand_k_d_-3"])
+    def test_nonpositive_d_exits_2_and_names_it(self, capsys, argv, d):
+        assert run_cli(["certify", *argv]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"--d must be positive, got {d}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("kind", ["identity", "natural", "l1_selection"])
     def test_k_for_a_kind_without_k_exits_2(self, capsys, kind):
         assert run_cli(["certify", kind, "--k", "3", "--trials", "10000"]) == cli.EXIT_INPUT

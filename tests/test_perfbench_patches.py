@@ -74,3 +74,69 @@ def test_layer_tracer_times_every_step_of_a_run(tracer, tmp_path):
         layers.uninstall()
     for algo in tracer.STEP_FNS:
         assert layers.samples[f"step.{algo}"], f"no {algo} step was timed"
+
+
+TINY_SWEEP = """\
+[problem]
+source = dirichlet
+d = 10
+alpha = 1.0
+n = 5
+kappa = 100
+data_seed = 7
+
+[run]
+seeds = 0,1
+stop_metric = sqdist
+stop_ratio = 1e-3
+
+[algo:rand2]
+algorithm = locodl
+compressor = rand_k
+k = 2
+
+[algo:ident]
+algorithm = locodl
+"""
+
+
+def test_setup_probe_times_every_build_and_run_of_a_sweep(tracer, tmp_path, monkeypatch):
+    # setup_s is the time inside build_problem and solve_reference: build work done
+    # anywhere else, or a run that bypasses run_single, would escape the probe
+    from locodl import cli, harness
+    from locodl import objectives as obj
+    timed = [0]
+
+    def timed_call(fn):
+        def wrapper(*args, **kwargs):
+            timed[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                timed[0] -= 1
+        return wrapper
+
+    def inside_timed_call(fn):
+        def wrapper(*args, **kwargs):
+            assert timed[0], f"{fn.__name__} ran outside build_problem and solve_reference"
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_problem", "solve_reference"):
+        monkeypatch.setattr(harness, name, timed_call(getattr(harness, name)))
+    for name in ("dirichlet_synthetic", "partition"):
+        monkeypatch.setattr(harness, name, inside_timed_call(getattr(harness, name)))
+    for name in ("max_eigenvalue_gram", "logistic_problem", "mu_for_kappa"):
+        monkeypatch.setattr(obj, name, inside_timed_call(getattr(obj, name)))
+    config = tmp_path / "sweep.ini"
+    config.write_text(TINY_SWEEP)
+    probe = tracer.SetupProbe().install()
+    try:
+        assert cli.main(["sweep", str(config), "--vary", "kappa=1e2,3e2,1e3",
+                         "--out", str(tmp_path / "out")]) == 0
+    finally:
+        probe.uninstall()
+    blocks, seeds, kappas = 2, 2, 3
+    assert len(probe.trajectories) == blocks * seeds * kappas
+    assert sorted({config.kappa for config, _, _ in probe.trajectories}) == [1e2, 3e2, 1e3]
+    assert probe.setup_s > 0
