@@ -86,13 +86,14 @@ def _read(section, table, required=()):
 
 def load_config(path, seeds_override=None):
     """Parse an experiment config file into a list of ExperimentConfig."""
-    if not os.path.exists(path):
-        raise InputError(f"config file not found: {path}")
     # no section header spells the empty name, so [DEFAULT] is read as an unknown
     # section instead of having its keys copied into every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except configparser.Error as exc:
         raise InputError(f"{path}: {exc}") from None
     if "problem" not in parser:
@@ -148,6 +149,7 @@ def _run_configs(configs, out_dir):
     # every block's problem is built and checked before any run
     for config in configs:
         harness.prepare(config, cache)
+    os.makedirs(out_dir, exist_ok=True)     # an --out that is a file fails before any run
     for config in configs:
         traces = harness.run_experiment(config, cache)
         for trace, seed in zip(traces, config.seeds):
@@ -199,6 +201,7 @@ def cmd_sweep(args):
     cache = {}
     for _, _, config in configs:
         harness.prepare(config, cache)
+    os.makedirs(out_dir, exist_ok=True)     # an --out that is a file fails before any run
     summary = []
     bits_by_label = {}
     for text, value, config in configs:
@@ -260,25 +263,26 @@ def cmd_plot(args):
     ia, ic = harness.CSV_COLUMNS.index("algorithm"), harness.CSV_COLUMNS.index("compressor")
     series = {}
     for path in args.csvs:
-        if not os.path.exists(path):
-            raise InputError(f"csv not found: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != harness.CSV_COLUMNS:
-                raise InputError(f"{path}: columns do not match the trace schema")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(harness.CSV_COLUMNS):
-                    raise InputError(f"{path}:{reader.line_num}: expected "
-                                     f"{len(harness.CSV_COLUMNS)} fields, got {len(row)}")
-                try:
-                    x, y = float(row[ix]), float(row[iy])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-                xs, ys = series.setdefault((row[ia], row[ic]), ([], []))
-                xs.append(x)
-                ys.append(y)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                if next(reader, None) != harness.CSV_COLUMNS:
+                    raise InputError(f"{path}: columns do not match the trace schema")
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(harness.CSV_COLUMNS):
+                        raise InputError(f"{path}:{reader.line_num}: expected "
+                                         f"{len(harness.CSV_COLUMNS)} fields, got {len(row)}")
+                    try:
+                        x, y = float(row[ix]), float(row[iy])
+                    except ValueError as exc:
+                        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+                    xs, ys = series.setdefault((row[ia], row[ic]), ([], []))
+                    xs.append(x)
+                    ys.append(y)
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
     plot_series = [(f"{algo} {comp}", xs, ys) for (algo, comp), (xs, ys) in sorted(series.items())]
     from . import svgplot
     text = svgplot.render(plot_series, x_label=args.x, y_label=args.y)
@@ -329,7 +333,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:     # an OSError's text names its path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigurationError as exc:

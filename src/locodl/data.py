@@ -30,20 +30,13 @@ def parse_libsvm(stream):
     Indices are 1-based and strictly increasing in the source; values must be
     finite; '#' starts a comment; blank lines are skipped.  Labels in {0,1}
     are mapped to {-1,+1}.  d is the largest index present.  The text is
-    converted and checked in bulk; text that fails is parsed again line by
-    line, so that the ParseError names the first bad line.
+    converted and checked in one pass: a failure mask over the token positions
+    finds the first bad token, and the ParseError names its line.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
         lines = [line.rstrip("\n") for line in stream]
-    parsed = _parse_bulk(lines)
-    labels, features = _parse_lines(lines) if parsed is None else parsed
-    return Shard(features, _normalize_labels(np.asarray(labels, dtype=np.float64)))
-
-
-def _parse_bulk(lines):
-    """(labels, features) of the lines, or None if any line is malformed."""
     if any("#" in line for line in lines):
         lines = [line.split("#", 1)[0] for line in lines]
     # each token is held as the number of distinct tokens seen before its first
@@ -52,94 +45,89 @@ def _parse_bulk(lines):
     code.default_factory = code.__len__
     lengths, codes = [], []
     for tokens in map(str.split, lines):
-        if tokens:
-            lengths.append(len(tokens))
-            codes.extend(map(code.__getitem__, tokens))
+        lengths.append(len(tokens))
+        codes.extend(map(code.__getitem__, tokens))
     distinct = list(code)
-    codes = np.array(codes, dtype=np.intp)
+    codes = np.fromiter(codes, dtype=np.intp, count=len(codes))
     lengths = np.array(lengths, dtype=np.intp)
-    is_label = np.zeros(codes.size, dtype=bool)
-    is_label[np.cumsum(lengths) - lengths] = True     # each row's first token
-    counts = lengths - 1                              # feature pairs per row
-    label_codes, pair_codes = codes[is_label], codes[~is_label]
-    used_as_label = np.flatnonzero(np.bincount(label_codes, minlength=len(distinct)))
-    used_as_pair = np.flatnonzero(np.bincount(pair_codes, minlength=len(distinct)))
-    splits = [distinct[c].split(":") for c in used_as_pair.tolist()]
-    if any(len(split) != 2 for split in splits):
-        return None
-    label_of, index_of, value_of = (np.zeros(len(distinct), dtype=dtype)
-                                    for dtype in (np.float64, np.int64, np.float64))
+    linenos = np.flatnonzero(lengths) + 1             # the line of each row
+    lengths = lengths[linenos - 1]
+    starts = np.cumsum(lengths) - lengths             # each row's label
+    pairs = np.ones(codes.size, dtype=bool)
+    pairs[starts] = False
+    label_codes, pair_codes = codes[starts], codes[pairs]
+    label_of, bad_label = _convert(distinct, label_codes, float, 0.0)
+    pair_of, bad_pair = _convert(distinct, pair_codes, _pair, (0, 0.0))
     try:
-        label_of[used_as_label] = [float(distinct[c]) for c in used_as_label.tolist()]
-        index_of[used_as_pair] = [int(split[0]) for split in splits]
-        value_of[used_as_pair] = [float(split[1]) for split in splits]
-    except (ValueError, OverflowError):
-        return None
-    index, value = index_of[pair_codes], value_of[pair_codes]
-    # each index must exceed the one before it in its row, the first one 0
-    before = np.empty_like(index)
-    before[1:] = index[:-1]
-    before[(np.cumsum(counts) - counts)[counts > 0]] = 0
-    if not ((index > before).all() and np.isfinite(value).all()):
-        return None
+        index_of = np.array([index for index, _ in pair_of], dtype=np.int64)
+    except OverflowError:   # an index past int64: it fails below, as out of order or too large
+        index_of = np.array([index for index, _ in pair_of], dtype=object)
+    value_of = np.array([value for _, value in pair_of], dtype=np.float64)
+    # a valid label is a malformed pair, so its index is 0: the first index of
+    # its row must exceed it.  A label's failure replaces what its pair check says.
+    index = index_of[codes]
+    before = np.roll(index, 1)
+    fails = (bad_pair | ~np.isfinite(value_of))[codes] | (index <= before)
+    fails[starts] = bad_label[label_codes]
+
+    def line_of(at):
+        return int(linenos[np.searchsorted(starts, at, side="right") - 1])
+
+    if fails.any():
+        at = int(np.argmax(fails))
+        token = distinct[codes[at]]
+        if at in starts:
+            message = f"non-numeric label {token!r}"
+        elif bad_pair[codes[at]]:
+            message = f"malformed feature pair {token!r}"
+        elif not np.isfinite(value_of[codes[at]]):
+            message = f"non-finite feature value {token!r}"
+        else:
+            message = (f"feature indices must be strictly increasing "
+                       f"(saw {index[at]} after {before[at]})")
+        raise ParseError(line_of(at), message)
+    d = int(index.max(initial=0))
     try:
-        features = np.zeros((counts.size, int(index.max()) if index.size else 0))
+        features = np.zeros((lengths.size, d))
     except (ValueError, MemoryError):
-        return None     # an index too large for an array: the line-by-line parse names it
-    features[np.repeat(np.arange(counts.size), counts), index - 1] = value
-    return label_of[label_codes], features
+        raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: "
+                         f"numpy cannot allocate {lengths.size} x {d} features") from None
+    features[np.repeat(np.arange(lengths.size), lengths - 1), index[pairs] - 1] = \
+        value_of[pair_codes]
+    labels = np.array(label_of, dtype=np.float64)[label_codes]
+    return Shard(features, _normalize_labels(labels))
 
 
-def _parse_lines(lines):
-    """(labels, features), one line at a time; a ParseError names the first bad line."""
-    labels, rows, cols, vals = [], [], [], []
-    d = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+def _pair(token):
+    """(index, value) of an 'idx:val' token; ValueError if it is malformed."""
+    index, _, value = token.partition(":")
+    return int(index), float(value)
+
+
+def _convert(distinct, used, convert, fill):
+    """convert(token) of each distinct token whose code is in `used`, else `fill`,
+    and the mask of the tokens whose conversion raised ValueError."""
+    converted, bad = [fill] * len(distinct), np.zeros(len(distinct), dtype=bool)
+    for c in np.flatnonzero(np.bincount(used, minlength=len(distinct))).tolist():
         try:
-            label = float(parts[0])
+            converted[c] = convert(distinct[c])
         except ValueError:
-            raise ParseError(lineno, f"non-numeric label {parts[0]!r}") from None
-        prev = 0
-        for pair in parts[1:]:
-            if ":" not in pair:
-                raise ParseError(lineno, f"malformed feature pair {pair!r}")
-            idx_s, val_s = pair.split(":", 1)
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(lineno, f"malformed feature pair {pair!r}") from None
-            if not math.isfinite(val):
-                raise ParseError(lineno, f"non-finite feature value {pair!r}")
-            if idx <= prev:
-                raise ParseError(lineno, f"feature indices must be strictly increasing (saw {idx} after {prev})")
-            prev = idx
-            rows.append(len(labels))
-            cols.append(idx - 1)
-            vals.append(val)
-        if prev > d:
-            d, d_line = prev, lineno
-        labels.append(label)
-    try:
-        features = np.zeros((len(labels), d))
-    except (ValueError, MemoryError):
-        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
-                                 f"{len(labels)} x {d} features") from None
-    features[rows, cols] = vals
-    return labels, features
+            bad[c] = True
+    return converted, bad
 
 
 def load_libsvm(path):
-    """`parse_libsvm` of the file at `path`; its input errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """`parse_libsvm` of the file at `path`; its input errors, and a file that
+    cannot be read as UTF-8 text, name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return parse_libsvm(fh)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
 
 
 def partition(dataset, n, seed):

@@ -5,10 +5,16 @@ The library evaluates local functions only in batches, through a `Problem`
 the client's own arrays and regularization weight, and are the reference
 that the tests hold the batched paths to.  `serialize_libsvm` writes a
 dataset back as LibSVM text, the inverse the parser's round trips check.
+`parse_lines` parses LibSVM text one line at a time, the reference that
+the tests hold `data.parse_libsvm`'s arrays and errors to.
 """
+
+import math
 
 import numpy as np
 from scipy.special import expit
+
+from locodl.errors import ParseError
 
 
 def logistic_value(features, labels, reg, x):
@@ -47,3 +53,46 @@ def serialize_libsvm(shard):
         head = "+1" if label > 0 else "-1"
         lines.append(f"{head} {pairs}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def parse_lines(lines):
+    """(labels, features), one line at a time; a ParseError names the first bad line."""
+    labels, rows, cols, vals = [], [], [], []
+    d = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric label {parts[0]!r}") from None
+        prev = 0
+        for pair in parts[1:]:
+            if ":" not in pair:
+                raise ParseError(lineno, f"malformed feature pair {pair!r}")
+            idx_s, val_s = pair.split(":", 1)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(lineno, f"malformed feature pair {pair!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"non-finite feature value {pair!r}")
+            if idx <= prev:
+                raise ParseError(lineno, f"feature indices must be strictly increasing (saw {idx} after {prev})")
+            prev = idx
+            rows.append(len(labels))
+            cols.append(idx - 1)
+            vals.append(val)
+        if prev > d:
+            d, d_line = prev, lineno
+        labels.append(label)
+    try:
+        features = np.zeros((len(labels), d))
+    except (ValueError, MemoryError):
+        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
+                                 f"{len(labels)} x {d} features") from None
+    features[rows, cols] = vals
+    return labels, features

@@ -267,6 +267,14 @@ class TestLoadConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_config_exits_2_and_names_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(QUAD_CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "o"
+        assert run_cli(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_required_keys_alone_give_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.ini"
         path.write_text("[problem]\nsource = quadratic\nd = 4\nn = 2\n[algo:a]\n")
@@ -359,6 +367,36 @@ class TestRun:
                           "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
         assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert f"{data_path}: unsupported label alphabet" in capsys.readouterr().err
+
+    def test_non_utf8_libsvm_file_exits_2_and_names_it(self, tmp_path, capsys):
+        config = tmp_path / "latin1.ini"
+        config.write_text(libsvm_config(tmp_path))
+        with open(tmp_path / "tiny.libsvm", "ab") as fh:
+            fh.write(b"+1 1:1 2:1 # caf\xe9\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert f"{tmp_path / 'tiny.libsvm'}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_libsvm_path_that_is_a_directory_exits_2_and_names_it(self, tmp_path, capsys):
+        data_path = tmp_path / "dir.libsvm"
+        data_path.mkdir()
+        config = tmp_path / "dir.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\n"
+                          "kappa = 10\n\n[algo:loco]\nalgorithm = locodl\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert f"{data_path}: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "kappa=20,60,200"]])
+    def test_out_that_is_a_file_exits_2_before_any_run(self, quad_config_path, tmp_path, capsys,
+                                                       monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("a run started before --out was checked")
+
+        monkeypatch.setattr(harness, "run_single", refuse)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli([command[0], quad_config_path, *command[1:], "--out", str(out)]) \
+            == cli.EXIT_INPUT
+        assert f"File exists: '{out}'" in capsys.readouterr().err
 
     def test_seeds_override(self, quad_config_path, tmp_path):
         out = tmp_path / "s"
@@ -754,6 +792,19 @@ class TestPlot:
     def test_missing_csv_exits_2(self, tmp_path):
         assert run_cli(["plot", str(tmp_path / "none.csv"),
                         "--out", str(tmp_path / "x.svg")]) == cli.EXIT_INPUT
+
+    def test_directory_exits_2_and_names_it(self, tmp_path, capsys):
+        assert run_cli(["plot", str(tmp_path), "--out", str(tmp_path / "x.svg")]) \
+            == cli.EXIT_INPUT
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_and_names_it(self, trace_csvs, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        with open(trace_csvs[0], "rb") as fh:
+            latin1.write_bytes(fh.read().replace(b"locodl", b"locodl\xe9", 1))
+        assert run_cli(["plot", str(latin1), "--out", str(tmp_path / "x.svg")]) \
+            == cli.EXIT_INPUT
+        assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestEntry:

@@ -74,20 +74,21 @@ class TestParseLibsvm:
 
 
 def both_paths(text):
-    """(bulk, line-by-line) parses of `text`; the line-by-line one may be the error it raised."""
-    lines = text.splitlines()
-    try:
-        by_line = data._parse_lines(lines)
-    except ParseError as exc:
-        by_line = exc
-    return data._parse_bulk(lines), by_line
+    """(parse_libsvm, oracle) results for `text`; either may be the ParseError it raised."""
+    results = []
+    for parse in (data.parse_libsvm, lambda text: oracle.parse_lines(text.splitlines())):
+        try:
+            results.append(parse(text))
+        except ParseError as exc:
+            results.append(exc)
+    return tuple(results)
 
 
-def refuse_line_parse(monkeypatch):
-    def refuse(lines):
-        raise AssertionError("valid input reached the line-by-line parse")
-
-    monkeypatch.setattr(data, "_parse_lines", refuse)
+def assert_same_arrays(shard, by_line):
+    """`shard` holds the oracle's (labels, features), with labels mapped to -1/+1."""
+    assert shard.features.shape == by_line[1].shape
+    assert np.array_equal(shard.features, by_line[1])
+    assert np.array_equal(shard.labels, data._normalize_labels(np.array(by_line[0])))
 
 
 # one LibSVM token of a valid file, spelled the ways int() and float() accept
@@ -127,7 +128,7 @@ BAD_TOKENS = ["abc", "1:", ":1", "x:1", "1:x", "1:2:3", "0:1", "-1:1", "1:nan", 
 
 
 class TestBulkParse:
-    """The bulk parse against the line-by-line parse, which stays the reference."""
+    """The parser against the line-by-line oracle: the same arrays, or the same error."""
 
     @pytest.mark.parametrize("text", [
         "# header\n\n+1 1:2 # trailing\n-1 2:1\n",
@@ -139,46 +140,36 @@ class TestBulkParse:
         "+1 \t1:1   2:1\t\n\n# only a comment\n-1",
     ], ids=["comments", "label_only_rows", "crlf", "zero_one_labels", "int_float_spellings",
             "d_from_largest_index", "mixed_whitespace"])
-    def test_valid_input_is_parsed_in_bulk(self, text, monkeypatch):
-        by_line = data._parse_lines(text.splitlines())
-        refuse_line_parse(monkeypatch)
-        shard = data.parse_libsvm(text)
-        assert np.array_equal(shard.features, by_line[1])
-        assert np.array_equal(shard.labels, data._normalize_labels(np.array(by_line[0])))
+    def test_valid_input_is_parsed_in_bulk(self, text):
+        assert_same_arrays(data.parse_libsvm(text), oracle.parse_lines(text.splitlines()))
 
-    def test_crlf_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+    def test_crlf_file_is_parsed_in_bulk(self, tmp_path):
         path = tmp_path / "crlf.libsvm"
         path.write_bytes(b"+1 1:0.5 3:-2\r\n# note\r\n-1 2:1\r\n")
-        by_line = data.parse_libsvm("+1 1:0.5 3:-2\n# note\n-1 2:1\n")
-        refuse_line_parse(monkeypatch)
-        shard = data.load_libsvm(str(path))
-        assert np.array_equal(shard.features, by_line.features)
-        assert np.array_equal(shard.labels, by_line.labels)
+        by_line = oracle.parse_lines("+1 1:0.5 3:-2\n# note\n-1 2:1\n".splitlines())
+        assert_same_arrays(data.load_libsvm(str(path)), by_line)
 
     @settings(max_examples=200, deadline=None)
     @given(valid_libsvm())
     def test_valid_input_gives_the_line_by_line_arrays(self, text):
-        bulk, by_line = both_paths(text)
-        assert bulk is not None
-        assert np.array_equal(bulk[0], by_line[0])
-        assert bulk[1].shape == by_line[1].shape
-        assert np.array_equal(bulk[1], by_line[1])
+        assert_same_arrays(*both_paths(text))
 
     @settings(max_examples=200, deadline=None)
     @given(valid_libsvm(), st.sampled_from(BAD_TOKENS), st.integers(0, 10_000))
-    def test_one_bad_token_falls_back_or_agrees(self, text, token, where):
+    def test_one_bad_token_agrees(self, text, token, where):
         lines = text.split("\n")
         rows = [i for i, line in enumerate(lines) if line.split("#", 1)[0].split()]
         i = rows[where % len(rows)]
         parts = lines[i].split("#", 1)[0].split()
         parts[where % len(parts)] = token
         lines[i] = " ".join(parts)
-        bulk, by_line = both_paths("\n".join(lines))
+        shard, by_line = both_paths("\n".join(lines))
         if isinstance(by_line, ParseError):
-            assert bulk is None
-        elif bulk is not None:
-            assert np.array_equal(bulk[0], by_line[0])
-            assert np.array_equal(bulk[1], by_line[1])
+            assert isinstance(shard, ParseError)
+            assert str(shard) == str(by_line)
+            assert shard.lineno == by_line.lineno
+        else:
+            assert_same_arrays(shard, by_line)
 
     @pytest.mark.parametrize("text, line, message", [
         ("+1 1:1\n\nabc 1:1", 3, "non-numeric label 'abc'"),
@@ -192,18 +183,20 @@ class TestBulkParse:
         ("+1 1:1\n-1 1:nan 2:1", 2, "non-finite feature value '1:nan'"),
         ("+1 1:inf", 1, "non-finite feature value '1:inf'"),
         ("+1 1:1\n+1 2:1\n-1 1:1e999", 3, "non-finite feature value '1:1e999'"),
-        # past int64, so the bulk parse refuses the token; then no array has that many columns
+        # past int64, so no array has that many columns
         ("+1 1:1 99999999999999999999:1\n-1 1:2", 1, "feature index 99999999999999999999 is "
          "too large: numpy cannot allocate 2 x 99999999999999999999 features"),
         # an int64, but 2 rows of that many float64 columns pass numpy's array size limit
         ("-1 1:2\n+1 1:1 9000000000000000000:1\n+1 3:1", 2, "feature index 9000000000000000000 "
          "is too large: numpy cannot allocate 3 x 9000000000000000000 features"),
+        # the one ordering case whose earlier index is past int64
+        ("+1 99999999999999999999:1 5:1", 1,
+         "feature indices must be strictly increasing (saw 5 after 99999999999999999999)"),
     ], ids=["label", "missing_colon", "two_colons", "balanced_colons", "value", "index_zero",
             "repeated_index", "decreasing_index", "nan", "inf", "overflow", "index_past_int64",
-            "index_past_array_size"])
+            "index_past_array_size", "decreasing_after_index_past_int64"])
     def test_each_error_names_the_line_of_the_line_by_line_parse(self, text, line, message):
-        bulk, by_line = both_paths(text)
-        assert bulk is None
+        _, by_line = both_paths(text)
         assert isinstance(by_line, ParseError)
         with pytest.raises(ParseError) as raised:
             data.parse_libsvm(text)
@@ -212,17 +205,14 @@ class TestBulkParse:
 
     @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
     def test_empty_input_gives_the_line_by_line_error(self, text):
-        bulk, by_line = both_paths(text)
-        assert bulk[1].shape == by_line[1].shape == (0, 0)
+        assert oracle.parse_lines(text.splitlines())[1].shape == (0, 0)
         with pytest.raises(InputError, match="shard must contain at least one row"):
             data.parse_libsvm(text)
 
     def test_a5a_stand_in_is_parsed_in_bulk(self, a5a_path):
         with open(a5a_path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-        bulk, by_line = data._parse_bulk(lines), data._parse_lines(lines)
-        assert np.array_equal(bulk[0], by_line[0])
-        assert np.array_equal(bulk[1], by_line[1])
+            by_line = oracle.parse_lines([line.rstrip("\n") for line in fh])
+        assert_same_arrays(data.load_libsvm(a5a_path), by_line)
 
 
 class TestRoundTrip:

@@ -140,3 +140,22 @@ def test_setup_probe_times_every_build_and_run_of_a_sweep(tracer, tmp_path, monk
     assert len(probe.trajectories) == blocks * seeds * kappas
     assert sorted({config.kappa for config, _, _ in probe.trajectories}) == [1e2, 3e2, 1e3]
     assert probe.setup_s > 0
+
+
+def test_layer_tracer_times_the_libsvm_parse(tracer, tmp_path):
+    # the parse is timed where the tracer wraps it, `harness.load_libsvm`: a parse
+    # reached some other way would leave data.parse_s at 0
+    from locodl import cli
+    data_path = tmp_path / "tiny.libsvm"
+    data_path.write_text("".join(f"{1 if i % 2 else -1} 1:1 2:{i % 3}\n" for i in range(40)))
+    config = tmp_path / "tiny.ini"
+    config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\nkappa = 10\n\n"
+                      "[run]\nstop_metric = sqdist\nstop_ratio = 1e-3\n\n"
+                      "[algo:a]\nalgorithm = locodl\n")
+    layers = tracer.LayerTracer().install()
+    try:
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        layers.uninstall()
+    assert [span["name"] for span in layers.spans].count("parse") == 1
+    assert layers.metrics()["data.parse_s"][0] > 0
