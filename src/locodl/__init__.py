@@ -7,7 +7,7 @@ from .compressors import (CompressedMessage, CompressorSpec, certification, comp
                           make_spec)
 from .data import dirichlet_synthetic, parse_libsvm, partition
 from .harness import (ExperimentConfig, ExperimentTrace, bits_to_target,
-                      fit_communication_exponent, run_experiment, solve_reference)
+                      fit_communication_exponent, run_experiments, solve_reference)
 from .objectives import (Problem, Shard, fold_shared, logistic_problem, reduce_g_zero,
                          regularization_for_kappa)
 

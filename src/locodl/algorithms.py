@@ -99,7 +99,6 @@ class LoCoDLState:
     v: np.ndarray          # (d,) shared dual
     t: int = 0
     rounds: int = 0
-    bits_uplink: int = 0   # cumulative per-client uplink bits
     saturation_events: int = 0
     max_dual_residual: float = 0.0
 
@@ -149,7 +148,6 @@ def locodl_step(state, problem, spec, params, rng):
         state.y = y_hat + params.rho * d_bar
         state.v = state.v + lam * d_bar
         state.rounds += 1
-        state.bits_uplink += spec.bits_per_message
         # u and v move only on rounds, so the residual can only change here
         state.max_dual_residual = max(state.max_dual_residual, state.dual_residual())
     else:
@@ -187,7 +185,6 @@ class GDState:
     x: np.ndarray
     t: int = 0
     rounds: int = 0
-    bits_uplink: int = 0
 
     @classmethod
     def zeros(cls, d):
@@ -199,7 +196,6 @@ def gd_step(state, problem, gamma):
     state.x = state.x - gamma * problem.grad_mean(state.x)
     state.t += 1
     state.rounds += 1
-    state.bits_uplink += 32 * problem.d
     return state
 
 
@@ -209,7 +205,6 @@ class DianaState:
     h: np.ndarray        # (n, d) gradient control variates
     t: int = 0
     rounds: int = 0
-    bits_uplink: int = 0
 
     @classmethod
     def zeros(cls, n, d):
@@ -233,7 +228,6 @@ def diana_step(state, problem, spec, gamma, rng):
     state.h = state.h + alpha * msgs
     state.t += 1
     state.rounds += 1
-    state.bits_uplink += spec.bits_per_message
     return state
 
 
@@ -243,7 +237,6 @@ class ScaffnewState:
     h: np.ndarray        # (n, d) control variates, sum zero
     t: int = 0
     rounds: int = 0
-    bits_uplink: int = 0
 
     @classmethod
     def zeros(cls, n, d):
@@ -259,7 +252,6 @@ def scaffnew_step(state, problem, gamma, p, rng):
         state.h = state.h + (p / gamma) * (x_bar[None, :] - x_hat)
         state.x = np.broadcast_to(x_bar, state.x.shape).copy()
         state.rounds += 1
-        state.bits_uplink += 32 * problem.d
     else:
         state.x = x_hat
     state.t += 1

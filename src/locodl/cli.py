@@ -142,27 +142,6 @@ def _median_bits(config, traces):
                              for trace in traces)
 
 
-def _run_configs(configs, out_dir):
-    """Execute configs and write their traces; returns one table row per config."""
-    rows = []
-    cache = {}
-    # every block's problem is built and checked before any run
-    for config in configs:
-        harness.prepare(config, cache)
-    os.makedirs(out_dir, exist_ok=True)     # an --out that is a file fails before any run
-    for config in configs:
-        traces = harness.run_experiment(config, cache)
-        for trace, seed in zip(traces, config.seeds):
-            name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
-            harness.write_trace(trace, os.path.join(out_dir, name))
-        try:
-            bits = _median_bits(config, traces)
-        except ConvergenceError:
-            bits = "-"
-        rows.append(dict(traces[0].metadata, label=config.label, bits_to_target=bits))
-    return rows
-
-
 def _print_table(rows, stream):
     header = ["label", "algorithm", "compressor", "gamma", "chi", "rho", "p",
               "omega", "omega_av", "tau", "bits_to_target"]
@@ -175,7 +154,18 @@ def cmd_run(args):
     seeds = _parse_seeds(args.seeds, "--seeds") if args.seeds is not None else None
     configs, config_out = load_config(args.config, seeds)
     out_dir = _out_dir(args.out, config_out)
-    rows = _run_configs(configs, out_dir)
+    runs = harness.run_experiments(configs)
+    os.makedirs(out_dir, exist_ok=True)     # an --out that is a file fails before any run
+    rows = []
+    for config, traces in runs:
+        for trace, seed in zip(traces, config.seeds):
+            name = f"{config.label}_{harness._compressor_name(config)}_{seed}.csv"
+            harness.write_trace(trace, os.path.join(out_dir, name))
+        try:
+            bits = _median_bits(config, traces)
+        except ConvergenceError:
+            bits = "-"
+        rows.append(dict(traces[0].metadata, label=config.label, bits_to_target=bits))
     _print_table(rows, sys.stdout)
     manifest = ["config\t" + os.path.abspath(args.config)]
     for row in rows:
@@ -198,23 +188,18 @@ def cmd_sweep(args):
     # every config and its problem are built, and so validated, before anything runs
     configs = [(text, value, harness.ExperimentConfig(**dict(base.__dict__, **{key: value})))
                for text, value in values for base in base_configs]
-    cache = {}
-    for _, _, config in configs:
-        harness.prepare(config, cache)
+    runs = harness.run_experiments([config for _, _, config in configs])
     os.makedirs(out_dir, exist_ok=True)     # an --out that is a file fails before any run
-    summary = []
-    bits_by_label = {}
-    for text, value, config in configs:
-        med = _median_bits(config, harness.run_experiment(config, cache))
-        summary.append((config.label, text, float(value), med))
-        bits_by_label.setdefault(config.label, {})[float(value)] = med
+    summary = [(config.label, text, float(value), _median_bits(config, traces))
+               for (text, value, _), (config, traces) in zip(configs, runs)]
 
     lines = ["label,vary,value,median_bits_to_target"]
     for label, _, value, med in summary:
         lines.append(f"{harness._quote(label)},{key},{value!r},{med!r}")
     slopes = {}
     if key == "kappa" and len(values) >= 3:
-        for label, points in bits_by_label.items():
+        for label in [base.label for base in base_configs]:
+            points = {value: med for row_label, _, value, med in summary if row_label == label}
             slopes[label] = harness.fit_communication_exponent(points)
             lines.append(f"{harness._quote(label)},slope,-,{slopes[label]!r}")
     harness.atomic_write(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")

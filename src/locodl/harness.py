@@ -277,7 +277,7 @@ def run_single(config, problem, baseline, ref, seed):
     rec = _Recorder(meta, ref, objective)
     rows = rec.rows
     stop = VARYING_COLUMNS.index(config.stop_column)
-    rec.record(state.t, state.rounds, state.bits_uplink, *observe())
+    rec.record(state.t, state.rounds, 0, *observe())
     threshold = config.stop_ratio * rows[-1][stop]
     max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
     rounds_seen = 0
@@ -288,7 +288,8 @@ def run_single(config, problem, baseline, ref, seed):
         # the state a run stops at is always recorded, also when it stops on max_iters
         if ((new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0
                 or state.t == max_iters):
-            rec.record(state.t, rounds_seen, state.bits_uplink, *observe())
+            # each round uploads one message per client; gd and scaffnew take only identity
+            rec.record(state.t, rounds_seen, rounds_seen * spec.bits_per_message, *observe())
             value = rows[-1][stop]
             if value <= threshold:
                 break
@@ -331,13 +332,18 @@ def prepare(config, cache):
     return cache[key]
 
 
-def run_experiment(config, cache):
-    """Run every seed of the config; returns one ExperimentTrace per seed.
+def run_experiments(configs):
+    """Every seed of every config: a lazy iterator of (config, traces), one trace per seed.
 
-    `cache` is `prepare`'s, so configs that share a problem build and solve it once.
+    Each config is `prepare`d on one shared cache before this returns, so a
+    bad block raises before any run, and configs that share a problem build
+    and solve it once.  A config's seeds run through `run_single` only when
+    the iterator reaches it.
     """
-    prepared = prepare(config, cache)
-    return [run_single(config, *prepared, seed) for seed in config.seeds]
+    cache = {}
+    prepared = [(config, prepare(config, cache)) for config in configs]
+    return ((config, [run_single(config, *setup, seed) for seed in config.seeds])
+            for config, setup in prepared)
 
 
 def bits_to_target(trace, target_ratio, metric="sqdist_mean"):

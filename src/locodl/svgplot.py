@@ -27,14 +27,16 @@ def _decades(lo, hi):
 
 
 def render(series, x_label="x", y_label="y"):
-    """series: list of (label, xs, ys) with ys > 0; returns SVG text."""
+    """series: list of (label, xs, ys); plots the points with a finite x and a finite y > 0."""
     cleaned = []
     for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if y > 0 and math.isfinite(y)]
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+               if math.isfinite(x) and y > 0 and math.isfinite(y)]
         if pts:
             cleaned.append((label, pts))
     if not cleaned:
-        raise InputError("nothing to plot: no positive finite y values")
+        raise InputError(f"nothing to plot: no point has a finite {x_label} "
+                         f"and a positive finite {y_label}")
 
     all_x = [x for _, pts in cleaned for x, _ in pts]
     all_y = [y for _, pts in cleaned for _, y in pts]

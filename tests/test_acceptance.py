@@ -19,7 +19,7 @@ from locodl import objectives as obj
 
 # (label, max_dual_residual, dual_scale) for every locodl run in this module
 DUAL_RESIDUALS = []
-# (config, problem, baseline, ref, seed, csv_text) for determinism replays
+# (config, csv_texts), one text per seed, for determinism replays
 CSV_RUNS = []
 
 
@@ -37,14 +37,19 @@ def register_locodl_state(label, state):
     DUAL_RESIDUALS.append((label, state.max_dual_residual, scale))
 
 
-def run_and_keep(config, problem, baseline, ref, seed):
-    trace = harness.run_single(config, problem, baseline, ref, seed)
-    if config.algorithm == "locodl":
-        DUAL_RESIDUALS.append((f"{config.label}/seed{seed}",
-                               trace.metadata["max_dual_residual"],
-                               1.0 + trace.metadata["max_dual_scale"]))
-    CSV_RUNS.append((config, problem, baseline, ref, seed, harness.trace_to_csv(trace)))
-    return trace
+def run_and_keep(configs):
+    """`harness.run_experiments` over the configs, the CLI's own path; yields (config, traces).
+
+    Keeps each locodl trace's dual residual and each config's CSV texts.
+    """
+    for config, traces in harness.run_experiments(configs):
+        for seed, trace in zip(config.seeds, traces):
+            if config.algorithm == "locodl":
+                DUAL_RESIDUALS.append((f"{config.label}/seed{seed}",
+                                       trace.metadata["max_dual_residual"],
+                                       1.0 + trace.metadata["max_dual_scale"]))
+        CSV_RUNS.append((config, [harness.trace_to_csv(trace) for trace in traces]))
+        yield config, traces
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +60,6 @@ def quad_setup(quad_problem):
                                 spec.omega, spec.omega / quad_problem.n)
     tau = alg.rate_bound(params, quad_problem.L, quad_problem.mu)
     return quad_problem, ref, spec, params, tau
-
-
-@pytest.fixture(scope="module")
-def a5a_setup(a5a_path):
-    config = harness.ExperimentConfig(
-        problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e4,
-        algorithm="locodl", compressor="rand_k_natural", k=2, seeds=(0,),
-        stop_metric="sqdist", stop_ratio=1e-5, max_iters=2_000_000,
-        cadence=200, round_cadence=50, label="a5a")
-    problem, baseline = harness.build_problem(config)
-    ref = harness.solve_reference(problem)
-    return config, problem, baseline, ref
 
 
 def test_criterion_1_compressor_certification():
@@ -97,8 +90,7 @@ def test_criterion_1_compressor_certification():
 def _copy_state(state):
     return alg.LoCoDLState(state.x.copy(), state.y.copy(), state.u.copy(),
                            state.v.copy(), state.t, state.rounds,
-                           state.bits_uplink, state.saturation_events,
-                           state.max_dual_residual)
+                           state.saturation_events, state.max_dual_residual)
 
 
 def test_criterion_2_one_step_contraction(quad_setup):
@@ -159,19 +151,16 @@ def test_criterion_3_trajectory_bound(quad_setup):
 
 def test_criterion_5_sqrt_kappa_scaling():
     start = time.perf_counter()
+    configs = [harness.ExperimentConfig(
+        problem={"source": "dirichlet", "d": 50, "alpha": 1.0}, n=25,
+        kappa=kappa, algorithm="locodl", compressor="rand_k", k=2,
+        seeds=tuple(range(10)), stop_metric="sqdist", stop_ratio=1e-6,
+        cadence=100, max_iters=5_000_000, data_seed=7,
+        label=f"scaling_k{kappa:g}") for kappa in (1e2, 1e3, 1e4)]
     bits_by_kappa = {}
-    for kappa in (1e2, 1e3, 1e4):
-        config = harness.ExperimentConfig(
-            problem={"source": "dirichlet", "d": 50, "alpha": 1.0}, n=25,
-            kappa=kappa, algorithm="locodl", compressor="rand_k", k=2,
-            seeds=tuple(range(10)), stop_metric="sqdist", stop_ratio=1e-6,
-            cadence=100, max_iters=5_000_000, data_seed=7,
-            label=f"scaling_k{kappa:g}")
-        problem, baseline = harness.build_problem(config)
-        ref = harness.solve_reference(problem)
-        traces = [run_and_keep(config, problem, baseline, ref, s) for s in config.seeds]
+    for config, traces in run_and_keep(configs):
         bits = [harness.bits_to_target(tr, 1e-6, "sqdist_mean") for tr in traces]
-        bits_by_kappa[kappa] = statistics.median(bits)
+        bits_by_kappa[config.kappa] = statistics.median(bits)
     slope = harness.fit_communication_exponent(bits_by_kappa)
     elapsed = time.perf_counter() - start
     ok = 0.35 <= slope <= 0.65 and elapsed < 900.0
@@ -179,21 +168,20 @@ def test_criterion_5_sqrt_kappa_scaling():
            f"slope={slope:.4f} in [0.35, 0.65], {elapsed:.1f}s")
 
 
-def test_criterion_6_bits_ordering_a5a(a5a_setup):
+def test_criterion_6_bits_ordering_a5a(a5a_path):
     start = time.perf_counter()
-    base_config, problem, baseline, ref = a5a_setup
-    seeds = (0, 1, 2)
+    configs = [harness.ExperimentConfig(
+        problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e4,
+        algorithm=algo, compressor=compressor, k=k, seeds=(0, 1, 2),
+        stop_metric="sqdist", stop_ratio=1e-5, max_iters=2_000_000,
+        cadence=200, round_cadence=50, label=f"a5a_{algo}")
+        for algo, compressor, k in (("locodl", "rand_k_natural", 2),
+                                    ("diana", "rand_k", 2),
+                                    ("gd", "identity", None))]
     medians = {}
-    for algo, compressor, k in (("locodl", "rand_k_natural", 2),
-                                ("diana", "rand_k", 2),
-                                ("gd", "identity", None)):
-        fields = dict(base_config.__dict__)
-        fields.update(algorithm=algo, compressor=compressor, k=k, seeds=seeds,
-                      label=f"a5a_{algo}")
-        config = harness.ExperimentConfig(**fields)
-        traces = [run_and_keep(config, problem, baseline, ref, s) for s in seeds]
+    for config, traces in run_and_keep(configs):
         bits = [harness.bits_to_target(tr, 1e-5, "sqdist_mean") for tr in traces]
-        medians[algo] = statistics.median(bits)
+        medians[config.algorithm] = statistics.median(bits)
     elapsed = time.perf_counter() - start
     ok = medians["locodl"] < medians["diana"] and medians["locodl"] < medians["gd"] \
         and elapsed < 1800.0
@@ -235,14 +223,16 @@ def test_criterion_7_g_zero_reduction():
 def test_criterion_8_byte_identical_replays():
     start = time.perf_counter()
     assert CSV_RUNS, "determinism criterion needs earlier acceptance runs"
-    mismatches = 0
-    for config, problem, baseline, ref, seed, csv_text in CSV_RUNS:
-        replay = harness.run_single(config, problem, baseline, ref, seed)
-        if harness.trace_to_csv(replay) != csv_text:
-            mismatches += 1
+    runs = mismatches = 0
+    for config, csv_texts in CSV_RUNS:
+        # a fresh call rebuilds the problem and its reference from the config alone
+        [(_, replays)] = harness.run_experiments([config])
+        runs += len(csv_texts)
+        mismatches += sum(harness.trace_to_csv(replay) != text
+                          for replay, text in zip(replays, csv_texts, strict=True))
     elapsed = time.perf_counter() - start
     report(8, "byte-identical deterministic replay", mismatches == 0,
-           f"{len(CSV_RUNS)} runs replayed, {mismatches} mismatches, {elapsed:.1f}s")
+           f"{runs} runs replayed, {mismatches} mismatches, {elapsed:.1f}s")
 
 
 def test_criterion_4_dual_feasibility():

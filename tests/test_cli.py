@@ -739,6 +739,31 @@ class TestPlot:
         assert "gd<1>&co rand_k2" in texts
         assert {"t", "lyapunov"} <= set(texts)
 
+    @pytest.fixture
+    def locodl_and_gd_csvs(self, tmp_path):
+        config = tmp_path / "mixed.ini"
+        config.write_text(QUAD_CONFIG.replace("stop_metric = psi", "stop_metric = sqdist")
+                          + "\n[algo:g]\nalgorithm = gd\n")
+        out = tmp_path / "mixed"
+        assert run_cli(["run", str(config), "--out", str(out), "--seeds", "0"]) == 0
+        return str(out / "loco_rand_k2_0.csv"), str(out / "g_identity_0.csv")
+
+    def test_points_without_a_finite_x_are_dropped(self, locodl_and_gd_csvs, tmp_path):
+        # a baseline's lyapunov column is NaN, so only the locodl series has points
+        svg = tmp_path / "mixed.svg"
+        assert run_cli(["plot", *locodl_and_gd_csvs, "--x", "lyapunov",
+                        "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.count("<polyline") == 1
+        assert "nan" not in text
+
+    def test_no_finite_x_exits_2_and_names_it(self, locodl_and_gd_csvs, tmp_path, capsys):
+        svg = tmp_path / "gd.svg"
+        assert run_cli(["plot", locodl_and_gd_csvs[1], "--x", "lyapunov",
+                        "--out", str(svg)]) == cli.EXIT_INPUT
+        assert "no point has a finite lyapunov" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_schema_mismatch_exits_2(self, tmp_path):
         bogus = tmp_path / "bogus.csv"
         bogus.write_text("a,b\n1,2\n")

@@ -269,19 +269,42 @@ class TestRunSingle:
             assert key in trace.metadata
 
 
-class TestRunExperiment:
-    def test_one_trace_per_seed_equal_to_run_single(self):
-        config = quad_config(seeds=(3, 0, 1), stop_ratio=1e-4)
-        cache = {}
-        traces = harness.run_experiment(config, cache)
-        setup = harness.prepare(config, cache)
-        assert len(cache) == 1
-        assert len(traces) == 3
-        for trace, seed in zip(traces, config.seeds):
-            single = harness.run_single(config, *setup, seed)
-            assert trace.metadata["seed"] == seed
-            assert harness.trace_to_csv(trace) == harness.trace_to_csv(single)
-            assert harness.metadata_text(trace) == harness.metadata_text(single)
+class TestRunExperiments:
+    def test_a_bad_later_config_raises_before_any_run(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a seed ran before every config was checked")
+
+        monkeypatch.setattr(harness, "run_single", refuse)
+        configs = [quad_config(), quad_config(overrides={"chi": 5.0}, label="bad")]
+        with pytest.raises(ConfigurationError, match=r"^\[algo:bad\] "):
+            harness.run_experiments(configs)
+
+    def test_one_traces_list_per_config_equal_to_run_single(self, monkeypatch):
+        configs = [quad_config(seeds=(3, 0, 1), stop_ratio=1e-4),
+                   quad_config(algorithm="diana", stop_metric="sqdist", stop_ratio=1e-4,
+                               seeds=(2,), label="dn")]
+        run_single = harness.run_single
+        ran = []
+
+        def counting(config, *args):
+            ran.append(config.label)
+            return run_single(config, *args)
+
+        monkeypatch.setattr(harness, "run_single", counting)
+        runs = harness.run_experiments(configs)
+        assert ran == []
+        first = next(runs)
+        assert ran == ["test"] * 3     # lazy per config: the second has not run yet
+        results = [first, *runs]
+        assert [config for config, _ in results] == configs
+        for config, traces in results:
+            setup = harness.prepare(config, {})
+            assert len(traces) == len(config.seeds)
+            for trace, seed in zip(traces, config.seeds):
+                single = run_single(config, *setup, seed)
+                assert trace.metadata["seed"] == seed
+                assert harness.trace_to_csv(trace) == harness.trace_to_csv(single)
+                assert harness.metadata_text(trace) == harness.metadata_text(single)
 
 
 class TestBitsToTarget:

@@ -76,6 +76,22 @@ def test_layer_tracer_times_every_step_of_a_run(tracer, tmp_path):
         assert layers.samples[f"step.{algo}"], f"no {algo} step was timed"
 
 
+def test_setup_probe_sees_every_trajectory_of_a_run(tracer, tmp_path):
+    # a run that bypasses run_single would be missing from the trajectories
+    from locodl import cli
+    config = tmp_path / "four.ini"
+    config.write_text(FOUR_BLOCKS)
+    probe = tracer.SetupProbe().install()
+    try:
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out"),
+                         "--seeds", "0,1"]) == 0
+    finally:
+        probe.uninstall()
+    assert sorted((config.label, seed) for config, seed, _ in probe.trajectories) == \
+        sorted((label, seed) for label in ("loco", "dn", "sn", "g") for seed in (0, 1))
+    assert probe.setup_s > 0
+
+
 TINY_SWEEP = """\
 [problem]
 source = dirichlet
