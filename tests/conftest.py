@@ -1,9 +1,10 @@
-"""Shared fixtures: small reference problems and an a5a-scale dataset file.
+"""Shared fixtures: small reference problems, an a5a-scale dataset file and an eigensolve counter.
 
 The large-dataset fixture prefers a real LibSVM file pointed to by the
 LOCODL_A5A environment variable and otherwise generates a synthetic
 binary-sparse stand-in with the same shape (6414 rows, 122 features,
-~14 active features per row).
+~14 active features per row).  The acceptance criteria's PASS/FAIL lines
+are repeated in the terminal summary, since output capture hides them.
 """
 
 import os
@@ -49,3 +50,35 @@ def quad_problem():
     """Fixed random quadratic problem: d = 10, n = 5, kappa = 100."""
     rng = np.random.default_rng(42)
     return obj.random_quadratic_problem(10, 5, 100.0, rng)
+
+
+@pytest.fixture
+def gram_solves(monkeypatch):
+    """Counts `max_eigenvalue_gram` calls: a list of the address of each solved matrix."""
+    calls = []
+    solve = obj.max_eigenvalue_gram
+
+    def counting(features):
+        calls.append(features.__array_interface__["data"][0])
+        return solve(features)
+
+    monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
+    return calls
+
+
+# each acceptance criterion's "[criterion N] ..." line, in the order the criteria ran
+CRITERION_LINES = []
+
+
+def pytest_runtest_logreport(report):
+    """Keep the criterion lines a test printed, which output capture hides when it passes."""
+    if report.when == "call":
+        CRITERION_LINES.extend(line for line in report.capstdout.splitlines()
+                               if line.startswith("[criterion "))
+
+
+def pytest_terminal_summary(terminalreporter):
+    if CRITERION_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in CRITERION_LINES:
+            terminalreporter.write_line(line)

@@ -6,7 +6,6 @@ here, so its test is defined last in the file.
 
 import math
 import statistics
-import sys
 import time
 
 import numpy as np
@@ -27,8 +26,7 @@ def report(num, name, ok, detail=""):
     line = f"[criterion {num}] {name}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f" ({detail})"
-    print(line)
-    sys.__stdout__.write(line + "\n")
+    print(line)     # conftest.py repeats it in the terminal summary
     assert ok, line
 
 
@@ -106,17 +104,21 @@ def test_criterion_2_one_step_contraction(quad_setup):
     assert psi0 > 0.0
 
     trials = 2000
-    total = 0.0
+    ratios = np.empty(trials)
     for i in range(trials):
         state = _copy_state(base)
         alg.locodl_step(state, problem, spec, params,
                         alg.RngBundle.from_seed(100_000 + i))
-        total += alg.lyapunov(state, ref, params)
-    mean_psi1 = total / trials
+        ratios[i] = alg.lyapunov(state, ref, params) / psi0
+    mean_ratio = float(ratios.mean())
     elapsed = time.perf_counter() - start
-    ok = mean_psi1 <= 1.1 * tau * psi0 and elapsed < 60.0
+    # 1.1*tau exceeds 1, so the first check fails only if a step grows psi; the second needs
+    # the measured contraction gap to reach the guaranteed 1 - tau, up to 4 standard errors
+    gap, se = 1.0 - mean_ratio, float(ratios.std(ddof=1)) / math.sqrt(trials)
+    ok = mean_ratio <= 1.1 * tau and gap >= (1.0 - tau) - 4.0 * se and elapsed < 60.0
     report(2, "one-step Lyapunov contraction", ok,
-           f"E[psi^1]/psi^0={mean_psi1 / psi0:.6f} vs 1.1*tau={1.1 * tau:.6f}, {elapsed:.1f}s")
+           f"E[psi^1]/psi^0={mean_ratio:.6f} vs 1.1*tau={1.1 * tau:.6f}; "
+           f"gap {gap:.6f} vs 1-tau={1.0 - tau:.6f}, SE {se:.1e}; {elapsed:.1f}s")
 
 
 def test_criterion_3_trajectory_bound(quad_setup):

@@ -408,18 +408,13 @@ class TestBuildProblem:
         assert problem.d == 12
         assert problem.kappa >= 50.0   # common L is the max per-client constant
 
-    def test_libsvm_solves_each_gram_once(self, a5a_path, monkeypatch):
-        calls = []
-        solve = obj.max_eigenvalue_gram
-
-        def counting(features):
-            calls.append(features.shape)
-            return solve(features)
-
-        monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
+    def test_libsvm_solves_each_gram_once(self, a5a_path, gram_solves):
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
         harness.build_problem(config)
-        assert len(calls) == 87 + 1    # one per client, shared by problem and baseline, + the dataset
+        # the dataset, then the 23 of 87 stand-in clients whose Frobenius bound could reach the
+        # largest lam_max; problem and baseline share them
+        assert len(gram_solves) == 23 + 1
+        assert len(set(gram_solves)) == len(gram_solves)    # no client is solved twice
 
     def test_libsvm_build_holds_the_features_less_than_twice(self, a5a_path, monkeypatch):
         # the parse is not traced; the build holds the (n, m, d) stack, the sparse block and
@@ -506,25 +501,20 @@ class TestSharedBuild:
         config = TestBuildProblem._logistic_config(source, kappa, a5a_path)
         return replace(config, stop_metric="sqdist", stop_ratio=1e-3, max_iters=300)
 
-    @pytest.mark.parametrize("source, eigensolves", [("dirichlet", 25 + 1), ("libsvm", 87 + 1)])
-    def test_one_cache_solves_each_gram_once_across_kappas(self, a5a_path, monkeypatch, source,
+    # the dataset's lam_max, plus the clients whose bound could reach the largest: one of the
+    # Dirichlet clients (one row each, so every bound is exact) and 23 of the 87 stand-in clients
+    @pytest.mark.parametrize("source, eigensolves", [("dirichlet", 1 + 1), ("libsvm", 23 + 1)])
+    def test_one_cache_solves_each_gram_once_across_kappas(self, a5a_path, gram_solves, source,
                                                            eigensolves):
-        # one per client, plus the dataset's lam_max; without sharing, 3x as many
-        calls = []
-        solve = obj.max_eigenvalue_gram
-
-        def counting(features):
-            calls.append(features.shape)
-            return solve(features)
-
-        monkeypatch.setattr(obj, "max_eigenvalue_gram", counting)
+        # without sharing, 3x as many
         cache = {}
         for kappa in self.KAPPAS:
             harness.prepare(self._config(source, kappa, a5a_path), cache)
-        assert len(calls) == eigensolves
+        assert len(gram_solves) == eigensolves
+        assert len(set(gram_solves)) == len(gram_solves)    # no client is solved twice
         problems = [harness.prepare(self._config(source, kappa, a5a_path), cache)[0]
                     for kappa in self.KAPPAS]
-        assert len(calls) == eigensolves
+        assert len(gram_solves) == eigensolves
         assert len({id(problem.batch) for problem in problems}) == 1
         assert len({problem.mu for problem in problems}) == len(self.KAPPAS)
 

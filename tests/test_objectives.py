@@ -98,6 +98,58 @@ class TestSmoothness:
         assert obj.max_eigenvalue_gram(a) == pytest.approx(3.0, rel=1e-14)
 
 
+class TestGramBoundRule:
+    """`hi` solves a client's Gram only if its Frobenius bound could reach the largest lam_max."""
+
+    @staticmethod
+    def check(A, gram_solves):
+        """Exact maximum, an upper bound on every client; returns the number of solves."""
+        A = np.asarray(A, dtype=np.float64)
+        m = A.shape[1]
+        exact = np.array([obj.max_eigenvalue_gram(a) for a in A])
+        gram_solves.clear()
+        hi = obj._BatchedLogistic(A, np.ones(A.shape[:2])).hi
+        assert hi.max() == exact.max() / (4.0 * m)
+        assert np.all(hi >= exact / (4.0 * m))
+        # no client is solved twice
+        assert 1 <= len(gram_solves) == len(set(gram_solves)) <= len(A)
+        return len(gram_solves)
+
+    def test_dense(self, gram_solves):
+        self.check(np.random.default_rng(0).standard_normal((5, 6, 4)), gram_solves)
+
+    def test_rank_one_clients_need_one_solve(self, gram_solves):
+        # a one-row Gram's Frobenius norm is its lam_max, so no other bound can exceed the top
+        A = np.random.default_rng(1).standard_normal((8, 1, 5))
+        assert self.check(A, gram_solves) == 1
+
+    def test_all_zero_client(self, gram_solves):
+        A = np.random.default_rng(2).standard_normal((4, 6, 4))
+        A[2] = 0.0
+        self.check(A, gram_solves)
+        assert self.check(np.zeros((3, 2, 4)), gram_solves) == 1
+
+    def test_identical_clients(self, gram_solves):
+        a = np.random.default_rng(3).standard_normal((6, 4))
+        self.check(np.stack([a, a, 0.5 * a]), gram_solves)
+
+    def test_one_client(self, gram_solves):
+        assert self.check(np.random.default_rng(4).standard_normal((1, 6, 4)), gram_solves) == 1
+
+    def test_order_of_clients(self, gram_solves):
+        A = np.random.default_rng(5).standard_normal((6, 3, 4))
+        A[1] *= 1.0 + 1e-12      # near-ties
+        hi = obj._BatchedLogistic(A, np.ones(A.shape[:2])).hi.max()
+        for order in ([5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4]):
+            self.check(A[order], gram_solves)
+            assert obj._BatchedLogistic(A[order], np.ones(A.shape[:2])).hi.max() == hi
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_a5a_stand_in(self, a5a_path, gram_solves, seed):
+        A, _ = data.partition(data.load_libsvm(a5a_path), 87, seed)
+        assert self.check(A, gram_solves) < 87
+
+
 class TestRegularizationForKappa:
     def _unit_shard(self):
         # single sample (2, 0): lam_max(A^T A) / (4m) = 4/4 = 1
