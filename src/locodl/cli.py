@@ -110,8 +110,6 @@ def load_config(path, seeds_override=None):
     problem = {key: common.pop(key) for key in SOURCE_KEYS[source] if key in common}
     if source == "dirichlet":
         problem.setdefault("alpha", 1.0)
-    if source == "libsvm" and not os.path.exists(problem["path"]):
-        raise InputError(f"dataset file not found: {problem['path']}")
     common.update(_read(parser["run"], RUN_KEYS))
     out = common.pop("out", None)
     if seeds_override is not None:
@@ -246,8 +244,9 @@ def _column_index(name, flag):
 def cmd_plot(args):
     ix, iy = _column_index(args.x, "--x"), _column_index(args.y, "--y")
     ia, ic = harness.CSV_COLUMNS.index("algorithm"), harness.CSV_COLUMNS.index("compressor")
-    series = {}
+    series = {}     # (algorithm, compressor) -> one (xs, ys) run per CSV file
     for path in args.csvs:
+        in_file = {}
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
@@ -263,12 +262,14 @@ def cmd_plot(args):
                         x, y = float(row[ix]), float(row[iy])
                     except ValueError as exc:
                         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-                    xs, ys = series.setdefault((row[ia], row[ic]), ([], []))
+                    xs, ys = in_file.setdefault((row[ia], row[ic]), ([], []))
                     xs.append(x)
                     ys.append(y)
         except UnicodeDecodeError:
             raise InputError(f"{path}: not UTF-8 text") from None
-    plot_series = [(f"{algo} {comp}", xs, ys) for (algo, comp), (xs, ys) in sorted(series.items())]
+        for key, run in in_file.items():
+            series.setdefault(key, []).append(run)
+    plot_series = [(f"{algo} {comp}", runs) for (algo, comp), runs in sorted(series.items())]
     from . import svgplot
     text = svgplot.render(plot_series, x_label=args.x, y_label=args.y)
     harness.atomic_write(args.out, text)

@@ -35,6 +35,7 @@ _COSTS = {
 }
 KINDS = tuple(_COSTS)
 K_KINDS = ("rand_k", "rand_k_natural")     # the kinds that take a k
+NATURAL_KINDS = ("natural", "rand_k_natural")   # the kinds that round to powers of two
 
 
 @dataclass(frozen=True)
@@ -129,26 +130,6 @@ def compress_round(spec, X, rng):
     if spec.kind == "identity":
         return X.copy(), 0
 
-    if spec.kind == "rand_k":
-        idx = _rand_subsets(rng, n, d, spec.k)
-        payload = np.zeros(X.shape)
-        rows = np.arange(n)[:, None]
-        payload[rows, idx] = X[rows, idx] * (spec.d / spec.k)
-        return payload, 0
-
-    if spec.kind == "natural":
-        payload, sat = _natural_round(X, rng)
-        return payload, int(sat.sum())
-
-    if spec.kind == "rand_k_natural":
-        idx = _rand_subsets(rng, n, d, spec.k)
-        rows = np.arange(n)[:, None]
-        scaled = X[rows, idx] * (spec.d / spec.k)
-        rounded, sat = _natural_round(scaled, rng)
-        payload = np.zeros(X.shape)
-        payload[rows, idx] = rounded
-        return payload, int(sat.sum())
-
     if spec.kind == "l1_selection":
         cum = np.cumsum(np.abs(X), axis=1)
         norms = cum[:, -1]
@@ -163,7 +144,20 @@ def compress_round(spec, X, rng):
             payload[~alive] = 0.0   # a zero row sends a zero message
         return payload, 0
 
-    raise InputError(f"unknown compressor kind {spec.kind!r}")
+    # the rest is a pipeline: rand-k selection, then natural rounding of what it sends
+    sent, saturated = X, 0
+    if spec.kind in K_KINDS:
+        idx = _rand_subsets(rng, n, d, spec.k)
+        rows = np.arange(n)[:, None]
+        sent = X[rows, idx] * (d / spec.k)
+    if spec.kind in NATURAL_KINDS:
+        sent, sat = _natural_round(sent, rng)
+        saturated = int(sat.sum())
+    if spec.kind not in K_KINDS:
+        return sent, saturated
+    payload = np.zeros(X.shape)
+    payload[rows, idx] = sent
+    return payload, saturated
 
 
 def compress(spec, x, rng):

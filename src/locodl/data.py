@@ -6,6 +6,7 @@ labels in {-1, +1}.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import defaultdict
 
@@ -33,10 +34,9 @@ def parse_libsvm(stream):
     converted and checked in one pass: a failure mask over the token positions
     finds the first bad token, and the ParseError names its line.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+    if isinstance(stream, str):     # split as a file is: at \n, \r\n and \r only
+        stream = io.StringIO(stream, newline=None)
+    lines = [line.rstrip("\n") for line in stream]
     if any("#" in line for line in lines):
         lines = [line.split("#", 1)[0] for line in lines]
     # each token is held as the number of distinct tokens seen before its first

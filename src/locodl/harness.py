@@ -31,20 +31,21 @@ CONSTANT_COLUMNS = CSV_COLUMNS[:7]    # one value per trace
 VARYING_COLUMNS = CSV_COLUMNS[7:]     # one value per record point
 
 NEWTON_ITER_CAP = 50
+REFERENCE_TOL = 1e-12
 ARMIJO_C = 1e-4
 ARMIJO_MIN_STEP = 1e-12
 
 
-def solve_reference(problem, tol=1e-12):
+def solve_reference(problem):
     """Damped Newton on the full objective, from x = 0.
 
     Each iteration takes the full Newton step, halved until the Armijo
     condition holds, so a quadratic reaches its closed form in one step.
-    The solve stops once ||grad f(x)|| <= tol * mu * (1 + ||x||) or a full
-    Newton step is no longer than tol * (1 + ||x||).  Both rules bound
-    ||x - x*|| by tol * (1 + ||x||); the step rule is the one float64 can
-    still meet when rounding in the gradient exceeds the gradient rule
-    (ill-conditioned quadratics).  Raises ConvergenceError when
+    With tol = REFERENCE_TOL, the solve stops once ||grad f(x)|| <=
+    tol * mu * (1 + ||x||) or a full Newton step is no longer than
+    tol * (1 + ||x||).  Both rules bound ||x - x*|| by tol * (1 + ||x||); the
+    step rule is the one float64 can still meet when rounding in the gradient
+    exceeds the gradient rule (ill-conditioned quadratics).  Raises ConvergenceError when
     NEWTON_ITER_CAP steps meet neither rule or a line search finds no
     decrease.
     """
@@ -55,7 +56,7 @@ def solve_reference(problem, tol=1e-12):
     for steps in range(NEWTON_ITER_CAP + 1):
         g = problem.grad_mean(x)
         gnorm = float(np.linalg.norm(g))
-        scale = tol * (1.0 + float(np.linalg.norm(x)))
+        scale = REFERENCE_TOL * (1.0 + float(np.linalg.norm(x)))
         if gnorm <= problem.mu * scale:
             break
         if steps == NEWTON_ITER_CAP:

@@ -27,19 +27,21 @@ def _decades(lo, hi):
 
 
 def render(series, x_label="x", y_label="y"):
-    """series: list of (label, xs, ys); plots the points with a finite x and a finite y > 0."""
+    """series: list of (label, runs), each run an (xs, ys) pair drawn as its own line in
+    the label's colour; plots the points with a finite x and a finite y > 0."""
     cleaned = []
-    for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and y > 0 and math.isfinite(y)]
-        if pts:
-            cleaned.append((label, pts))
+    for label, runs in series:
+        lines = [pts for pts in ([(float(x), float(y)) for x, y in zip(xs, ys)
+                                  if math.isfinite(x) and y > 0 and math.isfinite(y)]
+                                 for xs, ys in runs) if pts]
+        if lines:
+            cleaned.append((label, lines))
     if not cleaned:
         raise InputError(f"nothing to plot: no point has a finite {x_label} "
                          f"and a positive finite {y_label}")
 
-    all_x = [x for _, pts in cleaned for x, _ in pts]
-    all_y = [y for _, pts in cleaned for _, y in pts]
+    all_x = [x for _, lines in cleaned for pts in lines for x, _ in pts]
+    all_y = [y for _, lines in cleaned for pts in lines for _, y in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -85,11 +87,12 @@ def render(series, x_label="x", y_label="y"):
                f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2})">'
                f'{y_label.translate(_TEXT_ESCAPES)}</text>')
 
-    for idx, (label, pts) in enumerate(cleaned):
+    for idx, (label, lines) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   'stroke-width="1.5"/>')
+        for pts in lines:
+            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                       'stroke-width="1.5"/>')
         ly = MARGIN_T + 15 + 18 * idx
         lx = WIDTH - MARGIN_R + 10
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 20}" y2="{ly}" stroke="{color}" '

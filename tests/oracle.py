@@ -6,7 +6,9 @@ the client's own arrays and regularization weight, and are the reference
 that the tests hold the batched paths to.  `serialize_libsvm` writes a
 dataset back as LibSVM text, the inverse the parser's round trips check.
 `parse_lines` parses LibSVM text one line at a time, the reference that
-the tests hold `data.parse_libsvm`'s arrays and errors to.
+the tests hold `data.parse_libsvm`'s arrays and errors to.  `compress_round`
+spells out each compressor kind as its own branch, the reference that the
+tests hold `compressors.compress_round`'s pipeline to, bit for bit.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from locodl.compressors import _natural_round, _rand_subsets
 from locodl.errors import ParseError
 
 
@@ -96,3 +99,49 @@ def parse_lines(lines):
                                  f"{len(labels)} x {d} features") from None
     features[rows, cols] = vals
     return labels, features
+
+
+def compress_round(spec, X, rng):
+    """(payloads, saturated) of one round, one branch per kind, drawing from rng
+    in the library's order: the rand-k subsets first, then the rounding uniforms."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+
+    if spec.kind == "identity":
+        return X.copy(), 0
+
+    if spec.kind == "rand_k":
+        idx = _rand_subsets(rng, n, d, spec.k)
+        payload = np.zeros(X.shape)
+        rows = np.arange(n)[:, None]
+        payload[rows, idx] = X[rows, idx] * (spec.d / spec.k)
+        return payload, 0
+
+    if spec.kind == "natural":
+        payload, sat = _natural_round(X, rng)
+        return payload, int(sat.sum())
+
+    if spec.kind == "rand_k_natural":
+        idx = _rand_subsets(rng, n, d, spec.k)
+        rows = np.arange(n)[:, None]
+        scaled = X[rows, idx] * (spec.d / spec.k)
+        rounded, sat = _natural_round(scaled, rng)
+        payload = np.zeros(X.shape)
+        payload[rows, idx] = rounded
+        return payload, int(sat.sum())
+
+    if spec.kind == "l1_selection":
+        cum = np.cumsum(np.abs(X), axis=1)
+        norms = cum[:, -1]
+        payload = np.zeros(X.shape)
+        alive = norms > 0.0
+        if alive.any():
+            # u <= norms = cum[:, -1], so the selected index j is at most d - 1
+            u = rng.random(n) * norms
+            j = (cum < u[:, None]).sum(axis=1)
+            rows = np.arange(n)
+            payload[rows, j] = np.copysign(norms, X[rows, j])
+            payload[~alive] = 0.0   # a zero row sends a zero message
+        return payload, 0
+
+    raise ValueError(f"unknown compressor kind {spec.kind!r}")

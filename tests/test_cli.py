@@ -176,6 +176,21 @@ class TestLoadConfig:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "absent.ini")]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary", "kappa=10,100"]],
+                             ids=["run", "sweep"])
+    def test_missing_dataset_exits_2_names_it_and_writes_nothing(self, tmp_path, capsys,
+                                                                 command):
+        # the load fails while every block is prepared, before the output directory exists
+        data_path = tmp_path / "absent.libsvm"
+        path = tmp_path / "libsvm.ini"
+        path.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 4\nkappa = 10\n\n"
+                        "[algo:a]\nalgorithm = locodl\n")
+        out = tmp_path / "out"
+        argv = [command[0], str(path), *command[1:], "--out", str(out)]
+        assert run_cli(argv) == cli.EXIT_INPUT
+        assert f"{data_path}: No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_algo_section(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[problem]\nsource = quadratic\nd = 4\nn = 2\n[run]\n")
@@ -705,8 +720,12 @@ class TestPlot:
                         "--out", str(svg)]) == 0
         text = svg.read_text()
         assert text.startswith("<svg")
-        assert text.count("<polyline") == 1   # both seeds share one series key
-        assert 'class="legend"' in text
+        assert text.count("<polyline") == 2   # one line per seed's trace
+        root = ElementTree.fromstring(text)
+        for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
+            xs = [float(point.split(",")[0]) for point in line.get("points").split()]
+            assert xs == sorted(xs), "a line steps backward in x"
+        assert text.count('class="legend"') == 2   # both seeds share one legend entry
         assert "1e-" in text    # decade tick labels on the log axis
 
     def test_two_series_two_polylines(self, quad_config_path, tmp_path):

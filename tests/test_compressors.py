@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from locodl import compressors as comp
 from locodl import harness
 from locodl.errors import InputError
@@ -270,6 +271,29 @@ class TestCompressRound:
         spec = comp.make_spec("identity", 2)
         with pytest.raises(InputError):
             comp.compress_round(spec, np.array([[1.0, np.inf], [0.0, 0.0]]), rng_())
+
+
+@pytest.mark.parametrize("kind", comp.KINDS)
+def test_pipeline_matches_the_per_kind_oracle(kind):
+    # the same payload bytes, saturation count and generator state as one branch per kind,
+    # over random shapes and k, zero entries and rows, and magnitudes past the exponent range
+    draw = rng_(31)
+    saturated = 0
+    for seed in range(60):
+        n, d = int(draw.integers(1, 9)), int(draw.choice([1, 5, 50, 122]))
+        spec = comp.make_spec(kind, d, k=int(draw.integers(1, d + 1)) if kind in comp.K_KINDS
+                              else None)
+        X = draw.standard_normal((n, d)) * 10.0 ** draw.choice([0, 0, 30, 300, -300], (n, d))
+        X[draw.random((n, d)) < 0.2] = 0.0
+        X[draw.random(n) < 0.25] = 0.0
+        ours, theirs = rng_(seed), rng_(seed)
+        payload, sat = comp.compress_round(spec, X, ours)
+        expected, expected_sat = oracle.compress_round(spec, X, theirs)
+        assert payload.tobytes() == expected.tobytes()
+        assert sat == expected_sat
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        saturated += sat
+    assert (saturated > 0) == (kind in comp.NATURAL_KINDS)
 
 
 class TestRandSubsets:

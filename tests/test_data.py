@@ -73,10 +73,15 @@ class TestParseLibsvm:
             data.parse_libsvm(text)
 
 
+def file_lines(text):
+    """The lines of a text file holding `text`: it splits at newlines, CRLFs and lone CRs only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def both_paths(text):
     """(parse_libsvm, oracle) results for `text`; either may be the ParseError it raised."""
     results = []
-    for parse in (data.parse_libsvm, lambda text: oracle.parse_lines(text.splitlines())):
+    for parse in (data.parse_libsvm, lambda text: oracle.parse_lines(file_lines(text))):
         try:
             results.append(parse(text))
         except ParseError as exc:
@@ -141,12 +146,28 @@ class TestBulkParse:
     ], ids=["comments", "label_only_rows", "crlf", "zero_one_labels", "int_float_spellings",
             "d_from_largest_index", "mixed_whitespace"])
     def test_valid_input_is_parsed_in_bulk(self, text):
-        assert_same_arrays(data.parse_libsvm(text), oracle.parse_lines(text.splitlines()))
+        assert_same_arrays(data.parse_libsvm(text), oracle.parse_lines(file_lines(text)))
+
+    @pytest.mark.parametrize("text", [
+        "1 1:1\x0c2:1\n-1 1:2\n", "1 1:1\x0b2:1\n-1 1:2\n", "1 1:1\x1c2:1\n-1 1:2\n",
+        "1 1:1\x852:1\n-1 1:2\n", "1 1:1\u20282:1\n-1 1:2\n", "1 1:1\u20292:1\n-1 1:2\n",
+        "1 1:1 2:1\r\n-1 1:2\r\n", "1 1:1 2:1\r-1 1:2\r",
+    ], ids=["form_feed", "vertical_tab", "file_separator", "next_line", "line_separator",
+            "paragraph_separator", "crlf", "lone_cr"])
+    def test_a_string_splits_into_the_lines_of_a_file(self, text, tmp_path):
+        # str.splitlines() would also end a line at every separator but the last two
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(text.encode("utf-8"))
+        from_file, from_string = data.load_libsvm(str(path)), data.parse_libsvm(text)
+        assert from_string.features.shape == (2, 2)
+        assert np.array_equal(from_string.features, from_file.features)
+        assert np.array_equal(from_string.labels, from_file.labels)
+        assert_same_arrays(from_string, oracle.parse_lines(file_lines(text)))
 
     def test_crlf_file_is_parsed_in_bulk(self, tmp_path):
         path = tmp_path / "crlf.libsvm"
         path.write_bytes(b"+1 1:0.5 3:-2\r\n# note\r\n-1 2:1\r\n")
-        by_line = oracle.parse_lines("+1 1:0.5 3:-2\n# note\n-1 2:1\n".splitlines())
+        by_line = oracle.parse_lines(file_lines("+1 1:0.5 3:-2\n# note\n-1 2:1\n"))
         assert_same_arrays(data.load_libsvm(str(path)), by_line)
 
     @settings(max_examples=200, deadline=None)
@@ -205,7 +226,7 @@ class TestBulkParse:
 
     @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
     def test_empty_input_gives_the_line_by_line_error(self, text):
-        assert oracle.parse_lines(text.splitlines())[1].shape == (0, 0)
+        assert oracle.parse_lines(file_lines(text))[1].shape == (0, 0)
         with pytest.raises(InputError, match="shard must contain at least one row"):
             data.parse_libsvm(text)
 

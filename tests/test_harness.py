@@ -67,9 +67,10 @@ class TestSolveReference:
         residual = ref.u_star.mean(axis=0) + ref.v_star
         assert np.linalg.norm(residual) <= 1e-9
 
-    def test_tolerance_independence(self, quad_run):
+    def test_tolerance_independence(self, quad_run, monkeypatch):
         config, problem, baseline, ref, trace = quad_run
-        ref2 = harness.solve_reference(problem, tol=0.5e-12)
+        monkeypatch.setattr(harness, "REFERENCE_TOL", 0.5e-12)
+        ref2 = harness.solve_reference(problem)
         trace2 = harness.run_single(config, problem, baseline, ref2, 0)
         a = trace.array("sqdist_mean")
         b = trace2.array("sqdist_mean")
@@ -88,10 +89,11 @@ class TestSolveReference:
         assert ref.f_star == problem.value_mean(ref.x_star)
 
     @pytest.mark.parametrize("sparse", [True, False])
-    def test_grad_norm_is_within_tolerance(self, sparse):
+    def test_grad_norm_is_within_tolerance(self, sparse, monkeypatch):
         problem = logistic_problem(sparse)
         for tol in (1e-12, 1e-6):
-            ref = harness.solve_reference(problem, tol=tol)
+            monkeypatch.setattr(harness, "REFERENCE_TOL", tol)
+            ref = harness.solve_reference(problem)
             assert ref.grad_norm == np.linalg.norm(problem.grad_mean(ref.x_star))
             assert ref.grad_norm <= tol * problem.mu * (1.0 + np.linalg.norm(ref.x_star))
 
@@ -110,10 +112,11 @@ class TestSolveReference:
         b = problem.batch.b.mean(axis=0)
         assert np.allclose(ref.x_star, np.linalg.solve(A, b), rtol=1e-14, atol=0)
 
-    def test_newton_step_cap_raises(self):
+    def test_newton_step_cap_raises(self, monkeypatch):
         # tol = 0 is below the float64 floor, so the solve runs into the cap
+        monkeypatch.setattr(harness, "REFERENCE_TOL", 0.0)
         with pytest.raises(ConvergenceError, match=f"{harness.NEWTON_ITER_CAP} Newton steps"):
-            harness.solve_reference(logistic_problem(sparse=False), tol=0.0)
+            harness.solve_reference(logistic_problem(sparse=False))
 
     def test_rejects_non_strongly_convex(self):
         problem = obj.Problem(obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2))), 0.0, 0.0)

@@ -175,3 +175,24 @@ def test_layer_tracer_times_the_libsvm_parse(tracer, tmp_path):
         layers.uninstall()
     assert [span["name"] for span in layers.spans].count("parse") == 1
     assert layers.metrics()["data.parse_s"][0] > 0
+
+
+def test_layer_tracer_counts_rounds_of_every_compressor_kind(tracer, tmp_path):
+    # the tracer wraps `algorithms.compress_round`: a round reached some other way,
+    # or a kind that bypasses it, would leave its round_calls at 0
+    from locodl import cli, compressors
+    blocks = "".join(f"\n[algo:{kind}]\nalgorithm = locodl\ncompressor = {kind}\n"
+                     + ("k = 2\n" if kind in compressors.K_KINDS else "")
+                     for kind in compressors.KINDS)
+    config = tmp_path / "kinds.ini"
+    config.write_text("[problem]\nsource = quadratic\nd = 8\nn = 4\nkappa = 10\n\n"
+                      "[run]\nstop_metric = sqdist\nstop_ratio = 1e-2\nmax_iters = 2000\n"
+                      + blocks)
+    layers = tracer.LayerTracer().install()
+    try:
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        layers.uninstall()
+    metrics = layers.metrics()
+    for kind in compressors.KINDS:
+        assert metrics[f"compressors.round_calls.{kind}"][0] > 0, f"no {kind} round was counted"
