@@ -125,10 +125,10 @@ class ReferenceSolution:
 
     @cached_property
     def stacked(self):
-        """(x*; u*) as one (2n, d) array and (x*; v*) as one (2d,) array, for `lyapunov`."""
+        """(x*; u*) as one (2n, d) array and (x*; v*) as one (2, d) array, for `lyapunov`."""
         n = self.u_star.shape[0]
         return (np.concatenate((np.tile(self.x_star, (n, 1)), self.u_star)),
-                np.concatenate((self.x_star, self.v_star)))
+                np.stack((self.x_star, self.v_star)))
 
 
 def locodl_step(state, problem, spec, params, rng):
@@ -157,18 +157,22 @@ def locodl_step(state, problem, spec, params, rng):
     return state
 
 
-def lyapunov(state, ref, params):
-    """Weighted squared distance of (x, y, u, v) to the saddle point."""
-    n = state.n
+def lyapunov(xu, yv, ref, params):
+    """Weighted squared distance of (x, y, u, v) to the saddle point, per iterate of a stack.
+
+    `xu` is an (R, 2n, d) stack of (x; u) and `yv` an (R, 2, d) stack of
+    (y; v), one row per iterate; returns the (R,) values.
+    """
+    n = xu.shape[1] // 2
     # one subtract, square and sum for (x; u) and one for (y; v): each row sum of
-    # the (2, size) view is the same pairwise sum as that block's own sum
+    # the (R, 2, size) view is the same pairwise sum as that block's own sum
     xu_star, yv_star = ref.stacked
-    xu = np.concatenate((state.x, state.u)) - xu_star
-    xu *= xu
-    yv = np.concatenate((state.y, state.v)) - yv_star
-    yv *= yv
-    sq_x, sq_u = np.add.reduce(xu.reshape(2, -1), 1).tolist()
-    sq_y, sq_v = np.add.reduce(yv.reshape(2, -1), 1).tolist()
+    dxu = xu - xu_star
+    dxu *= dxu
+    dyv = yv - yv_star
+    dyv *= dyv
+    sq_x, sq_u = np.add.reduce(dxu.reshape(len(xu), 2, -1), 2).T
+    sq_y, sq_v = np.add.reduce(dyv.reshape(len(yv), 2, -1), 2).T
     primal = sq_x + n * sq_y
     dual = sq_u + n * sq_v
     return primal / params.gamma \

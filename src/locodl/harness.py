@@ -30,6 +30,9 @@ CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
 CONSTANT_COLUMNS = CSV_COLUMNS[:7]    # one value per trace
 VARYING_COLUMNS = CSV_COLUMNS[7:]     # one value per record point
 
+# bytes of saved state per chunk of `_Recorder`; a chunk holds at least one record point
+RECORD_BUDGET = 256 * 1024
+
 NEWTON_ITER_CAP = 50
 REFERENCE_TOL = 1e-12
 ARMIJO_C = 1e-4
@@ -187,43 +190,107 @@ def build_problem(config, cache=None):
 
 
 class _Recorder:
-    """Collects one row of the varying columns per record point.
+    """Collects the varying columns of one trace, one row per record point.
 
+    `record` copies the state into the next row of the chunk buffers, keeps
+    the counters, and computes only the stop column, which the run loop reads
+    at once.  `flush` computes the other derived columns for every buffered
+    row, one stacked call per column, when the chunk is full and in `trace()`.
+    A chunk holds RECORD_BUDGET bytes of saved state, and at least one row.
     The constant columns (algorithm .. seed) are filled once, in `trace()`.
     """
 
-    def __init__(self, meta_common, ref, problem):
-        self.rows = []             # tuples in VARYING_COLUMNS order
+    def __init__(self, meta_common, ref, problem, state, params, stop_column):
         self.meta = meta_common
-        self.x_star = ref.x_star
-        self.f_star = ref.f_star
+        self.ref = ref
         self.problem = problem
+        self.state = state
+        self.params = params          # None for a baseline, which has no Lyapunov value
+        d = problem.d
+        # locodl saves (x; u) and (y; v); a baseline its model(s) alone, a (d,) one as one row
+        self.clients = state.x.size // d
+        rows = self.clients if params is None else 2 * self.clients
+        per_record = 8 * d * (rows + (0 if params is None else 2))     # float64 entries
+        size = max(1, RECORD_BUDGET // per_record)
+        self.xu = np.empty((size, rows, d))
+        self.yv = None if params is None else np.empty((size, 2, d))
+        self.filled = 0
+        self.stop_column = stop_column
+        self.online = []              # (t, rounds, bits, stop value) per record point
+        self.flushed = {name: [] for name in VARYING_COLUMNS[3:] if name != stop_column}
 
-    def record(self, t, rounds, bits, x_mean, x_clients, y, psi):
-        dx = x_clients - self.x_star
-        sq = (dx * dx).sum(axis=1)
-        dy = y - self.x_star
-        self.rows.append((t, rounds, bits, float(sq.sum() / sq.shape[0]), float(dy @ dy),
-                          self.problem.value_mean(x_mean) - self.f_star, psi))
+    def record(self, t, rounds, bits):
+        """Saves the state as the next record point; returns its stop column's value."""
+        i = self.filled
+        if i == len(self.xu):
+            self.flush()
+            i = 0
+        state = self.state
+        if self.yv is None:
+            self.xu[i] = state.x
+        else:
+            np.concatenate((state.x, state.u), out=self.xu[i])
+            yv = self.yv[i]
+            yv[0] = state.y
+            yv[1] = state.v
+        self.filled = i + 1
+        [value] = self._COLUMNS[self.stop_column](self, slice(i, i + 1)).tolist()
+        self.online.append((t, rounds, bits, value))
+        return value
+
+    def flush(self):
+        """Computes every deferred column at the buffered rows, and empties the buffers."""
+        rows = slice(0, self.filled)
+        for name, column in self.flushed.items():
+            column.extend(self._COLUMNS[name](self, rows).tolist())
+        self.filled = 0
+
+    def _sqdist_mean(self, rows):
+        dx = self.xu[rows, :self.clients] - self.ref.x_star
+        dx *= dx
+        return np.add.reduce(np.add.reduce(dx, 2), 1) / self.clients
+
+    def _mean_model(self, rows):
+        return np.add.reduce(self.xu[rows, :self.clients], 1) / self.clients
+
+    def _sqdist_ybar(self, rows):
+        # a baseline's anchor is its mean model
+        dy = (self._mean_model(rows) if self.yv is None else self.yv[rows, 0]) - self.ref.x_star
+        return obj.row_dots(dy, dy)
+
+    def _obj_gap(self, rows):
+        return self.problem.value_mean(self._mean_model(rows)) - self.ref.f_star
+
+    def _lyapunov(self, rows):
+        if self.yv is None:
+            return np.full(rows.stop - rows.start, math.nan)
+        return alg.lyapunov(self.xu[rows], self.yv[rows], self.ref, self.params)
+
+    # each derived column as a function of the recorder and a slice of its buffered rows; plain
+    # functions, so that a recorder holds no bound method of itself and is freed by refcount
+    _COLUMNS = {"sqdist_mean": _sqdist_mean, "sqdist_ybar": _sqdist_ybar, "obj_gap": _obj_gap,
+                "lyapunov": _lyapunov}
 
     def trace(self, extra_meta):
-        columns = {name: [self.meta[name]] * len(self.rows) for name in CONSTANT_COLUMNS}
-        columns.update(zip(VARYING_COLUMNS, map(list, zip(*self.rows))))
+        self.flush()
+        columns = {name: [self.meta[name]] * len(self.online) for name in CONSTANT_COLUMNS}
+        columns.update(zip((*VARYING_COLUMNS[:3], self.stop_column), map(list, zip(*self.online))))
+        columns.update(self.flushed)
         meta = dict(self.meta)
         meta.update(extra_meta)
-        return ExperimentTrace(columns, meta)
+        return ExperimentTrace({name: columns[name] for name in CSV_COLUMNS}, meta)
 
 
-def _stepper(config, problem, baseline, ref, spec, rng):
-    """(objective, state, step, observe, schedule) of the configured algorithm.
+def _stepper(config, problem, baseline, spec, rng):
+    """(objective, state, step, params, schedule) of the configured algorithm.
 
     The only code that resolves a schedule (the theory's, with the config's
     overrides in place of its fields) and checks it: locodl's against the
     convergence conditions, a baseline's overrides against their ranges.
     `step()` advances the state one iteration; it binds `alg.<name>_step` at
     each call of `_stepper`, so a wrapper installed on it sees every step.
-    `observe()` returns the record fields beyond the counters:
-    (x_mean, x_clients, y, psi).  `schedule` goes into the trace's metadata.
+    `params` is locodl's `AlgoParams`, None for a baseline.  `schedule` goes
+    into the trace's metadata.
     """
     n, d, algo, params = config.n, problem.d, config.algorithm, None
     if algo == "locodl":
@@ -254,14 +321,7 @@ def _stepper(config, problem, baseline, ref, spec, rng):
                         **config.overrides, "omega": spec.omega}
             state = alg.DianaState.zeros(n, d)
             step = partial(alg.diana_step, state, baseline, spec, schedule["gamma"], rng)
-
-    def observe():
-        x = state.x.reshape(-1, d)    # gd and diana keep one (d,) model: a one-row stack
-        x_mean = x.sum(axis=0) / x.shape[0]
-        if params is None:
-            return x_mean, x, x_mean, float("nan")
-        return x_mean, x, state.y, alg.lyapunov(state, ref, params)
-    return objective, state, step, observe, schedule
+    return objective, state, step, params, schedule
 
 
 def run_single(config, problem, baseline, ref, seed):
@@ -270,16 +330,13 @@ def run_single(config, problem, baseline, ref, seed):
     meta = {"algorithm": config.algorithm, "dataset": config.problem.get("path", config.problem["source"]),
             "n": config.n, "d": problem.d, "kappa": problem.kappa,
             "compressor": _compressor_name(config), "seed": seed}
-    objective, state, step, observe, schedule = _stepper(config, problem, baseline, ref, spec,
-                                                         alg.RngBundle.from_seed(seed))
+    objective, state, step, params, schedule = _stepper(config, problem, baseline, spec,
+                                                        alg.RngBundle.from_seed(seed))
     extra = {"config_hash": config.content_hash(), "stop_metric": config.stop_metric,
              "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin",
              "reference_grad_norm": ref.grad_norm, **schedule}
-    rec = _Recorder(meta, ref, objective)
-    rows = rec.rows
-    stop = VARYING_COLUMNS.index(config.stop_column)
-    rec.record(state.t, state.rounds, 0, *observe())
-    threshold = config.stop_ratio * rows[-1][stop]
+    rec = _Recorder(meta, ref, objective, state, params, config.stop_column)
+    threshold = config.stop_ratio * rec.record(state.t, state.rounds, 0)
     max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
     rounds_seen = 0
     while state.t < max_iters:
@@ -290,8 +347,7 @@ def run_single(config, problem, baseline, ref, seed):
         if ((new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0
                 or state.t == max_iters):
             # each round uploads one message per client; gd and scaffnew take only identity
-            rec.record(state.t, rounds_seen, rounds_seen * spec.bits_per_message, *observe())
-            value = rows[-1][stop]
+            value = rec.record(state.t, rounds_seen, rounds_seen * spec.bits_per_message)
             if value <= threshold:
                 break
             if not math.isfinite(value):
@@ -326,8 +382,7 @@ def prepare(config, cache):
         cache[key] = (problem, baseline, solve_reference(problem))
     problem, baseline, ref = cache[key]
     try:
-        _stepper(config, problem, baseline, ref, make_spec(config.compressor, problem.d, config.k),
-                 None)
+        _stepper(config, problem, baseline, make_spec(config.compressor, problem.d, config.k), None)
     except (InputError, ConfigurationError) as exc:
         raise type(exc)(f"[algo:{config.label}] {exc}") from None
     return cache[key]

@@ -14,6 +14,7 @@ with the weights moved between reg and g_weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import wraps
 
 import numpy as np
 from scipy.special import expit
@@ -52,6 +53,29 @@ class Shard:
     @property
     def d(self):
         return self.features.shape[1]
+
+
+def _point_or_stack(method):
+    """`method` of an (R, d) stack of points, also called with one (d,) point.
+
+    A point is evaluated as the one-row stack, through the same arithmetic,
+    and its value comes back as a float; a stack's come back as an (R,) array.
+    """
+    @wraps(method)
+    def evaluate(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        values = method(self, X.reshape(-1, X.shape[-1]))
+        return values if X.ndim == 2 else float(values[0])
+    return evaluate
+
+
+def row_dots(X, Y):
+    """(R,) dot products of the rows of an (R, d) stack with the rows of Y, or with a (d,) Y.
+
+    `matmul` of a (1, d) row by a (d, 1) column calls the same BLAS dot as
+    `x @ y` on two vectors, so each value is that product bit for bit.
+    """
+    return np.matmul(X[:, None, :], Y[..., :, None])[:, 0, 0]
 
 
 def max_eigenvalue_gram(features):
@@ -178,9 +202,17 @@ class _BatchedLogistic:
         flat = self.A.reshape(-1, self.d)
         return (flat.T * w) @ flat
 
-    def mean_value(self, x):
-        losses = np.logaddexp(0.0, -self.b.ravel() * self._margins(x).ravel())
-        return float(losses.sum() / losses.size)
+    @_point_or_stack
+    def mean_value(self, X):
+        """The mean loss at a common point, or at each row of a stack of them."""
+        if self._block is not None:
+            # one sparse product for all rows; its (rows, R) result is transposed to
+            # C order, so each row's losses are summed as one contiguous run
+            margins = np.ascontiguousarray((self._flat @ X.T).T)
+        else:
+            margins = np.matmul(self.A.reshape(-1, self.d), X[:, :, None])[:, :, 0]
+        losses = np.logaddexp(0.0, -self.b.ravel() * margins)
+        return losses.sum(axis=1) / losses.shape[1]
 
 
 class _BatchedQuadratic:
@@ -208,8 +240,11 @@ class _BatchedQuadratic:
         """Hessian of `mean_value`, the same at every point."""
         return self.A_bar.copy()
 
-    def mean_value(self, x):
-        return float(0.5 * x @ (self.A_bar @ x) - self.b_bar @ x)
+    @_point_or_stack
+    def mean_value(self, X):
+        """The mean loss at a common point, or at each row of a stack of them."""
+        AX = np.matmul(self.A_bar, X[:, :, None])[:, :, 0]    # one gemv per row, as A_bar @ x
+        return row_dots(0.5 * X, AX) - row_dots(X, self.b_bar)
 
 
 @dataclass
@@ -262,11 +297,11 @@ class Problem:
     def grad_g(self, y):
         return self.g_weight * y
 
-    def value_mean(self, x):
-        """(1/n) sum_i f_i(x) + g(x)."""
-        x = np.asarray(x, dtype=np.float64)
-        sq = float(x @ x)
-        return self.batch.mean_value(x) + 0.5 * self.reg * sq + 0.5 * self.g_weight * sq
+    @_point_or_stack
+    def value_mean(self, X):
+        """(1/n) sum_i f_i(x) + g(x) at a (d,) point, or at each row of an (R, d) stack."""
+        sq = row_dots(X, X)
+        return self.batch.mean_value(X) + 0.5 * self.reg * sq + 0.5 * self.g_weight * sq
 
     def grad_mean(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,11 @@ dataset back as LibSVM text, the inverse the parser's round trips check.
 the tests hold `data.parse_libsvm`'s arrays and errors to.  `compress_round`
 spells out each compressor kind as its own branch, the reference that the
 tests hold `compressors.compress_round`'s pipeline to, bit for bit.
+`Recorder` computes every trace column at each record point from the
+state, with `observe`, the one-state `lyapunov` and the one-point
+`value_mean`: the reference that the tests hold `harness._Recorder`'s
+chunked columns to, byte for byte.  `state_stacks` and `lyapunov_of` give
+the library's stacked `lyapunov` one state.
 """
 
 import math
@@ -16,8 +21,11 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from locodl.algorithms import lyapunov as alg_lyapunov
 from locodl.compressors import _natural_round, _rand_subsets
 from locodl.errors import ParseError
+from locodl.harness import CONSTANT_COLUMNS, VARYING_COLUMNS, ExperimentTrace
+from locodl.objectives import _BatchedQuadratic
 
 
 def logistic_value(features, labels, reg, x):
@@ -145,3 +153,80 @@ def compress_round(spec, X, rng):
         return payload, 0
 
     raise ValueError(f"unknown compressor kind {spec.kind!r}")
+
+
+def state_stacks(state):
+    """One state's (x; u) and (y; v) as the one-row stacks `algorithms.lyapunov` takes."""
+    return np.concatenate((state.x, state.u))[None], np.stack((state.y, state.v))[None]
+
+
+def lyapunov_of(state, ref, params):
+    """The library's `algorithms.lyapunov` of one state, through its one-row stacks."""
+    return float(alg_lyapunov(*state_stacks(state), ref, params)[0])
+
+
+def lyapunov(state, ref, params):
+    """Weighted squared distance of one state's (x, y, u, v) to the saddle point."""
+    n = state.n
+    xu_star = np.concatenate((np.tile(ref.x_star, (n, 1)), ref.u_star))
+    yv_star = np.concatenate((ref.x_star, ref.v_star))
+    xu = np.concatenate((state.x, state.u)) - xu_star
+    xu *= xu
+    yv = np.concatenate((state.y, state.v)) - yv_star
+    yv *= yv
+    sq_x, sq_u = np.add.reduce(xu.reshape(2, -1), 1).tolist()
+    sq_y, sq_v = np.add.reduce(yv.reshape(2, -1), 1).tolist()
+    primal = sq_x + n * sq_y
+    dual = sq_u + n * sq_v
+    return primal / params.gamma \
+        + params.gamma * (1.0 + 2.0 * params.omega) / (params.p ** 2 * params.chi) * dual
+
+
+def value_mean(problem, x):
+    """`Problem.value_mean` at one (d,) point, with one matrix-vector product per term."""
+    batch = problem.batch
+    if isinstance(batch, _BatchedQuadratic):
+        loss = float(0.5 * x @ (batch.A_bar @ x) - batch.b_bar @ x)
+    else:
+        losses = np.logaddexp(0.0, -batch.b.ravel() * batch._margins(x).ravel())
+        loss = float(losses.sum() / losses.size)
+    sq = float(x @ x)
+    return loss + 0.5 * problem.reg * sq + 0.5 * problem.g_weight * sq
+
+
+def observe(state, ref, params):
+    """(x_mean, x_clients, y, psi) of a state; a baseline (params None) has no psi."""
+    x = state.x.reshape(-1, state.x.shape[-1])    # gd and diana keep one (d,) model
+    x_mean = x.sum(axis=0) / x.shape[0]
+    if params is None:
+        return x_mean, x, x_mean, float("nan")
+    return x_mean, x, state.y, lyapunov(state, ref, params)
+
+
+class Recorder:
+    """`harness._Recorder`'s interface, with one row of every column computed per record."""
+
+    def __init__(self, meta_common, ref, problem, state, params, stop_column):
+        self.rows = []             # tuples in VARYING_COLUMNS order
+        self.meta = meta_common
+        self.ref = ref
+        self.problem = problem
+        self.state = state
+        self.params = params
+        self.stop = VARYING_COLUMNS.index(stop_column)
+
+    def record(self, t, rounds, bits):
+        x_mean, x_clients, y, psi = observe(self.state, self.ref, self.params)
+        dx = x_clients - self.ref.x_star
+        sq = (dx * dx).sum(axis=1)
+        dy = y - self.ref.x_star
+        self.rows.append((t, rounds, bits, float(sq.sum() / sq.shape[0]), float(dy @ dy),
+                          value_mean(self.problem, x_mean) - self.ref.f_star, psi))
+        return self.rows[-1][self.stop]
+
+    def trace(self, extra_meta):
+        columns = {name: [self.meta[name]] * len(self.rows) for name in CONSTANT_COLUMNS}
+        columns.update(zip(VARYING_COLUMNS, map(list, zip(*self.rows))))
+        meta = dict(self.meta)
+        meta.update(extra_meta)
+        return ExperimentTrace(columns, meta)

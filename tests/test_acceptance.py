@@ -1,16 +1,21 @@
 """Acceptance suite: one pass/fail line per criterion.
 
 The dual-feasibility criterion aggregates residuals over every run executed
-here, so its test is defined last in the file.
+here, so its test is defined last in the file.  The runs that criteria 5 and 6
+keep are replayed in one worker process while the suite goes on, and the
+replay criterion compares what it returns.
 """
 
 import math
+import multiprocessing
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import oracle
 from locodl import algorithms as alg
 from locodl import compressors as comp
 from locodl import harness
@@ -18,8 +23,10 @@ from locodl import objectives as obj
 
 # (label, max_dual_residual, dual_scale) for every locodl run in this module
 DUAL_RESIDUALS = []
-# (config, csv_texts), one text per seed, for determinism replays
+# (config, csv_texts, replay): one text per seed, and the future of `replay_csvs(config)`
 CSV_RUNS = []
+# the longest the replay criterion waits for any one replay
+REPLAY_TIMEOUT_S = 1800
 
 
 def report(num, name, ok, detail=""):
@@ -35,10 +42,31 @@ def register_locodl_state(label, state):
     DUAL_RESIDUALS.append((label, state.max_dual_residual, scale))
 
 
-def run_and_keep(configs):
+def replay_csvs(config):
+    """The CSV text of every seed of a fresh `harness.run_experiments([config])`.
+
+    Called in the replay worker, so the problem, its reference and every run are
+    rebuilt from the config alone, in a new interpreter.
+    """
+    [(_, traces)] = harness.run_experiments([config])
+    return [harness.trace_to_csv(trace) for trace in traces]
+
+
+@pytest.fixture(scope="module")
+def replays():
+    """One `spawn` worker process, which replays each kept config as its runs finish."""
+    pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_and_keep(configs, replays):
     """`harness.run_experiments` over the configs, the CLI's own path; yields (config, traces).
 
-    Keeps each locodl trace's dual residual and each config's CSV texts.
+    Keeps each locodl trace's dual residual and each config's CSV texts, and
+    submits the config's replay to the `replays` worker as soon as its runs end.
     """
     for config, traces in harness.run_experiments(configs):
         for seed, trace in zip(config.seeds, traces):
@@ -46,7 +74,8 @@ def run_and_keep(configs):
                 DUAL_RESIDUALS.append((f"{config.label}/seed{seed}",
                                        trace.metadata["max_dual_residual"],
                                        1.0 + trace.metadata["max_dual_scale"]))
-        CSV_RUNS.append((config, [harness.trace_to_csv(trace) for trace in traces]))
+        CSV_RUNS.append((config, [harness.trace_to_csv(trace) for trace in traces],
+                         replays.submit(replay_csvs, config)))
         yield config, traces
 
 
@@ -100,7 +129,7 @@ def test_criterion_2_one_step_contraction(quad_setup):
     for _ in range(50):
         alg.locodl_step(base, problem, spec, params, rng)
     register_locodl_state("criterion2/warmup", base)
-    psi0 = alg.lyapunov(base, ref, params)
+    psi0 = oracle.lyapunov_of(base, ref, params)
     assert psi0 > 0.0
 
     trials = 2000
@@ -109,7 +138,7 @@ def test_criterion_2_one_step_contraction(quad_setup):
         state = _copy_state(base)
         alg.locodl_step(state, problem, spec, params,
                         alg.RngBundle.from_seed(100_000 + i))
-        ratios[i] = alg.lyapunov(state, ref, params) / psi0
+        ratios[i] = oracle.lyapunov_of(state, ref, params) / psi0
     mean_ratio = float(ratios.mean())
     elapsed = time.perf_counter() - start
     # 1.1*tau exceeds 1, so the first check fails only if a step grows psi; the second needs
@@ -131,13 +160,13 @@ def test_criterion_3_trajectory_bound(quad_setup):
     for seed in range(n_seeds):
         state = alg.LoCoDLState.zeros(problem.n, problem.d)
         rng = alg.RngBundle.from_seed(seed)
-        psi = [alg.lyapunov(state, ref, params)]
+        psi = [oracle.lyapunov_of(state, ref, params)]
         while psi[-1] > 1e-8 * psi[0]:
             if len(psi) > cap:     # cap steps taken
                 report(3, "trajectory Lyapunov bound", False,
                        f"seed {seed}: psi above 1e-8*psi^0 after the cap of {cap} iterations")
             alg.locodl_step(state, problem, spec, params, rng)
-            psi.append(alg.lyapunov(state, ref, params))
+            psi.append(oracle.lyapunov_of(state, ref, params))
         register_locodl_state(f"criterion3/seed{seed}", state)
         histories.append(np.array(psi))
     psi0 = histories[0][0]
@@ -151,7 +180,7 @@ def test_criterion_3_trajectory_bound(quad_setup):
            f"{n_seeds} seeds, horizon {horizon}, max(mean/bound)={margin:.4f}, {elapsed:.1f}s")
 
 
-def test_criterion_5_sqrt_kappa_scaling():
+def test_criterion_5_sqrt_kappa_scaling(replays):
     start = time.perf_counter()
     configs = [harness.ExperimentConfig(
         problem={"source": "dirichlet", "d": 50, "alpha": 1.0}, n=25,
@@ -160,7 +189,7 @@ def test_criterion_5_sqrt_kappa_scaling():
         cadence=100, max_iters=5_000_000, data_seed=7,
         label=f"scaling_k{kappa:g}") for kappa in (1e2, 1e3, 1e4)]
     bits_by_kappa = {}
-    for config, traces in run_and_keep(configs):
+    for config, traces in run_and_keep(configs, replays):
         bits = [harness.bits_to_target(tr, 1e-6, "sqdist_mean") for tr in traces]
         bits_by_kappa[config.kappa] = statistics.median(bits)
     slope = harness.fit_communication_exponent(bits_by_kappa)
@@ -170,7 +199,7 @@ def test_criterion_5_sqrt_kappa_scaling():
            f"slope={slope:.4f} in [0.35, 0.65], {elapsed:.1f}s")
 
 
-def test_criterion_6_bits_ordering_a5a(a5a_path):
+def test_criterion_6_bits_ordering_a5a(a5a_path, replays):
     start = time.perf_counter()
     configs = [harness.ExperimentConfig(
         problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e4,
@@ -181,7 +210,7 @@ def test_criterion_6_bits_ordering_a5a(a5a_path):
                                     ("diana", "rand_k", 2),
                                     ("gd", "identity", None))]
     medians = {}
-    for config, traces in run_and_keep(configs):
+    for config, traces in run_and_keep(configs, replays):
         bits = [harness.bits_to_target(tr, 1e-5, "sqdist_mean") for tr in traces]
         medians[config.algorithm] = statistics.median(bits)
     elapsed = time.perf_counter() - start
@@ -226,12 +255,10 @@ def test_criterion_8_byte_identical_replays():
     start = time.perf_counter()
     assert CSV_RUNS, "determinism criterion needs earlier acceptance runs"
     runs = mismatches = 0
-    for config, csv_texts in CSV_RUNS:
-        # a fresh call rebuilds the problem and its reference from the config alone
-        [(_, replays)] = harness.run_experiments([config])
+    for config, csv_texts, replay in CSV_RUNS:
         runs += len(csv_texts)
-        mismatches += sum(harness.trace_to_csv(replay) != text
-                          for replay, text in zip(replays, csv_texts, strict=True))
+        mismatches += sum(again != text for again, text in
+                          zip(replay.result(timeout=REPLAY_TIMEOUT_S), csv_texts, strict=True))
     elapsed = time.perf_counter() - start
     report(8, "byte-identical deterministic replay", mismatches == 0,
            f"{runs} runs replayed, {mismatches} mismatches, {elapsed:.1f}s")

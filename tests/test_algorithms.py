@@ -163,14 +163,29 @@ class TestLyapunov:
         problem, ref, _, params = quad_setup
         state = alg.LoCoDLState(np.tile(ref.x_star, (problem.n, 1)), ref.x_star.copy(),
                                 ref.u_star.copy(), ref.v_star.copy())
-        assert alg.lyapunov(state, ref, params) == pytest.approx(0.0, abs=1e-20)
+        assert oracle.lyapunov_of(state, ref, params) == pytest.approx(0.0, abs=1e-20)
 
     def test_hand_computed_value(self):
         ref = alg.ReferenceSolution(np.zeros(2), np.zeros((1, 2)), np.zeros(2), 0.0, 0.0)
         params = alg.AlgoParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]),
                                 np.zeros((1, 2)), np.zeros(2))
-        assert alg.lyapunov(state, ref, params) == pytest.approx(2.0)
+        assert oracle.lyapunov_of(state, ref, params) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n, d", [(5, 10), (87, 122)])    # n * d past numpy's 8192 block
+    def test_a_stack_equals_each_row_and_the_one_state_oracle(self, n, d):
+        rng = np.random.default_rng(n)
+        ref = alg.ReferenceSolution(rng.standard_normal(d), rng.standard_normal((n, d)),
+                                    rng.standard_normal(d), 0.0, 0.0)
+        params = alg.AlgoParams(0.3, 0.7, 0.7, 0.2, 4.0, 0.8)
+        states = [alg.LoCoDLState(*(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 4)
+                                    for shape in ((n, d), d, (n, d), d))) for _ in range(9)]
+        xu, yv = (np.concatenate(stacks) for stacks in zip(*map(oracle.state_stacks, states)))
+        values = alg.lyapunov(xu, yv, ref, params)
+        assert values.shape == (9,)
+        for r, state in enumerate(states):
+            assert alg.lyapunov(xu[r:r + 1], yv[r:r + 1], ref, params)[0] == values[r]
+            assert oracle.lyapunov(state, ref, params) == values[r]
 
     def test_nonnegative(self, quad_setup):
         problem, ref, spec, params = quad_setup
@@ -178,7 +193,7 @@ class TestLyapunov:
         rng = alg.RngBundle.from_seed(8)
         for _ in range(100):
             alg.locodl_step(state, problem, spec, params, rng)
-            assert alg.lyapunov(state, ref, params) >= 0.0
+            assert oracle.lyapunov_of(state, ref, params) >= 0.0
 
 
 class TestGD:

@@ -8,8 +8,11 @@ import pytest
 
 from locodl import harness
 from locodl import objectives as obj
+from locodl.compressors import K_KINDS, KINDS
 from locodl.data import dirichlet_synthetic, load_libsvm, partition
 from locodl.errors import ConfigurationError, ConvergenceError, InputError
+
+import oracle
 
 
 def quad_config(**overrides):
@@ -270,6 +273,111 @@ class TestRunSingle:
         for key in ("gamma", "chi", "rho", "p", "omega", "omega_av", "tau",
                     "config_hash", "max_dual_residual"):
             assert key in trace.metadata
+
+
+RECORDER_BLOCKS = [("gd", "identity", None), ("diana", "rand_k", 2),
+                   ("scaffnew", "identity", None)] \
+    + [("locodl", kind, 2 if kind in K_KINDS else None) for kind in KINDS]
+# every block under the sqdist stop, and locodl's also under psi
+RECORDER_RUNS = [(*block, "sqdist") for block in RECORDER_BLOCKS] \
+    + [(*block, "psi") for block in RECORDER_BLOCKS if block[0] == "locodl"]
+
+
+@pytest.fixture(scope="module")
+def recorder_problems(tmp_path_factory):
+    """Source name -> (problem section, n, prepared setup): a quadratic, dense Dirichlet data
+    and a sparse LibSVM file."""
+    rng = np.random.default_rng(71)
+    path = tmp_path_factory.mktemp("recorder") / "sparse.libsvm"
+    # 1200 rows of 4 features out of 60: 1200 * 60 > 2^16 entries at 1/15 density, the sparse path
+    path.write_text("".join(
+        f"{1 if rng.random() < 0.5 else -1} "
+        + " ".join(f"{j + 1}:{rng.random():.3f}" for j in np.sort(rng.choice(60, 4, False)))
+        + "\n" for _ in range(1200)))
+    sources = {"quadratic": ({"source": "quadratic", "d": 6}, 3),
+               "dirichlet": ({"source": "dirichlet", "d": 8, "alpha": 1.0}, 4),
+               "libsvm": ({"source": "libsvm", "path": str(path)}, 4)}
+    prepared = {}
+    for name, (problem, n) in sources.items():
+        config = quad_config(problem=problem, n=n, kappa=10.0, data_seed=3)
+        prepared[name] = (problem, n, harness.prepare(config, {}))
+    assert prepared["libsvm"][2][0].batch._block is not None
+    assert prepared["dirichlet"][2][0].batch._block is None
+    return prepared
+
+
+class TestChunkedRecorder:
+    """`_Recorder` writes the CSV and `.meta` of `oracle.Recorder`, which computes every column
+    at every record point, byte for byte, whatever the chunk size R."""
+
+    @staticmethod
+    def _texts(config, setup, seed):
+        trace = harness.run_single(config, *setup, seed)
+        return harness.trace_to_csv(trace), harness.metadata_text(trace)
+
+    @pytest.mark.parametrize("source", ["quadratic", "dirichlet", "libsvm"])
+    @pytest.mark.parametrize("algorithm, kind, k, stop", RECORDER_RUNS)
+    def test_chunked_columns_equal_the_per_record_oracle(self, recorder_problems, monkeypatch,
+                                                          algorithm, kind, k, stop, source):
+        problem, n, setup = recorder_problems[source]
+        d = setup[0].d
+        # bytes of state one record point saves: (x; u) and (y; v), or a baseline's model(s)
+        rows = 2 * n + 2 if algorithm == "locodl" else (n if algorithm == "scaffnew" else 1)
+        made = []
+
+        class Poisoned(harness._Recorder):
+            """Fills every buffered row it has not been given with values whose square
+            overflows, which raises under the suite's `filterwarnings = error`."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+                self._poison()
+
+            def _poison(self):
+                for buffer in (self.xu, self.yv):
+                    if buffer is not None:
+                        buffer[self.filled:] = 1e300
+
+            def flush(self):
+                super().flush()
+                self._poison()
+
+        default_budget = harness.RECORD_BUDGET
+        # (max_iters, stop_ratio): with cadence 1, 13 iterations give 14 record points, a
+        # multiple of R = 1, 2 and 7, and 15 give 16, not a multiple of 7; both end on
+        # max_iters, the third run on its target
+        for chunk in (1, 2, 7, None):
+            budget = default_budget if chunk is None else chunk * 8 * d * rows
+            monkeypatch.setattr(harness, "RECORD_BUDGET", budget)
+            for max_iters, stop_ratio in ((13, 1e-30), (15, 1e-30), (1000, 0.5)):
+                config = quad_config(problem=problem, n=n, kappa=10.0, data_seed=3,
+                                     algorithm=algorithm, compressor=kind, k=k, cadence=1,
+                                     stop_metric=stop, stop_ratio=stop_ratio, max_iters=max_iters)
+                for seed in (0, 1):
+                    made.clear()
+                    monkeypatch.setattr(harness, "_Recorder", Poisoned)
+                    chunked = self._texts(config, setup, seed)
+                    monkeypatch.setattr(harness, "_Recorder", oracle.Recorder)
+                    assert chunked == self._texts(config, setup, seed), (chunk, max_iters, seed)
+                    assert len(made[0].xu) == (chunk or default_budget // (8 * d * rows))
+                    records = chunked[0].count("\n") - 1
+                    if stop_ratio == 1e-30:
+                        assert records == max_iters + 1
+                    else:
+                        assert records <= max_iters
+
+    def test_varying_columns_hold_exact_ints_and_floats(self, recorder_problems):
+        problem, n, setup = recorder_problems["dirichlet"]
+        for algorithm, kind, k in RECORDER_BLOCKS:
+            config = quad_config(problem=problem, n=n, kappa=10.0, data_seed=3,
+                                 algorithm=algorithm, compressor=kind, k=k, cadence=1,
+                                 stop_metric="sqdist", stop_ratio=1e-2, max_iters=400)
+            columns = harness.run_single(config, *setup, 0).columns
+            for name in harness.VARYING_COLUMNS:
+                assert type(columns[name]) is list
+                kind_of = int if name in ("t", "rounds", "bits_per_client") else float
+                assert {type(value) for value in columns[name]} == {kind_of}, (algorithm, name)
 
 
 class TestRunExperiments:

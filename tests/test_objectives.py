@@ -367,6 +367,34 @@ class TestBatchedLogistic:
         assert dense.batch._block is None
 
 
+class TestStackedValue:
+    """`value_mean` and `mean_value` of an (R, d) stack equal one call per row, and the
+    one-point oracle, bit for bit."""
+
+    @staticmethod
+    def _problems(quad_problem):
+        yield "quadratic", quad_problem
+        yield "folded", obj.fold_shared(quad_problem)
+        for sparse in (False, True):
+            problem = TestBatchedLogistic()._problem(sparse)
+            assert (problem.batch._block is not None) == sparse
+            yield "sparse" if sparse else "dense", problem
+
+    def test_stack_equals_each_row(self, quad_problem):
+        rng = np.random.default_rng(44)
+        for name, problem in self._problems(quad_problem):
+            for rows in (1, 2, 17):
+                X = rng.standard_normal((rows, problem.d)) * 10.0 ** rng.integers(-3, 2)
+                values = problem.value_mean(X)
+                losses = problem.batch.mean_value(X)
+                assert values.shape == losses.shape == (rows,)
+                for r in range(rows):
+                    point = problem.value_mean(X[r])
+                    assert type(point) is float
+                    assert point == values[r] == oracle.value_mean(problem, X[r]), name
+                    assert problem.batch.mean_value(X[r]) == losses[r], name
+
+
 class TestLogisticCoefficient:
     """The coefficient (-b/m) / (1 + exp(min(b t, 700))) of the gradient at margins t.
 

@@ -196,3 +196,22 @@ def test_layer_tracer_counts_rounds_of_every_compressor_kind(tracer, tmp_path):
     metrics = layers.metrics()
     for kind in compressors.KINDS:
         assert metrics[f"compressors.round_calls.{kind}"][0] > 0, f"no {kind} round was counted"
+
+
+def test_layer_tracer_sees_every_record_and_the_chunked_columns(tracer):
+    # the recorder computes lyapunov and value_mean once per chunk, through the attributes the
+    # tracer wraps; `record` must still be called once per record point, so that
+    # harness.records counts the trace's rows
+    from locodl import harness
+    config = harness.ExperimentConfig(problem={"source": "quadratic", "d": 8}, n=4, kappa=10.0,
+                                      compressor="rand_k", k=2, stop_metric="sqdist",
+                                      stop_ratio=1e-6, cadence=1, label="loco")
+    setup = harness.prepare(config, {})    # the reference solve's value_mean calls stay outside
+    layers = tracer.LayerTracer().install()
+    try:
+        trace = harness.run_single(config, *setup, 0)
+    finally:
+        layers.uninstall()
+    assert layers.metrics()["harness.records"][0] == len(trace.columns["t"]) > 1
+    assert layers.samples["lyapunov"]
+    assert layers.samples["value_mean"]
