@@ -131,13 +131,12 @@ def load_libsvm(path):
 
 
 def partition(dataset, n, seed):
-    """Shuffled rows, m = rows // n per client: (n, m, d) features and (n, m) labels."""
+    """Shuffled rows, m = rows // n per client: the (n, m) dataset row indices of each client."""
     if n < 1 or n > dataset.m:
         raise InputError(f"cannot split {dataset.m} rows across {n} clients")
     order = np.random.default_rng(seed).permutation(dataset.m)
     m = dataset.m // n
-    idx = order[:n * m].reshape(n, m)
-    return dataset.features[idx], dataset.labels[idx]
+    return order[:n * m].reshape(n, m)
 
 
 def dirichlet_synthetic(n, d, alpha, seed):

@@ -30,7 +30,8 @@ CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
 CONSTANT_COLUMNS = CSV_COLUMNS[:7]    # one value per trace
 VARYING_COLUMNS = CSV_COLUMNS[7:]     # one value per record point
 
-# bytes of saved state per chunk of `_Recorder`; a chunk holds at least one record point
+# bytes of saved state and objective work per chunk of `_Recorder`; a chunk holds at least
+# one record point
 RECORD_BUDGET = 256 * 1024
 
 NEWTON_ITER_CAP = 50
@@ -179,10 +180,12 @@ def build_problem(config, cache=None):
                                           config.data_seed)
         else:
             raise InputError(f"unknown problem source {src['source']!r}")
-        A, b = partition(dataset, config.n, config.data_seed)
+        rows = partition(dataset, config.n, config.data_seed)
         lam_max = obj.max_eigenvalue_gram(dataset.features)
         mu = obj.mu_for_kappa(lam_max, dataset.m, config.kappa)
-        cache[key] = (obj.logistic_problem(A, b, mu).batch, lam_max, dataset.m)
+        # the batch keeps only its clients' rows, so the dataset is freed on return
+        cache[key] = (obj.logistic_problem(dataset.features, dataset.labels, rows, mu).batch,
+                      lam_max, dataset.m)
     batch, lam_max, m = cache[key]
     mu = obj.mu_for_kappa(lam_max, m, config.kappa)
     problem = obj.Problem(batch, mu, mu)
@@ -196,7 +199,9 @@ class _Recorder:
     the counters, and computes only the stop column, which the run loop reads
     at once.  `flush` computes the other derived columns for every buffered
     row, one stacked call per column, when the chunk is full and in `trace()`.
-    A chunk holds RECORD_BUDGET bytes of saved state, and at least one row.
+    A chunk holds at least one row, and as many as fit RECORD_BUDGET bytes of
+    saved state plus `obj_gap`'s objective terms (a logistic batch's n*m
+    margins per row); no other column's temporaries outgrow the saved state.
     The constant columns (algorithm .. seed) are filled once, in `trace()`.
     """
 
@@ -210,7 +215,8 @@ class _Recorder:
         # locodl saves (x; u) and (y; v); a baseline its model(s) alone, a (d,) one as one row
         self.clients = state.x.size // d
         rows = self.clients if params is None else 2 * self.clients
-        per_record = 8 * d * (rows + (0 if params is None else 2))     # float64 entries
+        # float64 entries: the saved state, and the objective's terms at the record's mean model
+        per_record = 8 * (d * (rows + (0 if params is None else 2)) + problem.batch.value_terms)
         size = max(1, RECORD_BUDGET // per_record)
         self.xu = np.empty((size, rows, d))
         self.yv = None if params is None else np.empty((size, 2, d))

@@ -88,9 +88,11 @@ def max_eigenvalue_gram(features):
 _BOUND_MARGIN = 1.0 + 1e-9
 
 
-def _client_gram_bounds(A):
+def _client_gram_bounds(features, rows):
     """Per-client upper bounds on lam_max(A_i^T A_i), exact where they can be the largest.
 
+    Client i's rows A_i are features[rows[i]]: a view of an (n, m, d) stack
+    indexed by client, or a copy of the dataset rows a partition selects.
     Each Gram's Frobenius norm bounds its lam_max; the Grams are formed one at a
     time and only the norms kept.  Clients are solved with `max_eigenvalue_gram`
     in falling order of bound until no remaining bound, times the margin, exceeds
@@ -98,14 +100,24 @@ def _client_gram_bounds(A):
     which is still at most that value, so the maximum is the all-client maximum
     bit for bit.
     """
-    bounds = np.array([np.linalg.norm(a.T @ a) for a in A]) * _BOUND_MARGIN
+    bounds = np.array([np.linalg.norm(a.T @ a) for a in map(features.__getitem__, rows)]) \
+        * _BOUND_MARGIN
     top = -np.inf
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] <= top:
             break
-        bounds[i] = max_eigenvalue_gram(A[i])
+        bounds[i] = max_eigenvalue_gram(features[rows[i]])
         top = max(top, bounds[i])
     return bounds
+
+
+def _csr(features, row_nonzeros):
+    """The CSR matrix of dense features whose rows hold row_nonzeros nonzeros each."""
+    from scipy import sparse
+    entries = np.flatnonzero(features != 0)     # row-major: by row, then by column
+    return sparse.csr_matrix((features.ravel()[entries], entries % features.shape[1],
+                              np.concatenate(([0], np.cumsum(row_nonzeros)))),
+                             shape=features.shape)
 
 
 def regularization_for_kappa(dataset, kappa_target):
@@ -123,17 +135,22 @@ def mu_for_kappa(lam_max, m, kappa_target):
 class _BatchedLogistic:
     """The logistic losses of n clients with m rows each, as one batch.
 
-    The features are stored once.  Dense data are the (n, m, d) stack itself.
-    Sparse data (typical for one-hot encodings) are one block-diagonal CSR
-    matrix, so that one sparse matvec computes every client's margins
-    against its own model; A^T c goes through the block's transpose, a CSC
-    view of the same arrays.  The block is built from a flat (n*m, d) CSR
-    of the stack by shifting client i's column indices by i*d; it shares the
-    flat matrix's values and row pointers.  The flat matrix serves a common
-    (d,) point and the Hessian.  `lo` and `hi` are each client's
+    Client i's rows are features[rows[i]] with labels labels[rows[i]], for an
+    (n, m) array of dataset row indices such as `data.partition` returns.  The
+    features are stored once.  Dense data are the (n, m, d) stack of the
+    selected rows.  Sparse data (typical for one-hot encodings) are one
+    block-diagonal CSR matrix, so that one sparse matvec computes every
+    client's margins against its own model; A^T c goes through the block's
+    transpose, a CSC view of the same arrays.  The density is decided from the
+    selected rows' nonzero counts, and a sparse batch never forms the stack:
+    it selects the rows from a CSR of the dataset (the flat (n*m, d) matrix)
+    and shifts client i's column indices by i*d for the block, which shares
+    the flat matrix's values and row pointers.  The flat matrix serves a
+    common (d,) point and the Hessian.  `lo` and `hi` are each client's
     curvature bounds, 0 and lam_max(A_i^T A_i) / (4m); that lam_max is exact
     for the clients that could hold the largest (`_client_gram_bounds`), so
-    `hi.max()`, and with it L, is exact.
+    `hi.max()`, and with it L, is exact.  `value_terms`, the n*m margins of
+    one point, sizes `mean_value`'s work per point.
     """
 
     _SPARSE_DENSITY = 0.25
@@ -141,27 +158,31 @@ class _BatchedLogistic:
     # coefficient needs no errstate; past the cap the true value is below 1e-304
     _LOGIT_CAP = 700.0
 
-    def __init__(self, A, b):
-        self.b = b         # (n, m)
-        self.n, self.m, self.d = A.shape
+    def __init__(self, features, labels, rows):
+        self.b = labels[rows]      # (n, m)
+        self.n, self.m = rows.shape
+        self.d = features.shape[1]
+        self.value_terms = self.b.size
         self.lo = np.zeros(self.n)
-        self.hi = _client_gram_bounds(A) / (4.0 * self.m)
-        self.A = A          # (n, m, d), or None once the sparse block replaces it
         self._block = None
-        if A.size > 1 << 16 and np.count_nonzero(A) < self._SPARSE_DENSITY * A.size:
+        size = self.b.size * self.d
+        # a batch too small for the sparse path is not scanned for nonzeros
+        row_nonzeros = np.count_nonzero(features, axis=1) if size > 1 << 16 else None
+        if row_nonzeros is not None and row_nonzeros[rows].sum() < self._SPARSE_DENSITY * size:
             from scipy import sparse
-            nonzero = A != 0
-            entries = np.flatnonzero(nonzero)   # row-major: by row, then by column
-            indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))
-            self._flat = sparse.csr_matrix((A.ravel()[entries], entries % self.d, indptr),
-                                           shape=(self.n * self.m, self.d))
-            # client i's entries lie at flat indices i*m*d .. (i+1)*m*d - 1; its columns move i*d
-            block_cols = entries // (self.m * self.d) * self.d + self._flat.indices
-            self._block = sparse.csr_matrix((self._flat.data, block_cols, self._flat.indptr),
-                                            shape=(self.n * self.m, self.n * self.d))
+            self.A = None
+            self.hi = _client_gram_bounds(features, rows) / (4.0 * self.m)
+            self._flat = _csr(features, row_nonzeros)[rows.ravel()]
+            # client i's entries come in its rows' order, m rows a client; its columns move i*d
+            shifts = np.repeat(np.arange(self.n) * self.d, np.diff(self._flat.indptr[::self.m]))
+            self._block = sparse.csr_matrix((self._flat.data, shifts + self._flat.indices,
+                                             self._flat.indptr),
+                                            shape=(self.b.size, self.n * self.d))
             # a CSC view of the block's arrays, built once: scipy's .T costs tens of us per call
             self._block_t = self._block.T
-            self.A = None
+        else:
+            self.A = features[rows]     # (n, m, d)
+            self.hi = _client_gram_bounds(self.A, range(self.n)) / (4.0 * self.m)
         self._coef = -self.b / self.m
 
     def _margins(self, X):
@@ -211,21 +232,25 @@ class _BatchedLogistic:
             margins = np.ascontiguousarray((self._flat @ X.T).T)
         else:
             margins = np.matmul(self.A.reshape(-1, self.d), X[:, :, None])[:, :, 0]
-        losses = np.logaddexp(0.0, -self.b.ravel() * margins)
-        return losses.sum(axis=1) / losses.shape[1]
+        # the losses log(1 + exp(-b * margins)), in place on the fresh margins
+        np.multiply(margins, -self.b.ravel(), out=margins)
+        np.logaddexp(0.0, margins, out=margins)
+        return margins.sum(axis=1) / margins.shape[1]
 
 
 class _BatchedQuadratic:
     """The quadratics x^T A_i x / 2 - b_i^T x of n clients, as one batch.
 
     `lo` and `hi` are each client's curvature bounds, the extremes of the
-    spectrum of its symmetric A_i.
+    spectrum of its symmetric A_i.  `value_terms`, the d entries of A_bar x,
+    sizes `mean_value`'s work per point.
     """
 
     def __init__(self, A, b):
         self.A = A      # (n, d, d)
         self.b = b      # (n, d)
         self.n, self.d = b.shape
+        self.value_terms = self.d       # A_bar x, per point of `mean_value`
         eigs = np.linalg.eigvalsh(A)
         self.lo, self.hi = eigs[:, 0], eigs[:, -1]
         self.A_bar = A.mean(axis=0)     # mean_value's terms, computed once
@@ -316,14 +341,15 @@ class Problem:
         return H
 
 
-def logistic_problem(A, b, mu):
+def logistic_problem(features, labels, rows, mu):
     """Problem with f_i = logistic_i + (mu/2)||.||^2 and g = (mu/2)||.||^2.
 
-    Client i's rows are A[i] (m, d) with labels b[i] (m,), as `data.partition`
-    returns them.  The common L is the largest per-client smoothness
-    constant, so that every local function actually satisfies it.
+    Client i's rows are features[rows[i]] (m, d) with labels labels[rows[i]]
+    (m,), for the (n, m) row indices that `data.partition` returns.  The
+    common L is the largest per-client smoothness constant, so that every
+    local function actually satisfies it.
     """
-    return Problem(_BatchedLogistic(A, b), float(mu), float(mu))
+    return Problem(_BatchedLogistic(features, labels, rows), float(mu), float(mu))
 
 
 def fold_shared(problem):

@@ -13,19 +13,24 @@ tests hold `compressors.compress_round`'s pipeline to, bit for bit.
 state, with `observe`, the one-state `lyapunov` and the one-point
 `value_mean`: the reference that the tests hold `harness._Recorder`'s
 chunked columns to, byte for byte.  `state_stacks` and `lyapunov_of` give
-the library's stacked `lyapunov` one state.
+the library's stacked `lyapunov` one state.  `stack_batch` builds a logistic
+batch's sparse arrays and curvature bounds from the (n, m, d) stack of its
+clients' rows, the reference that the tests hold the stack-free build to;
+`unstack` gives a stack as the (features, labels, rows) the library takes.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from locodl.algorithms import lyapunov as alg_lyapunov
 from locodl.compressors import _natural_round, _rand_subsets
 from locodl.errors import ParseError
 from locodl.harness import CONSTANT_COLUMNS, VARYING_COLUMNS, ExperimentTrace
-from locodl.objectives import _BatchedQuadratic
+from locodl.objectives import _BOUND_MARGIN, _BatchedQuadratic, max_eigenvalue_gram
 
 
 def logistic_value(features, labels, reg, x):
@@ -230,3 +235,35 @@ class Recorder:
         meta = dict(self.meta)
         meta.update(extra_meta)
         return ExperimentTrace(columns, meta)
+
+
+def unstack(A, b):
+    """(features, labels, rows) whose client i is the stack's A[i], b[i], row for row."""
+    n, m, d = A.shape
+    return A.reshape(n * m, d), b.reshape(n * m), np.arange(n * m).reshape(n, m)
+
+
+def stack_batch(A, b):
+    """`hi`, `lo`, `b` and, for sparse data, `_flat` and `_block` of a logistic batch,
+    built from the (n, m, d) stack of its clients' rows."""
+    n, m, d = A.shape
+    # each client's Gram bound, solved in falling order while it could be the largest
+    bounds = np.array([np.linalg.norm(a.T @ a) for a in A]) * _BOUND_MARGIN
+    top = -np.inf
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] <= top:
+            break
+        bounds[i] = max_eigenvalue_gram(A[i])
+        top = max(top, bounds[i])
+    batch = SimpleNamespace(b=b, lo=np.zeros(n), hi=bounds / (4.0 * m), _flat=None, _block=None)
+    if A.size > 1 << 16 and np.count_nonzero(A) < 0.25 * A.size:
+        nonzero = A != 0
+        entries = np.flatnonzero(nonzero)   # row-major: by row, then by column
+        indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))
+        batch._flat = sparse.csr_matrix((A.ravel()[entries], entries % d, indptr),
+                                        shape=(n * m, d))
+        # client i's entries lie at flat indices i*m*d .. (i+1)*m*d - 1; its columns move i*d
+        block_cols = entries // (m * d) * d + batch._flat.indices
+        batch._block = sparse.csr_matrix((batch._flat.data, block_cols, batch._flat.indptr),
+                                         shape=(n * m, n * d))
+    return batch

@@ -2,15 +2,14 @@
 
 The dual-feasibility criterion aggregates residuals over every run executed
 here, so its test is defined last in the file.  The runs that criteria 5 and 6
-keep are replayed in one worker process while the suite goes on, and the
-replay criterion compares what it returns.
+keep are replayed in one worker process (conftest.py's session-wide `replays`)
+while the suite goes on, and the replay criterion, which conftest.py moves to
+the end of the session, compares what it returns.
 """
 
 import math
-import multiprocessing
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,16 +49,6 @@ def replay_csvs(config):
     """
     [(_, traces)] = harness.run_experiments([config])
     return [harness.trace_to_csv(trace) for trace in traces]
-
-
-@pytest.fixture(scope="module")
-def replays():
-    """One `spawn` worker process, which replays each kept config as its runs finish."""
-    pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def run_and_keep(configs, replays):

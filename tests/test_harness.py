@@ -1,14 +1,16 @@
 """Harness: reference solves, trace recording, stop rules, serialization."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from locodl import algorithms as alg
 from locodl import harness
 from locodl import objectives as obj
-from locodl.compressors import K_KINDS, KINDS
+from locodl.compressors import K_KINDS, KINDS, make_spec
 from locodl.data import dirichlet_synthetic, load_libsvm, partition
 from locodl.errors import ConfigurationError, ConvergenceError, InputError
 
@@ -38,7 +40,7 @@ def logistic_problem(sparse):
     for i in range(n):
         A[i] = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
         b[i] = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-    problem = obj.logistic_problem(A, b, 0.05)
+    problem = obj.logistic_problem(*oracle.unstack(A, b), 0.05)
     assert (problem.batch._block is not None) == sparse
     return problem
 
@@ -284,19 +286,12 @@ RECORDER_RUNS = [(*block, "sqdist") for block in RECORDER_BLOCKS] \
 
 
 @pytest.fixture(scope="module")
-def recorder_problems(tmp_path_factory):
+def recorder_problems(sparse_libsvm_path):
     """Source name -> (problem section, n, prepared setup): a quadratic, dense Dirichlet data
     and a sparse LibSVM file."""
-    rng = np.random.default_rng(71)
-    path = tmp_path_factory.mktemp("recorder") / "sparse.libsvm"
-    # 1200 rows of 4 features out of 60: 1200 * 60 > 2^16 entries at 1/15 density, the sparse path
-    path.write_text("".join(
-        f"{1 if rng.random() < 0.5 else -1} "
-        + " ".join(f"{j + 1}:{rng.random():.3f}" for j in np.sort(rng.choice(60, 4, False)))
-        + "\n" for _ in range(1200)))
     sources = {"quadratic": ({"source": "quadratic", "d": 6}, 3),
                "dirichlet": ({"source": "dirichlet", "d": 8, "alpha": 1.0}, 4),
-               "libsvm": ({"source": "libsvm", "path": str(path)}, 4)}
+               "libsvm": ({"source": "libsvm", "path": sparse_libsvm_path}, 4)}
     prepared = {}
     for name, (problem, n) in sources.items():
         config = quad_config(problem=problem, n=n, kappa=10.0, data_seed=3)
@@ -321,8 +316,10 @@ class TestChunkedRecorder:
                                                           algorithm, kind, k, stop, source):
         problem, n, setup = recorder_problems[source]
         d = setup[0].d
-        # bytes of state one record point saves: (x; u) and (y; v), or a baseline's model(s)
+        # bytes one record point takes: the state it saves, (x; u) and (y; v) or a baseline's
+        # model(s), and the objective's terms at its mean model
         rows = 2 * n + 2 if algorithm == "locodl" else (n if algorithm == "scaffnew" else 1)
+        per_record = 8 * (d * rows + setup[0].batch.value_terms)
         made = []
 
         class Poisoned(harness._Recorder):
@@ -348,7 +345,7 @@ class TestChunkedRecorder:
         # multiple of R = 1, 2 and 7, and 15 give 16, not a multiple of 7; both end on
         # max_iters, the third run on its target
         for chunk in (1, 2, 7, None):
-            budget = default_budget if chunk is None else chunk * 8 * d * rows
+            budget = default_budget if chunk is None else chunk * per_record
             monkeypatch.setattr(harness, "RECORD_BUDGET", budget)
             for max_iters, stop_ratio in ((13, 1e-30), (15, 1e-30), (1000, 0.5)):
                 config = quad_config(problem=problem, n=n, kappa=10.0, data_seed=3,
@@ -360,12 +357,38 @@ class TestChunkedRecorder:
                     chunked = self._texts(config, setup, seed)
                     monkeypatch.setattr(harness, "_Recorder", oracle.Recorder)
                     assert chunked == self._texts(config, setup, seed), (chunk, max_iters, seed)
-                    assert len(made[0].xu) == (chunk or default_budget // (8 * d * rows))
+                    assert len(made[0].xu) == (chunk or default_budget // per_record)
                     records = chunked[0].count("\n") - 1
                     if stop_ratio == 1e-30:
                         assert records == max_iters + 1
                     else:
                         assert records <= max_iters
+
+    @pytest.mark.parametrize("algorithm, kind", [("gd", "identity"), ("diana", "rand_k")])
+    def test_flushing_a_full_chunk_stays_within_a_few_budgets(self, a5a_path, algorithm, kind):
+        # obj_gap evaluates every buffered mean model against the 87 * 73 margins of the
+        # stand-in; a chunk that counted only the saved (d,) model held 268 of them, whose
+        # margins and losses took about 40 MB
+        config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3,
+                             algorithm=algorithm, compressor=kind,
+                             k=2 if kind == "rand_k" else None, stop_metric="sqdist")
+        problem, baseline, ref = harness.prepare(config, {})
+        _, state, step, params, _ = harness._stepper(
+            config, problem, baseline, make_spec(kind, problem.d, config.k),
+            alg.RngBundle.from_seed(0))
+        recorder = harness._Recorder({}, ref, baseline, state, params, config.stop_column)
+        for t in range(len(recorder.xu)):
+            step()
+            recorder.record(t, 0, 0)
+        assert recorder.filled == len(recorder.xu) > 1
+        tracemalloc.start()
+        try:
+            recorder.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(recorder.flushed["obj_gap"]) == len(recorder.xu)
+        assert peak < 3 * harness.RECORD_BUDGET
 
     def test_varying_columns_hold_exact_ints_and_floats(self, recorder_problems):
         problem, n, setup = recorder_problems["dirichlet"]
@@ -527,13 +550,13 @@ class TestBuildProblem:
         assert len(gram_solves) == 23 + 1
         assert len(set(gram_solves)) == len(gram_solves)    # no client is solved twice
 
-    def test_libsvm_build_holds_the_features_less_than_twice(self, a5a_path, monkeypatch):
-        # the parse is not traced; the build holds the (n, m, d) stack, the sparse block and
-        # their temporaries, so one more copy of the stack would pass 2x
+    def test_libsvm_build_holds_less_than_one_copy_of_the_features(self, a5a_path, monkeypatch):
+        # the parse is not traced; the sparse build selects its clients' rows from a CSR of
+        # the dataset, so the (n, m, d) stack alone (0.99x the features) would not fit
         dataset = load_libsvm(a5a_path)
         monkeypatch.setattr(harness, "load_libsvm", lambda path: dataset)
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
-        limit = 2 * dataset.features.nbytes
+        limit = dataset.features.nbytes
         harness.build_problem(config)     # imports scipy.sparse outside the traced build
         tracemalloc.start()
         try:
@@ -543,18 +566,36 @@ class TestBuildProblem:
             tracemalloc.stop()
         assert peak < limit
 
-    def test_dense_batch_keeps_the_partition_stack(self, monkeypatch):
-        stacks = []
+    @pytest.mark.parametrize("source, loader", [("libsvm", "load_libsvm"),
+                                                ("dirichlet", "dirichlet_synthetic")])
+    def test_the_dataset_is_freed_when_the_build_returns(self, a5a_path, monkeypatch, source,
+                                                         loader):
+        features = []
+        load = getattr(harness, loader)
 
-        def keeping(*args):
-            stacks.append(partition(*args))
-            return stacks[-1]
+        def watched(*args):
+            dataset = load(*args)
+            features.append(weakref.ref(dataset.features))
+            return dataset
+
+        monkeypatch.setattr(harness, loader, watched)
+        problem, _ = harness.build_problem(self._logistic_config(source, 1e3, a5a_path))
+        assert (problem.batch._block is not None) == (source == "libsvm")
+        assert len(features) == 1 and features[0]() is None
+
+    def test_dense_batch_holds_the_stack_of_its_rows(self, monkeypatch):
+        partitions = []
+
+        def keeping(dataset, *args):
+            partitions.append((dataset, partition(dataset, *args)))
+            return partitions[-1][1]
 
         monkeypatch.setattr(harness, "partition", keeping)
         problem, baseline = harness.build_problem(self._logistic_config("dirichlet", 1e2, None))
-        A, b = stacks[0]
-        assert A.shape == (25, 1, 50)
-        assert problem.batch.A is A and problem.batch.b is b
+        [(dataset, rows)] = partitions
+        assert problem.batch.A.shape == (25, 1, 50)
+        assert np.array_equal(problem.batch.A, dataset.features[rows])
+        assert np.array_equal(problem.batch.b, dataset.labels[rows])
         assert baseline.batch is problem.batch
 
     @staticmethod
@@ -583,7 +624,7 @@ class TestBuildProblem:
         dataset = (load_libsvm(a5a_path) if source == "libsvm"
                    else dirichlet_synthetic(25, 50, 1.0, 7))
         mu = obj.regularization_for_kappa(dataset, kappa)
-        A, _ = partition(dataset, config.n, config.data_seed)
+        A = dataset.features[partition(dataset, config.n, config.data_seed)]
         L = max(obj.max_eigenvalue_gram(a) / (4.0 * a.shape[0]) + 2.0 * mu for a in A)
         assert (baseline.L, baseline.mu) == (L, 2.0 * mu)
 

@@ -32,7 +32,8 @@ def finite_difference_grad(f, x, h):
 def alone_logistic(features, labels, reg):
     """A one-client logistic problem without g, whose batched evaluators compute f itself."""
     labels = np.asarray(labels, dtype=np.float64)
-    return obj.Problem(obj._BatchedLogistic(features[None], labels[None]), reg, 0.0)
+    batch = obj._BatchedLogistic(features, labels, np.arange(len(labels))[None])
+    return obj.Problem(batch, reg, 0.0)
 
 
 def alone_quadratic(A, b, reg=0.0):
@@ -78,18 +79,19 @@ class TestSmoothness:
 
     def test_single_unit_sample(self):
         A, b = e(0, 3)[None, None, :], np.ones((1, 1))
-        assert obj._BatchedLogistic(A, b).hi[0] == pytest.approx(0.25, rel=1e-8)
-        assert obj.logistic_problem(A, b, 0.01).L == pytest.approx(0.26, rel=1e-8)
+        assert obj._BatchedLogistic(*oracle.unstack(A, b)).hi[0] == pytest.approx(0.25, rel=1e-8)
+        assert obj.logistic_problem(*oracle.unstack(A, b), 0.01).L == pytest.approx(0.26, rel=1e-8)
 
     def test_at_least_mu(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((1, 6, 4))
         b = np.where(rng.random((1, 6)) < 0.5, -1.0, 1.0)
-        assert obj.logistic_problem(A, b, 0.3).L >= 0.3
+        assert obj.logistic_problem(*oracle.unstack(A, b), 0.3).L >= 0.3
 
     def test_zero_features_returns_mu(self):
-        assert obj.logistic_problem(np.zeros((1, 2, 3)), np.array([[1.0, -1.0]]), 0.7).L \
-            == pytest.approx(0.7)
+        problem = obj.logistic_problem(np.zeros((2, 3)), np.array([1.0, -1.0]),
+                                       np.arange(2)[None], 0.7)
+        assert problem.L == pytest.approx(0.7)
 
     def test_max_eigenvalue_is_exact(self):
         # close top eigenvalues: an iterative estimate would stop below lambda_max
@@ -108,7 +110,7 @@ class TestGramBoundRule:
         m = A.shape[1]
         exact = np.array([obj.max_eigenvalue_gram(a) for a in A])
         gram_solves.clear()
-        hi = obj._BatchedLogistic(A, np.ones(A.shape[:2])).hi
+        hi = obj._BatchedLogistic(*oracle.unstack(A, np.ones(A.shape[:2]))).hi
         assert hi.max() == exact.max() / (4.0 * m)
         assert np.all(hi >= exact / (4.0 * m))
         # no client is solved twice
@@ -139,14 +141,16 @@ class TestGramBoundRule:
     def test_order_of_clients(self, gram_solves):
         A = np.random.default_rng(5).standard_normal((6, 3, 4))
         A[1] *= 1.0 + 1e-12      # near-ties
-        hi = obj._BatchedLogistic(A, np.ones(A.shape[:2])).hi.max()
+        hi = obj._BatchedLogistic(*oracle.unstack(A, np.ones(A.shape[:2]))).hi.max()
         for order in ([5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4]):
             self.check(A[order], gram_solves)
-            assert obj._BatchedLogistic(A[order], np.ones(A.shape[:2])).hi.max() == hi
+            reordered = obj._BatchedLogistic(*oracle.unstack(A[order], np.ones(A.shape[:2])))
+            assert reordered.hi.max() == hi
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_a5a_stand_in(self, a5a_path, gram_solves, seed):
-        A, _ = data.partition(data.load_libsvm(a5a_path), 87, seed)
+        dataset = data.load_libsvm(a5a_path)
+        A = dataset.features[data.partition(dataset, 87, seed)]
         assert self.check(A, gram_solves) < 87
 
 
@@ -165,7 +169,7 @@ class TestRegularizationForKappa:
         shard = obj.Shard(rng.standard_normal((20, 6)),
                           np.where(rng.random(20) < 0.5, -1.0, 1.0))
         mu = obj.regularization_for_kappa(shard, 500.0)
-        problem = obj.logistic_problem(shard.features[None], shard.labels[None], mu)
+        problem = obj.logistic_problem(shard.features, shard.labels, np.arange(shard.m)[None], mu)
         assert problem.kappa == pytest.approx(500.0, rel=1e-10)
 
     def test_rejects_kappa_at_most_one(self):
@@ -332,12 +336,12 @@ class TestBatchedLogistic:
         return A, b
 
     def _problem(self, sparse):
-        return obj.logistic_problem(*self._stack(sparse), 0.01)
+        return obj.logistic_problem(*oracle.unstack(*self._stack(sparse)), 0.01)
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_matches_per_client_gradients(self, sparse):
         A, b = self._stack(sparse)
-        problem = obj.logistic_problem(A, b, 0.01)
+        problem = obj.logistic_problem(*oracle.unstack(A, b), 0.01)
         rng = np.random.default_rng(42)
         X = rng.standard_normal((problem.n, problem.d))
         manual = np.stack([oracle.logistic_grad(a, y, 0.01, X[i])
@@ -406,7 +410,7 @@ class TestLogisticCoefficient:
     @staticmethod
     def _coefficients(t, b):
         m = t.size
-        batch = obj._BatchedLogistic(np.eye(m)[None], b[None])
+        batch = obj._BatchedLogistic(*oracle.unstack(np.eye(m)[None], b[None]))
         assert (batch._block is not None) == (m > 256)
         return batch.grads(t[None])[0]
 
@@ -462,7 +466,7 @@ class TestSparseLogisticGradient:
 
     @staticmethod
     def _problem_of(A, b):
-        problem = obj.Problem(obj._BatchedLogistic(A, b), 0.01, 0.0)
+        problem = obj.Problem(obj._BatchedLogistic(*oracle.unstack(A, b)), 0.01, 0.0)
         assert problem.batch._block is not None
         return problem
 
@@ -510,8 +514,8 @@ class TestSparseLogisticGradient:
         config = harness.ExperimentConfig(problem={"source": "libsvm", "path": a5a_path},
                                           n=87, kappa=1000.0)
         problem, _ = harness.build_problem(config)
-        A, _ = data.partition(data.load_libsvm(a5a_path), 87, 0)
-        self._assert_block_diag(problem.batch, A)
+        dataset = data.load_libsvm(a5a_path)
+        self._assert_block_diag(problem.batch, dataset.features[data.partition(dataset, 87, 0)])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hessian_equals_the_multiply_form(self, seed):
@@ -537,6 +541,51 @@ class TestSparseLogisticGradient:
         assert np.shares_memory(batch._block_t.indices, block.indices)
 
 
+class TestStackFreeBuild:
+    """A batch built from the dataset rows a partition selects equals `oracle.stack_batch`,
+    which builds it from the (n, m, d) stack of those rows, array for array."""
+
+    @staticmethod
+    def _assert_equals_the_stack_built(batch, dataset, rows):
+        expected = oracle.stack_batch(dataset.features[rows], dataset.labels[rows])
+        assert (batch._block is None) == (expected._block is None)
+        for name in ("hi", "lo", "b"):
+            assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+        if batch._block is None:
+            assert np.array_equal(batch.A, dataset.features[rows])
+            return
+        for matrix in ("_flat", "_block"):
+            assert getattr(batch, matrix).shape == getattr(expected, matrix).shape
+            for name in ("data", "indices", "indptr"):
+                got, want = (getattr(getattr(b, matrix), name) for b in (batch, expected))
+                assert got.dtype == want.dtype, (matrix, name)
+                assert np.array_equal(got, want), (matrix, name)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_a5a_stand_in_through_the_harness(self, a5a_path, seed):
+        config = harness.ExperimentConfig(problem={"source": "libsvm", "path": a5a_path},
+                                          n=87, kappa=1000.0, data_seed=seed)
+        problem, _ = harness.build_problem(config)
+        assert problem.batch._block is not None
+        dataset = data.load_libsvm(a5a_path)
+        self._assert_equals_the_stack_built(problem.batch, dataset,
+                                            data.partition(dataset, 87, seed))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (4, 3), (7, 5)])
+    def test_sparse_file(self, sparse_libsvm_path, n, seed):
+        dataset = data.load_libsvm(sparse_libsvm_path)
+        rows = data.partition(dataset, n, seed)
+        batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
+        assert batch._block is not None
+        self._assert_equals_the_stack_built(batch, dataset, rows)
+
+    def test_dense_data(self):
+        dataset = data.dirichlet_synthetic(25, 50, 1.0, 7)
+        rows = data.partition(dataset, 25, 7)
+        batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
+        self._assert_equals_the_stack_built(batch, dataset, rows)
+
+
 class TestFolding:
     def test_fold_shared_preserves_objective(self, quad_problem):
         folded = obj.fold_shared(quad_problem)
@@ -550,7 +599,7 @@ class TestFolding:
         rng = np.random.default_rng(52)
         A = rng.standard_normal((2, 4, 3))
         b = np.where(rng.random((2, 4)) < 0.5, -1.0, 1.0)
-        plain = obj.logistic_problem(A, b, 0.1)
+        plain = obj.logistic_problem(*oracle.unstack(A, b), 0.1)
         folded = obj.fold_shared(plain)
         assert folded.mu == pytest.approx(2 * plain.mu)
         x = rng.standard_normal(3)
