@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import compressors, harness
+from . import compressors, harness, svgplot
 from .algorithms import SCHEDULE_KEYS
 from .compressors import make_spec
 from .errors import ConfigurationError, ConvergenceError, InputError
@@ -270,7 +270,6 @@ def cmd_plot(args):
         for key, run in in_file.items():
             series.setdefault(key, []).append(run)
     plot_series = [(f"{algo} {comp}", runs) for (algo, comp), runs in sorted(series.items())]
-    from . import svgplot
     text = svgplot.render(plot_series, x_label=args.x, y_label=args.y)
     harness.atomic_write(args.out, text)
     print(f"wrote {args.out}")

@@ -109,15 +109,20 @@ def _copy_state(state):
                            state.saturation_events, state.max_dual_residual)
 
 
-def test_criterion_2_one_step_contraction(quad_setup):
+def one_step_contraction(problem, ref, spec, params, tau, label):
+    """(ok, detail) of criterion 2's check for one compressor on the quadratic fixture.
+
+    Warms a state up for 50 steps, then takes one step from it in 2,000
+    trials: E[psi^1]/psi^0 must stay below 1.1*tau, and the contraction gap
+    1 - E[psi^1]/psi^0 must reach the guaranteed 1 - tau up to 4 standard errors.
+    """
     start = time.perf_counter()
-    problem, ref, spec, params, tau = quad_setup
     # reach a generic feasible non-optimal state first
     base = alg.LoCoDLState.zeros(problem.n, problem.d)
     rng = alg.RngBundle.from_seed(1234)
     for _ in range(50):
         alg.locodl_step(base, problem, spec, params, rng)
-    register_locodl_state("criterion2/warmup", base)
+    register_locodl_state(label, base)
     psi0 = oracle.lyapunov_of(base, ref, params)
     assert psi0 > 0.0
 
@@ -134,9 +139,26 @@ def test_criterion_2_one_step_contraction(quad_setup):
     # the measured contraction gap to reach the guaranteed 1 - tau, up to 4 standard errors
     gap, se = 1.0 - mean_ratio, float(ratios.std(ddof=1)) / math.sqrt(trials)
     ok = mean_ratio <= 1.1 * tau and gap >= (1.0 - tau) - 4.0 * se and elapsed < 60.0
-    report(2, "one-step Lyapunov contraction", ok,
-           f"E[psi^1]/psi^0={mean_ratio:.6f} vs 1.1*tau={1.1 * tau:.6f}; "
-           f"gap {gap:.6f} vs 1-tau={1.0 - tau:.6f}, SE {se:.1e}; {elapsed:.1f}s")
+    return ok, (f"E[psi^1]/psi^0={mean_ratio:.6f} vs 1.1*tau={1.1 * tau:.6f}; "
+                f"gap {gap:.6f} vs 1-tau={1.0 - tau:.6f}, SE {se:.1e}; {elapsed:.1f}s")
+
+
+def test_criterion_2_one_step_contraction(quad_setup):
+    report(2, "one-step Lyapunov contraction",
+           *one_step_contraction(*quad_setup, "criterion2/warmup"))
+
+
+# every compressor kind but criterion 2's own rand-1, with the rand_k_natural k of the configs
+@pytest.mark.parametrize("kind, k", [("identity", None), ("natural", None),
+                                     ("rand_k_natural", 2), ("l1_selection", None)])
+def test_criterion_2_every_compressor_kind(quad_setup, kind, k):
+    problem, ref = quad_setup[:2]
+    spec = comp.make_spec(kind, problem.d, k=k)
+    params = alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / problem.n)
+    tau = alg.rate_bound(params, problem.L, problem.mu)
+    name = kind if k is None else f"{kind}, k {k}"
+    report(2, f"one-step Lyapunov contraction, {name}",
+           *one_step_contraction(problem, ref, spec, params, tau, f"criterion2/{kind}/warmup"))
 
 
 def test_criterion_3_trajectory_bound(quad_setup):

@@ -557,7 +557,6 @@ class TestBuildProblem:
         monkeypatch.setattr(harness, "load_libsvm", lambda path: dataset)
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
         limit = dataset.features.nbytes
-        harness.build_problem(config)     # imports scipy.sparse outside the traced build
         tracemalloc.start()
         try:
             harness.build_problem(config)

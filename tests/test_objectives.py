@@ -1,5 +1,6 @@
 """Objectives: gradients, constants, reductions."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -440,6 +441,33 @@ class TestLogisticCoefficient:
         t = np.zeros(m)
         t[3] = np.nan
         assert np.isnan(self._coefficients(t, np.ones(m))[3])
+
+
+class TestExpit:
+    """`objectives._expit`, the Hessian's sigmoid, against `scipy.special.expit` bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise_expit(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = obj._expit(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expit(x).view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_random_draws(self, scale):
+        rng = np.random.default_rng(int(scale * 1e3))
+        self._assert_bitwise_expit(scale * rng.standard_normal(100_000))
+
+    def test_edges(self):
+        log_max = obj._LOG_DBL_MAX
+        assert math.isfinite(math.exp(log_max))
+        with pytest.raises(OverflowError):
+            math.exp(np.nextafter(log_max, np.inf))
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, np.inf, np.nan, 5e-324, tiny / 2, tiny, 745.0, 746.0, 710.0,
+                          np.nextafter(log_max, 0.0), log_max, np.nextafter(log_max, np.inf)])
+        self._assert_bitwise_expit(np.concatenate((edges, -edges)))
 
 
 class TestSparseLogisticGradient:
