@@ -1,8 +1,8 @@
 """Desk-scale laboratory for communication-efficient distributed optimization."""
 
-from .algorithms import (AlgoParams, LoCoDLState, ReferenceSolution, RngBundle,
-                         default_params, diana_step, gd_step, locodl_step, lyapunov,
-                         rate_bound, scaffnew_step)
+from .algorithms import (AlgoParams, BaselineState, LoCoDLState, ReferenceSolution,
+                         RngBundle, default_params, diana_step, gd_step, locodl_step,
+                         lyapunov, rate_bound, scaffnew_step)
 from .compressors import (CompressedMessage, CompressorSpec, certification, compress,
                           make_spec)
 from .data import dirichlet_synthetic, parse_libsvm, partition

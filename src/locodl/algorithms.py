@@ -10,6 +10,10 @@ Baselines: exact distributed gradient descent, compressed gradient differences
 with control variates (DIANA), and probabilistic local training with control
 variates (Scaffnew).  Baselines run on the folded problem (shared regularizer
 absorbed into every local function).
+
+Each step advances its state one iteration in place and returns whether that
+iteration was a communication round, as a plain bool; the run loop counts
+iterations and rounds.
 """
 
 from __future__ import annotations
@@ -97,8 +101,6 @@ class LoCoDLState:
     y: np.ndarray          # (d,) shared anchor model
     u: np.ndarray          # (n, d) local duals
     v: np.ndarray          # (d,) shared dual
-    t: int = 0
-    rounds: int = 0
     saturation_events: int = 0
     max_dual_residual: float = 0.0
 
@@ -106,13 +108,9 @@ class LoCoDLState:
     def zeros(cls, n, d):
         return cls(np.zeros((n, d)), np.zeros(d), np.zeros((n, d)), np.zeros(d))
 
-    @property
-    def n(self):
-        return self.x.shape[0]
-
     def dual_residual(self):
         """||mean(u) + v||_inf, zero in exact arithmetic."""
-        return float(np.max(np.abs(self.u.sum(axis=0) / self.n + self.v)))
+        return float(np.max(np.abs(self.u.sum(axis=0) / len(self.u) + self.v)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ class ReferenceSolution:
 
 
 def locodl_step(state, problem, spec, params, rng):
-    """One iteration; mutates and returns `state`."""
+    """One iteration of `state`, in place; returns whether it was a communication round."""
     gamma = params.gamma
     gx = problem.grads_locals(state.x)
     x_hat = state.x - gamma * gx + gamma * state.u
@@ -141,20 +139,18 @@ def locodl_step(state, problem, spec, params, rng):
     if rng.coin.random() < params.p:
         msgs, sat = compress_round(spec, x_hat - y_hat[None, :], rng.rounds)
         state.saturation_events += sat
-        d_bar = msgs.sum(axis=0) / (2.0 * state.n)
+        d_bar = msgs.sum(axis=0) / (2.0 * len(state.x))
         lam = params.dual_step
         state.x = (1.0 - params.rho) * x_hat + params.rho * (y_hat + d_bar)[None, :]
         state.u = state.u + lam * (d_bar[None, :] - msgs)
         state.y = y_hat + params.rho * d_bar
         state.v = state.v + lam * d_bar
-        state.rounds += 1
         # u and v move only on rounds, so the residual can only change here
         state.max_dual_residual = max(state.max_dual_residual, state.dual_residual())
-    else:
-        state.x = x_hat
-        state.y = y_hat
-    state.t += 1
-    return state
+        return True
+    state.x = x_hat
+    state.y = y_hat
+    return False
 
 
 def lyapunov(xu, yv, ref, params):
@@ -185,34 +181,22 @@ def lyapunov(xu, yv, ref, params):
 
 
 @dataclass
-class GDState:
-    x: np.ndarray
-    t: int = 0
-    rounds: int = 0
+class BaselineState:
+    """A baseline's iterate.
 
-    @classmethod
-    def zeros(cls, d):
-        return cls(np.zeros(d))
+    `x` is gd's and diana's (d,) model, scaffnew's (n, d) local models; `h`
+    the (n, d) control variates of diana (gradient estimates) and scaffnew
+    (summing to zero), None for gd.
+    """
+
+    x: np.ndarray
+    h: np.ndarray | None = None
 
 
 def gd_step(state, problem, gamma):
     """Exact distributed gradient descent; one full 32d-bit upload per iteration."""
     state.x = state.x - gamma * problem.grad_mean(state.x)
-    state.t += 1
-    state.rounds += 1
-    return state
-
-
-@dataclass
-class DianaState:
-    x: np.ndarray        # (d,) server model
-    h: np.ndarray        # (n, d) gradient control variates
-    t: int = 0
-    rounds: int = 0
-
-    @classmethod
-    def zeros(cls, n, d):
-        return cls(np.zeros(d), np.zeros((n, d)))
+    return True
 
 
 def diana_gamma(L, mu, omega, n):
@@ -230,21 +214,7 @@ def diana_step(state, problem, spec, gamma, rng):
     g_hat = state.h.sum(axis=0) / n + msgs.sum(axis=0) / n
     state.x = state.x - gamma * g_hat
     state.h = state.h + alpha * msgs
-    state.t += 1
-    state.rounds += 1
-    return state
-
-
-@dataclass
-class ScaffnewState:
-    x: np.ndarray        # (n, d) local models
-    h: np.ndarray        # (n, d) control variates, sum zero
-    t: int = 0
-    rounds: int = 0
-
-    @classmethod
-    def zeros(cls, n, d):
-        return cls(np.zeros((n, d)), np.zeros((n, d)))
+    return True
 
 
 def scaffnew_step(state, problem, gamma, p, rng):
@@ -255,8 +225,6 @@ def scaffnew_step(state, problem, gamma, p, rng):
         x_bar = x_hat.sum(axis=0) / x_hat.shape[0]
         state.h = state.h + (p / gamma) * (x_bar[None, :] - x_hat)
         state.x = np.broadcast_to(x_bar, state.x.shape).copy()
-        state.rounds += 1
-    else:
-        state.x = x_hat
-    state.t += 1
-    return state
+        return True
+    state.x = x_hat
+    return False

@@ -53,8 +53,6 @@ def solve_reference(problem):
     NEWTON_ITER_CAP steps meet neither rule or a line search finds no
     decrease.
     """
-    if problem.mu <= 0:
-        raise InputError("reference solve needs a strongly convex problem")
     x = np.zeros(problem.d)
     f = problem.value_mean(x)
     for steps in range(NEWTON_ITER_CAP + 1):
@@ -293,8 +291,9 @@ def _stepper(config, problem, baseline, spec, rng):
     The only code that resolves a schedule (the theory's, with the config's
     overrides in place of its fields) and checks it: locodl's against the
     convergence conditions, a baseline's overrides against their ranges.
-    `step()` advances the state one iteration; it binds `alg.<name>_step` at
-    each call of `_stepper`, so a wrapper installed on it sees every step.
+    `step()` advances the state one iteration and returns whether it was a
+    communication round; it binds `alg.<name>_step` at each call of
+    `_stepper`, so a wrapper installed on it sees every step.
     `params` is locodl's `AlgoParams`, None for a baseline.  `schedule` goes
     into the trace's metadata.
     """
@@ -315,17 +314,17 @@ def _stepper(config, problem, baseline, spec, rng):
         if algo == "scaffnew":
             schedule = {"gamma": 1.0 / baseline.L,
                         "p": float(min(1.0, 1.0 / np.sqrt(baseline.kappa))), **config.overrides}
-            state = alg.ScaffnewState.zeros(n, d)
+            state = alg.BaselineState(np.zeros((n, d)), np.zeros((n, d)))
             step = partial(alg.scaffnew_step, state, baseline, schedule["gamma"], schedule["p"],
                            rng)
         elif algo == "gd":
             schedule = {"gamma": 1.0 / baseline.L, **config.overrides}
-            state = alg.GDState.zeros(d)
+            state = alg.BaselineState(np.zeros(d))
             step = partial(alg.gd_step, state, baseline, schedule["gamma"])
         else:  # diana
             schedule = {"gamma": alg.diana_gamma(baseline.L, baseline.mu, spec.omega, n),
                         **config.overrides, "omega": spec.omega}
-            state = alg.DianaState.zeros(n, d)
+            state = alg.BaselineState(np.zeros(d), np.zeros((n, d)))
             step = partial(alg.diana_step, state, baseline, spec, schedule["gamma"], rng)
     return objective, state, step, params, schedule
 
@@ -342,23 +341,22 @@ def run_single(config, problem, baseline, ref, seed):
              "stop_ratio": config.stop_ratio, "dirichlet_labels": "seeded fair coin",
              "reference_grad_norm": ref.grad_norm, **schedule}
     rec = _Recorder(meta, ref, objective, state, params, config.stop_column)
-    threshold = config.stop_ratio * rec.record(state.t, state.rounds, 0)
+    threshold = config.stop_ratio * rec.record(0, 0, 0)
     max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
-    rounds_seen = 0
-    while state.t < max_iters:
-        step()
-        new_round = state.rounds != rounds_seen
-        rounds_seen = state.rounds
+    t = rounds = 0
+    while t < max_iters:
+        new_round = step()
+        t += 1
+        rounds += new_round
         # the state a run stops at is always recorded, also when it stops on max_iters
-        if ((new_round and rounds_seen % round_cadence == 0) or state.t % cadence == 0
-                or state.t == max_iters):
+        if (new_round and rounds % round_cadence == 0) or t % cadence == 0 or t == max_iters:
             # each round uploads one message per client; gd and scaffnew take only identity
-            value = rec.record(state.t, rounds_seen, rounds_seen * spec.bits_per_message)
+            value = rec.record(t, rounds, rounds * spec.bits_per_message)
             if value <= threshold:
                 break
             if not math.isfinite(value):
                 raise ConvergenceError(f"{config.algorithm} run diverged: stop metric "
-                                       f"{config.stop_metric} is {value} at iteration {state.t}")
+                                       f"{config.stop_metric} is {value} at iteration {t}")
     if config.algorithm == "locodl":
         extra.update(max_dual_residual=state.max_dual_residual,
                      max_dual_scale=float(np.max(np.abs(state.u))) if state.u.size else 0.0,

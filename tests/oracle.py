@@ -172,7 +172,7 @@ def lyapunov_of(state, ref, params):
 
 def lyapunov(state, ref, params):
     """Weighted squared distance of one state's (x, y, u, v) to the saddle point."""
-    n = state.n
+    n = len(state.x)
     xu_star = np.concatenate((np.tile(ref.x_star, (n, 1)), ref.u_star))
     yv_star = np.concatenate((ref.x_star, ref.v_star))
     xu = np.concatenate((state.x, state.u)) - xu_star

@@ -135,10 +135,9 @@ class TestLoCoDLStep:
         state.x += 1.0
         u0, v0 = state.u.copy(), state.v.copy()
         for _ in range(20):
-            alg.locodl_step(state, problem, spec, params, rng)
+            assert alg.locodl_step(state, problem, spec, params, rng) is False
         assert np.array_equal(state.u, u0)
         assert np.array_equal(state.v, v0)
-        assert state.rounds == 0
 
     def test_identity_round_reaches_consensus(self, quad_problem):
         n, d = quad_problem.n, quad_problem.d
@@ -146,8 +145,8 @@ class TestLoCoDLStep:
         params = alg.AlgoParams(1.0 / quad_problem.L, 1.0, 1.0, 1.0, 0.0, 0.0)
         state = alg.LoCoDLState.zeros(n, d)
         state.x += np.random.default_rng(4).standard_normal((n, d))
-        alg.locodl_step(state, quad_problem, spec, params, alg.RngBundle.from_seed(4))
-        assert state.rounds == 1
+        assert alg.locodl_step(state, quad_problem, spec, params, alg.RngBundle.from_seed(4)) \
+            is True
         for i in range(n):
             assert np.allclose(state.x[i], state.y, atol=1e-12)
 
@@ -199,13 +198,12 @@ class TestLyapunov:
 class TestGD:
     def test_one_step_on_unit_quadratic(self):
         problem = obj.Problem(obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2))), 0.0, 0.0)
-        state = alg.GDState(np.array([3.0, -4.0]))
-        alg.gd_step(state, problem, 1.0)
+        state = alg.BaselineState(np.array([3.0, -4.0]))
+        assert alg.gd_step(state, problem, 1.0) is True
         assert np.allclose(state.x, 0.0)
-        assert state.rounds == 1
 
     def test_zero_stepsize_is_identity(self, quad_problem):
-        state = alg.GDState(np.ones(quad_problem.d))
+        state = alg.BaselineState(np.ones(quad_problem.d))
         alg.gd_step(state, quad_problem, 0.0)
         assert np.array_equal(state.x, np.ones(quad_problem.d))
 
@@ -215,7 +213,7 @@ class TestGD:
         x_star = oracle.quadratic_minimizer(A, b)
         gamma = 1.0 / problem.L
         rate = max(1.0 - gamma * problem.mu, gamma * problem.L - 1.0) ** 2
-        state = alg.GDState(np.zeros(2))
+        state = alg.BaselineState(np.zeros(2))
         err = float(np.sum((state.x - x_star) ** 2))
         for _ in range(100):
             alg.gd_step(state, problem, gamma)
@@ -240,11 +238,11 @@ class TestDiana:
         problem = self._two_client_quadratic()
         spec = make_spec("identity", 4)
         gamma = 0.5 / problem.L
-        diana = alg.DianaState.zeros(2, 4)
-        gd = alg.GDState.zeros(4)
+        diana = alg.BaselineState(np.zeros(4), np.zeros((2, 4)))
+        gd = alg.BaselineState(np.zeros(4))
         rng = alg.RngBundle.from_seed(9)
         for _ in range(100):
-            alg.diana_step(diana, problem, spec, gamma, rng)
+            assert alg.diana_step(diana, problem, spec, gamma, rng) is True
             alg.gd_step(gd, problem, gamma)
             assert np.allclose(diana.x, gd.x, atol=1e-12)
 
@@ -252,7 +250,7 @@ class TestDiana:
         problem = self._two_client_quadratic()
         ref = harness.solve_reference(problem)
         spec = make_spec("rand_k", 4, k=1)
-        state = alg.DianaState(ref.x_star.copy(), ref.u_star.copy())
+        state = alg.BaselineState(ref.x_star.copy(), ref.u_star.copy())
         rng = alg.RngBundle.from_seed(10)
         for _ in range(50):
             alg.diana_step(state, problem, spec, alg.diana_gamma(problem.L, problem.mu, 3.0, 2), rng)
@@ -264,7 +262,7 @@ class TestDiana:
         ref = harness.solve_reference(problem)
         spec = make_spec("rand_k", 4, k=1)
         gamma = alg.diana_gamma(problem.L, problem.mu, spec.omega, 2)
-        state = alg.DianaState.zeros(2, 4)
+        state = alg.BaselineState(np.zeros(4), np.zeros((2, 4)))
         rng = alg.RngBundle.from_seed(11)
         log_err = []
         for t in range(10_000):
@@ -288,11 +286,11 @@ class TestScaffnew:
     def test_single_client_p_one_is_gd(self):
         batch = obj._BatchedQuadratic(np.diag([1.0, 0.5])[None], np.array([[1.0, 1.0]]))
         problem = obj.Problem(batch, 0.0, 0.0)
-        scaff = alg.ScaffnewState.zeros(1, 2)
-        gd = alg.GDState.zeros(2)
+        scaff = alg.BaselineState(np.zeros((1, 2)), np.zeros((1, 2)))
+        gd = alg.BaselineState(np.zeros(2))
         rng = alg.RngBundle.from_seed(12)
         for _ in range(50):
-            alg.scaffnew_step(scaff, problem, 1.0, 1.0, rng)
+            assert alg.scaffnew_step(scaff, problem, 1.0, 1.0, rng) is True
             alg.gd_step(gd, problem, 1.0)
             assert np.allclose(scaff.x[0], gd.x, atol=1e-12)
             assert np.allclose(scaff.h, 0.0)
@@ -302,7 +300,7 @@ class TestScaffnew:
         ref = harness.solve_reference(folded)
         n = folded.n
         h_star = ref.u_star - ref.u_star.mean(axis=0)[None, :]
-        state = alg.ScaffnewState(np.tile(ref.x_star, (n, 1)), h_star.copy())
+        state = alg.BaselineState(np.tile(ref.x_star, (n, 1)), h_star.copy())
         rng = alg.RngBundle.from_seed(13)
         gamma = 1.0 / folded.L
         for _ in range(100):
@@ -323,20 +321,21 @@ class TestScaffnew:
         p = 1.0 / np.sqrt(folded.kappa)
         target = 1e-9 * float(np.sum(ref.x_star ** 2))
 
-        state = alg.ScaffnewState.zeros(n, d)
+        state = alg.BaselineState(np.zeros((n, d)), np.zeros((n, d)))
         rng = alg.RngBundle.from_seed(14)
+        scaff_rounds = 0
         for _ in range(100_000):
             if float(np.mean(np.sum((state.x - ref.x_star) ** 2, axis=1))) <= target:
                 break
-            alg.scaffnew_step(state, folded, gamma, p, rng)
-        scaff_rounds = state.rounds
+            scaff_rounds += alg.scaffnew_step(state, folded, gamma, p, rng)
 
-        gd = alg.GDState.zeros(d)
+        gd = alg.BaselineState(np.zeros(d))
+        gd_rounds = 0
         for _ in range(100_000):
             if float(np.sum((gd.x - ref.x_star) ** 2)) <= target:
                 break
-            alg.gd_step(gd, folded, gamma)
-        assert scaff_rounds < gd.rounds     # each round of either uploads the full 32d bits
+            gd_rounds += alg.gd_step(gd, folded, gamma)
+        assert scaff_rounds < gd_rounds     # each round of either uploads the full 32d bits
 
 
 class TestRngBundle:

@@ -124,10 +124,13 @@ class TestSolveReference:
             harness.solve_reference(logistic_problem(sparse=False))
 
     def test_rejects_non_strongly_convex(self):
-        problem = obj.Problem(obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2))), 0.0, 0.0)
-        problem.mu = 0.0
-        with pytest.raises(InputError):
-            harness.solve_reference(problem)
+        # Problem refuses mu <= 0 when built and on every replace (fold_shared, reduce_g_zero),
+        # so no such problem reaches the solve
+        batch = obj._BatchedQuadratic(np.eye(2)[None], np.zeros((1, 2)))
+        with pytest.raises(InputError, match="0 < mu <= L"):
+            obj.Problem(batch, -1.0, 0.0)
+        with pytest.raises(InputError, match="0 < mu <= L"):
+            replace(obj.Problem(batch, 0.0, 0.0), reg=-1.0)
 
 
 class TestExperimentConfig:
@@ -275,6 +278,30 @@ class TestRunSingle:
         for key in ("gamma", "chi", "rho", "p", "omega", "omega_av", "tau",
                     "config_hash", "max_dual_residual"):
             assert key in trace.metadata
+
+    @pytest.mark.parametrize("algorithm, compressor, k", [
+        ("locodl", "rand_k", 1), ("diana", "rand_k", 2), ("scaffnew", "identity", None),
+        ("gd", "identity", None)])
+    def test_step_returns_a_bool_the_loop_counts(self, monkeypatch, algorithm, compressor, k):
+        # a numpy.bool_ would make rounds an np.int64, whose repr differs from an int's
+        returns = []
+        step = getattr(alg, f"{algorithm}_step")
+
+        def counted(*args):
+            returns.append(step(*args))
+            return returns[-1]
+
+        monkeypatch.setattr(alg, f"{algorithm}_step", counted)
+        config = quad_config(algorithm=algorithm, compressor=compressor, k=k,
+                             stop_metric="sqdist", stop_ratio=1e-6, max_iters=700,
+                             cadence=64, round_cadence=3)
+        problem, baseline = harness.build_problem(config)
+        trace = harness.run_single(config, problem, baseline, harness.solve_reference(problem), 0)
+        assert all(type(value) is bool for value in returns)
+        assert trace.columns["t"][-1] == len(returns)
+        assert trace.columns["rounds"][-1] == returns.count(True)
+        for name in ("t", "rounds", "bits_per_client"):
+            assert all(type(cell) is int for cell in trace.columns[name])
 
 
 RECORDER_BLOCKS = [("gd", "identity", None), ("diana", "rand_k", 2),

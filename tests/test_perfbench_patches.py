@@ -69,11 +69,20 @@ def test_layer_tracer_times_every_step_of_a_run(tracer, tmp_path):
     config.write_text(FOUR_BLOCKS)
     layers = tracer.LayerTracer().install()
     try:
-        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "traced")]) == 0
     finally:
         layers.uninstall()
     for algo in tracer.STEP_FNS:
         assert layers.samples[f"step.{algo}"], f"no {algo} step was timed"
+    # the tracer's step wrapper carries each step's round signal, so traced files are the same
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "plain")]) == 0
+
+    def written(out):
+        return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()
+                if path.suffix in (".csv", ".meta")}
+
+    traced = written("traced")
+    assert len(traced) == 8 and traced == written("plain")
 
 
 def test_setup_probe_sees_every_trajectory_of_a_run(tracer, tmp_path):
