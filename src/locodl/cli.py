@@ -17,6 +17,7 @@ import math
 import os
 import statistics
 import sys
+from array import array
 
 import numpy as np
 
@@ -244,7 +245,7 @@ def _column_index(name, flag):
 def cmd_plot(args):
     ix, iy = _column_index(args.x, "--x"), _column_index(args.y, "--y")
     ia, ic = harness.CSV_COLUMNS.index("algorithm"), harness.CSV_COLUMNS.index("compressor")
-    series = {}     # (algorithm, compressor) -> one (xs, ys) run per CSV file
+    series = {}     # (algorithm, compressor) -> one (xs, ys) pair of array('d') per CSV file
     for path in args.csvs:
         in_file = {}
         try:
@@ -262,7 +263,10 @@ def cmd_plot(args):
                         x, y = float(row[ix]), float(row[iy])
                     except ValueError as exc:
                         raise InputError(f"{path}:{reader.line_num}: {exc}") from None
-                    xs, ys = in_file.setdefault((row[ia], row[ic]), ([], []))
+                    key = (row[ia], row[ic])
+                    if key not in in_file:
+                        in_file[key] = (array("d"), array("d"))
+                    xs, ys = in_file[key]
                     xs.append(x)
                     ys.append(y)
         except UnicodeDecodeError:

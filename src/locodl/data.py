@@ -1,7 +1,9 @@
 """LibSVM ingestion, client partitioning, and Dirichlet synthetic data.
 
-Every loader returns an `objectives.Shard`: (rows, d) float64 features and
-labels in {-1, +1}.
+Every loader returns an `objectives.Shard` of (rows, d) float64 features and
+labels in {-1, +1}.  A LibSVM file's features are the CSR matrix of its
+nonzero pairs, built from the parsed arrays, so no dense (rows, d) copy of
+the file is ever formed; Dirichlet features are a dense array.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError, ParseError
 from .objectives import Shard
@@ -32,7 +35,9 @@ def parse_libsvm(stream):
     finite; '#' starts a comment; blank lines are skipped.  Labels in {0,1}
     are mapped to {-1,+1}.  d is the largest index present.  The text is
     converted and checked in one pass: a failure mask over the token positions
-    finds the first bad token, and the ParseError names its line.
+    finds the first bad token, and the ParseError names its line.  The
+    features are a CSR matrix of the nonzero pairs: an explicit 'j:0' stores
+    nothing, so its arrays are those of the dense rows' `objectives._csr`.
     """
     if isinstance(stream, str):     # split as a file is: at \n, \r\n and \r only
         stream = io.StringIO(stream, newline=None)
@@ -47,6 +52,7 @@ def parse_libsvm(stream):
     for tokens in map(str.split, lines):
         lengths.append(len(tokens))
         codes.extend(map(code.__getitem__, tokens))
+    del lines
     distinct = list(code)
     codes = np.fromiter(codes, dtype=np.intp, count=len(codes))
     lengths = np.array(lengths, dtype=np.intp)
@@ -63,6 +69,15 @@ def parse_libsvm(stream):
     except OverflowError:   # an index past int64: it fails below, as out of order or too large
         index_of = np.array([index for index, _ in pair_of], dtype=object)
     value_of = np.array([value for _, value in pair_of], dtype=np.float64)
+    # d, the largest index if no token fails.  The probe writes no page of its dense
+    # array, but allocates it, so it runs before the per-token arrays exist; a
+    # failure it finds is reported after the token checks
+    d = int(index_of.max(initial=0))
+    try:
+        np.empty((lengths.size, d))
+        too_large = False
+    except (ValueError, MemoryError):
+        too_large = True
     # a valid label is a malformed pair, so its index is 0: the first index of
     # its row must exceed it.  A label's failure replaces what its pair check says.
     index = index_of[codes]
@@ -86,14 +101,18 @@ def parse_libsvm(stream):
             message = (f"feature indices must be strictly increasing "
                        f"(saw {index[at]} after {before[at]})")
         raise ParseError(line_of(at), message)
-    d = int(index.max(initial=0))
-    try:
-        features = np.zeros((lengths.size, d))
-    except (ValueError, MemoryError):
+    if too_large:
         raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: "
-                         f"numpy cannot allocate {lengths.size} x {d} features") from None
-    features[np.repeat(np.arange(lengths.size), lengths - 1), index[pairs] - 1] = \
-        value_of[pair_codes]
+                         f"numpy cannot allocate {lengths.size} x {d} features")
+    # the nonzero pairs, in row order: row r's pairs begin at pair starts[r] - r, past
+    # the r labels before its own, and `kept` counts the nonzero pairs before each pair
+    values = value_of[pair_codes]
+    nonzero = values != 0.0
+    kept = np.concatenate(([0], np.cumsum(nonzero)))
+    features = sparse.csr_matrix(
+        (values[nonzero], (index[pairs] - 1)[nonzero],
+         kept[np.append(starts, codes.size) - np.arange(lengths.size + 1)]),
+        shape=(lengths.size, d))
     labels = np.array(label_of, dtype=np.float64)[label_codes]
     return Shard(features, _normalize_labels(labels))
 

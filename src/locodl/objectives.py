@@ -33,13 +33,18 @@ def _as_2d(a):
 
 @dataclass(frozen=True)
 class Shard:
-    """A binary classification dataset, as parsed or synthesized."""
+    """A binary classification dataset, as parsed or synthesized.
 
-    features: np.ndarray  # (m, d)
+    The features are a dense array or, as a LibSVM file's are, a CSR matrix.
+    """
+
+    features: object      # (m, d): float64 ndarray or scipy.sparse CSR matrix
     labels: np.ndarray    # (m,), entries in {-1, +1}
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _as_2d(self.features))
+        features = self.features
+        object.__setattr__(self, "features", sparse.csr_matrix(features, dtype=np.float64)
+                           if sparse.issparse(features) else _as_2d(features))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
         if self.features.shape[0] < 1:
             raise InputError("shard must contain at least one row")
@@ -81,9 +86,17 @@ def row_dots(X, Y):
 
 
 def max_eigenvalue_gram(features):
-    """Largest eigenvalue of A^T A, computed exactly from the d x d Gram matrix."""
-    a = _as_2d(features)
-    return float(np.linalg.eigvalsh(a.T @ a)[-1])
+    """Largest eigenvalue of A^T A, computed exactly from the d x d Gram matrix.
+
+    A CSR matrix's Gram is its sparse product, densified: on integer data it
+    equals the dense product bit for bit, and otherwise to rounding.
+    """
+    if sparse.issparse(features):
+        gram = (features.T @ features).toarray()
+    else:
+        a = _as_2d(features)
+        gram = a.T @ a
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 # eigvalsh's lam_max exceeds the true value by O(d eps ||G||), about 1e-14 relative
@@ -94,21 +107,25 @@ def _client_gram_bounds(features, rows):
     """Per-client upper bounds on lam_max(A_i^T A_i), exact where they can be the largest.
 
     Client i's rows A_i are features[rows[i]]: a view of an (n, m, d) stack
-    indexed by client, or a copy of the dataset rows a partition selects.
-    Each Gram's Frobenius norm bounds its lam_max; the Grams are formed one at a
-    time and only the norms kept.  Clients are solved with `max_eigenvalue_gram`
-    in falling order of bound until no remaining bound, times the margin, exceeds
-    the largest value solved.  A skipped client keeps its bound times the margin,
-    which is still at most that value, so the maximum is the all-client maximum
-    bit for bit.
+    indexed by client, or a slice of a CSR matrix's rows, densified one client
+    at a time.  Each Gram's Frobenius norm bounds its lam_max; the Grams are
+    formed one at a time and only the norms kept.  Clients are solved with
+    `max_eigenvalue_gram` in falling order of bound until no remaining bound,
+    times the margin, exceeds the largest value solved.  A skipped client
+    keeps its bound times the margin, which is still at most that value, so
+    the maximum is the all-client maximum bit for bit.
     """
-    bounds = np.array([np.linalg.norm(a.T @ a) for a in map(features.__getitem__, rows)]) \
+    def client(i):
+        a = features[rows[i]]
+        return a.toarray() if sparse.issparse(a) else a
+
+    bounds = np.array([np.linalg.norm(a.T @ a) for a in map(client, range(len(rows)))]) \
         * _BOUND_MARGIN
     top = -np.inf
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] <= top:
             break
-        bounds[i] = max_eigenvalue_gram(features[rows[i]])
+        bounds[i] = max_eigenvalue_gram(client(i))
         top = max(top, bounds[i])
     return bounds
 
@@ -156,21 +173,22 @@ class _BatchedLogistic:
     """The logistic losses of n clients with m rows each, as one batch.
 
     Client i's rows are features[rows[i]] with labels labels[rows[i]], for an
-    (n, m) array of dataset row indices such as `data.partition` returns.  The
-    features are stored once.  Dense data are the (n, m, d) stack of the
-    selected rows.  Sparse data (typical for one-hot encodings) are one
-    block-diagonal CSR matrix, so that one sparse matvec computes every
-    client's margins against its own model; A^T c goes through the block's
-    transpose, a CSC view of the same arrays.  The density is decided from the
-    selected rows' nonzero counts, and a sparse batch never forms the stack:
-    it selects the rows from a CSR of the dataset (the flat (n*m, d) matrix)
-    and shifts client i's column indices by i*d for the block, which shares
-    the flat matrix's values and row pointers.  The flat matrix serves a
-    common (d,) point and the Hessian.  `lo` and `hi` are each client's
-    curvature bounds, 0 and lam_max(A_i^T A_i) / (4m); that lam_max is exact
-    for the clients that could hold the largest (`_client_gram_bounds`), so
-    `hi.max()`, and with it L, is exact.  `value_terms`, the n*m margins of
-    one point, sizes `mean_value`'s work per point.
+    (n, m) array of dataset row indices such as `data.partition` returns; the
+    features are a dense array or a CSR matrix.  They are stored once.  Dense
+    data are the (n, m, d) stack of the selected rows.  Sparse data (typical
+    for one-hot encodings) are one block-diagonal CSR matrix, so that one
+    sparse matvec computes every client's margins against its own model; A^T c
+    goes through the block's transpose, a CSC view of the same arrays.  The
+    density is decided from the selected rows' nonzero counts (a CSR's row
+    pointers), and a sparse batch never forms the stack: it selects the rows
+    from the dataset's CSR (the flat (n*m, d) matrix) and shifts client i's
+    column indices by i*d for the block, which shares the flat matrix's values
+    and row pointers.  The flat matrix serves a common (d,) point and the
+    Hessian.  `lo` and `hi` are each client's curvature bounds, 0 and
+    lam_max(A_i^T A_i) / (4m); that lam_max is exact for the clients that
+    could hold the largest (`_client_gram_bounds`), so `hi.max()`, and with
+    it L, is exact.  `value_terms`, the n*m margins of one point, sizes
+    `mean_value`'s work per point.
     """
 
     _SPARSE_DENSITY = 0.25
@@ -186,12 +204,16 @@ class _BatchedLogistic:
         self.lo = np.zeros(self.n)
         self._block = None
         size = self.b.size * self.d
-        # a batch too small for the sparse path is not scanned for nonzeros
-        row_nonzeros = np.count_nonzero(features, axis=1) if size > 1 << 16 else None
-        if row_nonzeros is not None and row_nonzeros[rows].sum() < self._SPARSE_DENSITY * size:
+        is_csr = sparse.issparse(features)
+        # a dense batch too small for the sparse path is not scanned for nonzeros
+        row_nonzeros = (np.diff(features.indptr) if is_csr
+                        else np.count_nonzero(features, axis=1) if size > 1 << 16 else None)
+        if size > 1 << 16 and row_nonzeros[rows].sum() < self._SPARSE_DENSITY * size:
             self.A = None
-            self.hi = _client_gram_bounds(features, rows) / (4.0 * self.m)
-            self._flat = _csr(features, row_nonzeros)[rows.ravel()]
+            self._flat = (features if is_csr else _csr(features, row_nonzeros))[rows.ravel()]
+            # client i's rows are the flat matrix's rows i*m .. (i+1)*m - 1
+            self.hi = _client_gram_bounds(self._flat, [slice(i * self.m, (i + 1) * self.m)
+                                                       for i in range(self.n)]) / (4.0 * self.m)
             # client i's entries come in its rows' order, m rows a client; its columns move i*d
             shifts = np.repeat(np.arange(self.n) * self.d, np.diff(self._flat.indptr[::self.m]))
             self._block = sparse.csr_matrix((self._flat.data, shifts + self._flat.indices,
@@ -200,7 +222,8 @@ class _BatchedLogistic:
             # a CSC view of the block's arrays, built once: scipy's .T costs tens of us per call
             self._block_t = self._block.T
         else:
-            self.A = features[rows]     # (n, m, d)
+            self.A = (features[rows.ravel()].toarray().reshape(*rows.shape, self.d) if is_csr
+                      else features[rows])     # (n, m, d)
             self.hi = _client_gram_bounds(self.A, range(self.n)) / (4.0 * self.m)
         self._coef = -self.b / self.m
 

@@ -6,6 +6,8 @@ Deliberately tiny: no external renderer, just axes, polylines, and a legend.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import compress
 
 from .errors import InputError
 
@@ -26,26 +28,36 @@ def _decades(lo, hi):
     return [10.0 ** k for k in range(start, end + 1)]
 
 
+def _plotted(x, y):
+    """Whether the point (x, y) is drawn: a finite x and a finite y > 0."""
+    return math.isfinite(x) and 0.0 < y < math.inf
+
+
 def render(series, x_label="x", y_label="y"):
-    """series: list of (label, runs), each run an (xs, ys) pair drawn as its own line in
-    the label's colour; plots the points with a finite x and a finite y > 0."""
+    """series: list of (label, runs), each run an (xs, ys) pair of float sequences drawn as
+    its own line in the label's colour; plots the points with a finite x and a finite y > 0.
+
+    Each kept run is held as two `array('d')`s, and the axis ranges are scanned from
+    them: no per-point tuple or Python float list is built.
+    """
     cleaned = []
     for label, runs in series:
-        lines = [pts for pts in ([(float(x), float(y)) for x, y in zip(xs, ys)
-                                  if math.isfinite(x) and y > 0 and math.isfinite(y)]
-                                 for xs, ys in runs) if pts]
+        lines = []
+        for xs, ys in runs:
+            keep = list(map(_plotted, xs, ys))
+            if any(keep):
+                lines.append((array("d", compress(xs, keep)), array("d", compress(ys, keep))))
         if lines:
             cleaned.append((label, lines))
     if not cleaned:
         raise InputError(f"nothing to plot: no point has a finite {x_label} "
                          f"and a positive finite {y_label}")
 
-    all_x = [x for _, lines in cleaned for pts in lines for x, _ in pts]
-    all_y = [y for _, lines in cleaned for pts in lines for _, y in pts]
-    x_lo, x_hi = min(all_x), max(all_x)
+    runs = [run for _, lines in cleaned for run in lines]
+    x_lo, x_hi = min(min(xs) for xs, _ in runs), max(max(xs) for xs, _ in runs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    ticks = _decades(min(all_y), max(all_y))
+    ticks = _decades(min(min(ys) for _, ys in runs), max(max(ys) for _, ys in runs))
     y_lo, y_hi = math.log10(ticks[0]), math.log10(ticks[-1])
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -58,6 +70,9 @@ def render(series, x_label="x", y_label="y"):
 
     def py(y):
         return MARGIN_T + plot_h * (1.0 - (math.log10(y) - y_lo) / (y_hi - y_lo))
+
+    def point(x, y):
+        return f"{px(x):.2f},{py(y):.2f}"
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -89,8 +104,8 @@ def render(series, x_label="x", y_label="y"):
 
     for idx, (label, lines) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
-        for pts in lines:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        for xs, ys in lines:
+            coords = " ".join(map(point, xs, ys))
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        'stroke-width="1.5"/>')
         ly = MARGIN_T + 15 + 18 * idx

@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from locodl import objectives as obj
 
@@ -76,13 +77,15 @@ def gram_solves(monkeypatch):
 
     A dense batch solves views of its stack, so a client solved twice repeats an
     address.  A sparse batch solves a fresh copy of each client's rows; every solved
-    matrix is kept alive here, so that no copy takes the address of a freed one.
+    matrix is kept alive here, so that no copy takes the address of a freed one.  A
+    CSR matrix's address is that of its values.
     """
     calls, kept = [], []
     solve = obj.max_eigenvalue_gram
 
     def counting(features):
-        calls.append(features.__array_interface__["data"][0])
+        values = features.data if sparse.issparse(features) else features
+        calls.append(values.__array_interface__["data"][0])
         kept.append(features)
         return solve(features)
 

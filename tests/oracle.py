@@ -3,7 +3,8 @@
 The library evaluates local functions only in batches, through a `Problem`
 (`grads_locals`, `value_mean`).  These one-client-at-a-time formulas take
 the client's own arrays and regularization weight, and are the reference
-that the tests hold the batched paths to.  `serialize_libsvm` writes a
+that the tests hold the batched paths to.  `stack` gives a dataset's rows as
+a dense array, from dense or CSR features.  `serialize_libsvm` writes a
 dataset back as LibSVM text, the inverse the parser's round trips check.
 `parse_lines` parses LibSVM text one line at a time, the reference that
 the tests hold `data.parse_libsvm`'s arrays and errors to.  `compress_round`
@@ -13,10 +14,11 @@ tests hold `compressors.compress_round`'s pipeline to, bit for bit.
 state, with `observe`, the one-state `lyapunov` and the one-point
 `value_mean`: the reference that the tests hold `harness._Recorder`'s
 chunked columns to, byte for byte.  `state_stacks` and `lyapunov_of` give
-the library's stacked `lyapunov` one state.  `stack_batch` builds a logistic
-batch's sparse arrays and curvature bounds from the (n, m, d) stack of its
-clients' rows, the reference that the tests hold the stack-free build to;
-`unstack` gives a stack as the (features, labels, rows) the library takes.
+the library's stacked `lyapunov` one state.  `render` draws an SVG from one
+(x, y) tuple per point, the reference that the tests hold `svgplot.render`
+to, byte for byte.  `stack_batch` builds a logistic batch's sparse arrays
+and curvature bounds from the (n, m, d) stack of its clients' rows, the
+reference that the tests hold the stack-free build to; `unstack` gives a stack as the (features, labels, rows) the library takes.
 """
 
 import math
@@ -28,9 +30,11 @@ from scipy.special import expit
 
 from locodl.algorithms import lyapunov as alg_lyapunov
 from locodl.compressors import _natural_round, _rand_subsets
-from locodl.errors import ParseError
+from locodl.errors import InputError, ParseError
 from locodl.harness import CONSTANT_COLUMNS, VARYING_COLUMNS, ExperimentTrace
 from locodl.objectives import _BOUND_MARGIN, _BatchedQuadratic, max_eigenvalue_gram
+from locodl.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
+                            WIDTH, _TEXT_ESCAPES, _decades)
 
 
 def logistic_value(features, labels, reg, x):
@@ -61,10 +65,19 @@ def quadratic_minimizer(A, b, reg=0.0):
     return np.linalg.solve(A + reg * np.eye(b.size), b)
 
 
+def stack(dataset, rows):
+    """dataset.features[rows] as a dense array, from dense or CSR features: for the (n, m)
+    row indices of a partition, the (n, m, d) stack of the clients' rows."""
+    features = dataset.features
+    if sparse.issparse(features):
+        return features[np.ravel(rows)].toarray().reshape(*np.shape(rows), dataset.d)
+    return features[rows]
+
+
 def serialize_libsvm(shard):
     """Inverse of `data.parse_libsvm`: the nonzero features of every row, labels as -1/+1."""
     lines = []
-    for row, label in zip(shard.features.tolist(), shard.labels.tolist()):
+    for row, label in zip(stack(shard, np.arange(shard.m)).tolist(), shard.labels.tolist()):
         pairs = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0)
         head = "+1" if label > 0 else "-1"
         lines.append(f"{head} {pairs}".rstrip())
@@ -235,6 +248,85 @@ class Recorder:
         meta = dict(self.meta)
         meta.update(extra_meta)
         return ExperimentTrace(columns, meta)
+
+
+def render(series, x_label="x", y_label="y"):
+    """`svgplot.render` with one (x, y) tuple per point and every plotted x and y listed:
+    series is a list of (label, runs), each run an (xs, ys) pair drawn as its own line in
+    the label's colour; plots the points with a finite x and a finite y > 0."""
+    cleaned = []
+    for label, runs in series:
+        lines = [pts for pts in ([(float(x), float(y)) for x, y in zip(xs, ys)
+                                  if math.isfinite(x) and y > 0 and math.isfinite(y)]
+                                 for xs, ys in runs) if pts]
+        if lines:
+            cleaned.append((label, lines))
+    if not cleaned:
+        raise InputError(f"nothing to plot: no point has a finite {x_label} "
+                         f"and a positive finite {y_label}")
+
+    all_x = [x for _, lines in cleaned for pts in lines for x, _ in pts]
+    all_y = [y for _, lines in cleaned for pts in lines for _, y in pts]
+    x_lo, x_hi = min(all_x), max(all_x)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    ticks = _decades(min(all_y), max(all_y))
+    y_lo, y_hi = math.log10(ticks[0]), math.log10(ticks[-1])
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(x):
+        return MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
+
+    def py(y):
+        return MARGIN_T + plot_h * (1.0 - (math.log10(y) - y_lo) / (y_hi - y_lo))
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+           f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+           'fill="none" stroke="black"/>']
+
+    for tick in ticks:
+        y = py(tick)
+        exp = int(round(math.log10(tick)))
+        out.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '
+                   'stroke="black"/>')
+        out.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
+                   f'font-size="12">1e{exp}</text>')
+
+    for i in range(5):
+        x = x_lo + (x_hi - x_lo) * i / 4
+        xp = px(x)
+        out.append(f'<line x1="{xp:.2f}" y1="{MARGIN_T + plot_h}" x2="{xp:.2f}" '
+                   f'y2="{MARGIN_T + plot_h + 5}" stroke="black"/>')
+        out.append(f'<text x="{xp:.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
+                   f'font-size="12">{x:.3g}</text>')
+
+    out.append(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+               f'font-size="13">{x_label.translate(_TEXT_ESCAPES)}</text>')
+    out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" font-size="13" '
+               f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2})">'
+               f'{y_label.translate(_TEXT_ESCAPES)}</text>')
+
+    for idx, (label, lines) in enumerate(cleaned):
+        color = PALETTE[idx % len(PALETTE)]
+        for pts in lines:
+            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                       'stroke-width="1.5"/>')
+        ly = MARGIN_T + 15 + 18 * idx
+        lx = WIDTH - MARGIN_R + 10
+        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 20}" y2="{ly}" stroke="{color}" '
+                   'stroke-width="1.5" class="legend"/>')
+        out.append(f'<text x="{lx + 25}" y="{ly + 4}" font-size="12" class="legend">'
+                   f'{label.translate(_TEXT_ESCAPES)}</text>')
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def unstack(A, b):

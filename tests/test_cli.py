@@ -1,12 +1,17 @@
 """CLI: config loading, run/sweep/certify/plot subcommands, exit codes."""
 
 import csv
+import math
+from array import array
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from locodl import cli, compressors, harness
+from locodl import cli, compressors, harness, svgplot
+from locodl.errors import InputError
+
+import oracle
 
 QUAD_CONFIG = """\
 [problem]
@@ -727,6 +732,47 @@ class TestPlot:
             assert xs == sorted(xs), "a line steps backward in x"
         assert text.count('class="legend"') == 2   # both seeds share one legend entry
         assert "1e-" in text    # decade tick labels on the log axis
+
+    @pytest.mark.parametrize("x, y", [("t", "lyapunov"), ("bits_per_client", "sqdist_mean"),
+                                      ("rounds", "obj_gap")])
+    def test_svg_bytes_equal_the_oracle(self, trace_csvs, tmp_path, monkeypatch, x, y):
+        calls = []
+        render = svgplot.render
+
+        def recording(series, **labels):
+            calls.append((series, labels))
+            return render(series, **labels)
+
+        monkeypatch.setattr(svgplot, "render", recording)
+        svg = tmp_path / "plot.svg"
+        assert run_cli(["plot", *trace_csvs, "--x", x, "--y", y, "--out", str(svg)]) == 0
+        [(series, labels)] = calls
+        assert svg.read_bytes() == oracle.render(series, **labels).encode("utf-8")
+
+    @pytest.mark.parametrize("series", [
+        [("a", [([0.0, 1.0, math.nan, 3.0, math.inf, -math.inf, 6.0],
+                 [1.0, math.nan, 2.0, math.inf, 3.0, 4.0, 1e-3])])],
+        [("a", [([0.0, 1.0, 2.0, 3.0], [0.0, -1.0, 5.0, -0.0])]),
+         ("b", [([1.0, 2.0], [0.0, -2.0])]),
+         ("c", [([4.0, 5.0], [1e-12, 1e3]), ([], [])])],
+        [("a", [([2.5, 2.5, 2.5], [1.0, 10.0, 100.0])])],
+        [("a", [([7.0], [0.5])]), ("b", [([7.0], [0.5])])],
+        [("a", [([-0.0, 0.0, 1.0], [3.0, 3.0, 3.0])])],
+        [("a", [(array("d", [0.0, 1e6, 2e6]), array("d", [1e-300, 1e300, math.nan]))])],
+    ], ids=["non_finite", "y_at_most_zero", "single_x", "single_point", "signed_zero_x",
+            "arrays_and_extreme_y"])
+    def test_render_equals_the_oracle_byte_for_byte(self, series):
+        assert svgplot.render(series, x_label="x<", y_label="y&") \
+            == oracle.render(series, x_label="x<", y_label="y&")
+
+    @pytest.mark.parametrize("series", [[], [("a", [([1.0], [0.0])])],
+                                        [("a", [([math.nan, 1.0], [1.0, -1.0])])]])
+    def test_nothing_to_plot_raises_the_oracle_error(self, series):
+        with pytest.raises(InputError) as raised:
+            svgplot.render(series)
+        with pytest.raises(InputError) as expected:
+            oracle.render(series)
+        assert str(raised.value) == str(expected.value)
 
     def test_two_series_two_polylines(self, quad_config_path, tmp_path):
         extra = tmp_path / "two.ini"

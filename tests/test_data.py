@@ -1,5 +1,7 @@
 """Data ingestion: LibSVM parsing, partitioning, Dirichlet synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from locodl import data
 from locodl.errors import InputError, ParseError
-from locodl.objectives import Shard
+from locodl.objectives import Shard, _csr
 
 import oracle
 
@@ -16,7 +18,7 @@ class TestParseLibsvm:
     def test_basic_row(self):
         ds = data.parse_libsvm("+1 1:0.5 3:-2")
         assert ds.d == 3
-        assert np.array_equal(ds.features, [[0.5, 0.0, -2.0]])
+        assert np.array_equal(ds.features.toarray(), [[0.5, 0.0, -2.0]])
         assert np.array_equal(ds.labels, [1.0])
 
     def test_zero_one_labels_mapped(self):
@@ -60,12 +62,12 @@ class TestParseLibsvm:
     def test_dense_materialization(self):
         ds = data.parse_libsvm("+1 2:5\n-1 1:1")
         assert ds.features.dtype == np.float64
-        assert np.array_equal(ds.features, [[0.0, 5.0], [1.0, 0.0]])
+        assert np.array_equal(ds.features.toarray(), [[0.0, 5.0], [1.0, 0.0]])
         assert np.array_equal(ds.labels, [1.0, -1.0])
 
     def test_rows_without_features(self):
         ds = data.parse_libsvm("+1\n-1 2:1\n-1")
-        assert np.array_equal(ds.features, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(ds.features.toarray(), [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
     def test_empty_input_rejected(self, text):
@@ -90,15 +92,22 @@ def both_paths(text):
 
 
 def assert_same_arrays(shard, by_line):
-    """`shard` holds the oracle's (labels, features), with labels mapped to -1/+1."""
+    """`shard` holds the oracle's (labels, features), with labels mapped to -1/+1; its CSR
+    features hold the arrays, dtypes included, of the CSR of the oracle's dense features."""
     assert shard.features.shape == by_line[1].shape
-    assert np.array_equal(shard.features, by_line[1])
+    assert np.array_equal(shard.features.toarray(), by_line[1])
+    expected = _csr(by_line[1], np.count_nonzero(by_line[1], axis=1))
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(shard.features, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
     assert np.array_equal(shard.labels, data._normalize_labels(np.array(by_line[0])))
 
 
 # one LibSVM token of a valid file, spelled the ways int() and float() accept
 INDEX_SPELLINGS = ["{}", "+{}", "0{}", "{}"]
-VALUE_SPELLINGS = ["1", "1.0", "-0.5", "+2", "1e-3", "1_0", "3.25E2", "-7", "0.1", ".5"]
+VALUE_SPELLINGS = ["1", "1.0", "-0.5", "+2", "1e-3", "1_0", "3.25E2", "-7", "0.1", ".5",
+                   "0", "-0"]
 
 
 @st.composite
@@ -143,8 +152,9 @@ class TestBulkParse:
         "+1 +3:1 1_0:1e-3\n-1 1:1_0 12:2",
         "-1 7:1\n+1 2:1 5:1",
         "+1 \t1:1   2:1\t\n\n# only a comment\n-1",
+        "+1 1:0 2:1 3:-0\n-1 2:0.0 4:-0.0\n+1 1:2 6:0e5",
     ], ids=["comments", "label_only_rows", "crlf", "zero_one_labels", "int_float_spellings",
-            "d_from_largest_index", "mixed_whitespace"])
+            "d_from_largest_index", "mixed_whitespace", "explicit_zeros"])
     def test_valid_input_is_parsed_in_bulk(self, text):
         assert_same_arrays(data.parse_libsvm(text), oracle.parse_lines(file_lines(text)))
 
@@ -160,7 +170,7 @@ class TestBulkParse:
         path.write_bytes(text.encode("utf-8"))
         from_file, from_string = data.load_libsvm(str(path)), data.parse_libsvm(text)
         assert from_string.features.shape == (2, 2)
-        assert np.array_equal(from_string.features, from_file.features)
+        assert np.array_equal(from_string.features.toarray(), from_file.features.toarray())
         assert np.array_equal(from_string.labels, from_file.labels)
         assert_same_arrays(from_string, oracle.parse_lines(file_lines(text)))
 
@@ -241,7 +251,7 @@ class TestRoundTrip:
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"
         ds = data.parse_libsvm(text)
         again = data.parse_libsvm(oracle.serialize_libsvm(ds))
-        assert np.array_equal(again.features, ds.features)
+        assert np.array_equal(again.features.toarray(), ds.features.toarray())
         assert np.array_equal(again.labels, ds.labels)
 
     @settings(max_examples=50, deadline=None)
@@ -257,7 +267,7 @@ class TestRoundTrip:
         again = data.parse_libsvm(oracle.serialize_libsvm(ds))
         # d is re-inferred from the largest populated index; the columns past it are zero
         assert again.d <= ds.d
-        assert np.array_equal(again.features, ds.features[:, :again.d])
+        assert np.array_equal(again.features.toarray(), ds.features[:, :again.d])
         assert not ds.features[:, again.d:].any()
         assert np.array_equal(again.labels, ds.labels)
 
@@ -335,3 +345,14 @@ class TestLargeFixture:
         ds = data.load_libsvm(a5a_path)
         assert ds.m == 6414
         assert ds.d == 122
+
+    def test_the_parse_holds_no_dense_copy_of_the_features(self, a5a_path):
+        # the token arrays and the CSR need less than half the dense features' bytes
+        # beside them; a dense (rows, d) array filled during the parse would not fit
+        tracemalloc.start()
+        try:
+            ds = data.load_libsvm(a5a_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.m * ds.d * 8

@@ -583,7 +583,7 @@ class TestBuildProblem:
         dataset = load_libsvm(a5a_path)
         monkeypatch.setattr(harness, "load_libsvm", lambda path: dataset)
         config = quad_config(problem={"source": "libsvm", "path": a5a_path}, n=87, kappa=1e3)
-        limit = dataset.features.nbytes
+        limit = dataset.m * dataset.d * 8     # the dense features' bytes
         tracemalloc.start()
         try:
             harness.build_problem(config)
@@ -620,7 +620,7 @@ class TestBuildProblem:
         problem, baseline = harness.build_problem(self._logistic_config("dirichlet", 1e2, None))
         [(dataset, rows)] = partitions
         assert problem.batch.A.shape == (25, 1, 50)
-        assert np.array_equal(problem.batch.A, dataset.features[rows])
+        assert np.array_equal(problem.batch.A, oracle.stack(dataset, rows))
         assert np.array_equal(problem.batch.b, dataset.labels[rows])
         assert baseline.batch is problem.batch
 
@@ -650,7 +650,7 @@ class TestBuildProblem:
         dataset = (load_libsvm(a5a_path) if source == "libsvm"
                    else dirichlet_synthetic(25, 50, 1.0, 7))
         mu = obj.regularization_for_kappa(dataset, kappa)
-        A = dataset.features[partition(dataset, config.n, config.data_seed)]
+        A = oracle.stack(dataset, partition(dataset, config.n, config.data_seed))
         L = max(obj.max_eigenvalue_gram(a) / (4.0 * a.shape[0]) + 2.0 * mu for a in A)
         assert (baseline.L, baseline.mu) == (L, 2.0 * mu)
 

@@ -100,6 +100,19 @@ class TestSmoothness:
         a = np.sqrt([3.0, 2.9, 1.0])[:, None] * q.T     # a^T a = q diag(3, 2.9, 1) q^T
         assert obj.max_eigenvalue_gram(a) == pytest.approx(3.0, rel=1e-14)
 
+    def test_csr_gram_is_the_dense_gram_on_binary_data(self, a5a_path):
+        # every Gram entry of 0/1 features is an integer, which both products sum exactly
+        dataset = data.load_libsvm(a5a_path)
+        dense = oracle.stack(dataset, np.arange(dataset.m))
+        assert obj.max_eigenvalue_gram(dataset.features) == obj.max_eigenvalue_gram(dense)
+
+    def test_csr_gram_of_real_values_agrees_to_rounding(self, sparse_libsvm_path):
+        # the sparse product sums each Gram entry in another order than BLAS
+        dataset = data.load_libsvm(sparse_libsvm_path)
+        dense = oracle.stack(dataset, np.arange(dataset.m))
+        assert obj.max_eigenvalue_gram(dataset.features) == pytest.approx(
+            obj.max_eigenvalue_gram(dense), rel=1e-14, abs=0.0)
+
 
 class TestGramBoundRule:
     """`hi` solves a client's Gram only if its Frobenius bound could reach the largest lam_max."""
@@ -151,7 +164,7 @@ class TestGramBoundRule:
     @pytest.mark.parametrize("seed", [0, 42])
     def test_a5a_stand_in(self, a5a_path, gram_solves, seed):
         dataset = data.load_libsvm(a5a_path)
-        A = dataset.features[data.partition(dataset, 87, seed)]
+        A = oracle.stack(dataset, data.partition(dataset, 87, seed))
         assert self.check(A, gram_solves) < 87
 
 
@@ -543,7 +556,8 @@ class TestSparseLogisticGradient:
                                           n=87, kappa=1000.0)
         problem, _ = harness.build_problem(config)
         dataset = data.load_libsvm(a5a_path)
-        self._assert_block_diag(problem.batch, dataset.features[data.partition(dataset, 87, 0)])
+        self._assert_block_diag(problem.batch,
+                               oracle.stack(dataset, data.partition(dataset, 87, 0)))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hessian_equals_the_multiply_form(self, seed):
@@ -575,12 +589,12 @@ class TestStackFreeBuild:
 
     @staticmethod
     def _assert_equals_the_stack_built(batch, dataset, rows):
-        expected = oracle.stack_batch(dataset.features[rows], dataset.labels[rows])
+        expected = oracle.stack_batch(oracle.stack(dataset, rows), dataset.labels[rows])
         assert (batch._block is None) == (expected._block is None)
         for name in ("hi", "lo", "b"):
             assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
         if batch._block is None:
-            assert np.array_equal(batch.A, dataset.features[rows])
+            assert np.array_equal(batch.A, oracle.stack(dataset, rows))
             return
         for matrix in ("_flat", "_block"):
             assert getattr(batch, matrix).shape == getattr(expected, matrix).shape
@@ -605,6 +619,15 @@ class TestStackFreeBuild:
         rows = data.partition(dataset, n, seed)
         batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
         assert batch._block is not None
+        self._assert_equals_the_stack_built(batch, dataset, rows)
+
+    def test_small_csr_data_take_the_dense_path(self, sparse_libsvm_path):
+        # 500 rows of 60 features: at most 2^16 entries, so the selected rows are densified
+        full = data.load_libsvm(sparse_libsvm_path)
+        dataset = obj.Shard(full.features[:500], full.labels[:500])
+        rows = data.partition(dataset, 5, 1)
+        batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
+        assert batch._block is None
         self._assert_equals_the_stack_built(batch, dataset, rows)
 
     def test_dense_data(self):
