@@ -37,7 +37,8 @@ def parse_libsvm(stream):
     converted and checked in one pass: a failure mask over the token positions
     finds the first bad token, and the ParseError names its line.  The
     features are a CSR matrix of the nonzero pairs: an explicit 'j:0' stores
-    nothing, so its arrays are those of the dense rows' `objectives._csr`.
+    nothing, so its arrays are those of `scipy.sparse.csr_matrix` of the dense
+    rows.  An index too large for a dense (rows, d) or (d, d) array fails.
     """
     if isinstance(stream, str):     # split as a file is: at \n, \r\n and \r only
         stream = io.StringIO(stream, newline=None)
@@ -69,15 +70,18 @@ def parse_libsvm(stream):
     except OverflowError:   # an index past int64: it fails below, as out of order or too large
         index_of = np.array([index for index, _ in pair_of], dtype=object)
     value_of = np.array([value for _, value in pair_of], dtype=np.float64)
-    # d, the largest index if no token fails.  The probe writes no page of its dense
-    # array, but allocates it, so it runs before the per-token arrays exist; a
-    # failure it finds is reported after the token checks
+    # d, the largest index if no token fails.  The probes write no page of the dense
+    # (rows, d) features or of the d x d Gram that `objectives.max_eigenvalue_gram`
+    # forms, but allocate them, so they run before the per-token arrays exist; a
+    # failure they find is reported after the token checks
     d = int(index_of.max(initial=0))
-    try:
-        np.empty((lengths.size, d))
-        too_large = False
-    except (ValueError, MemoryError):
-        too_large = True
+    too_large = None
+    for rows, what in ((lengths.size, "features"), (d, "Gram entries")):
+        try:
+            np.empty((rows, d))
+        except (ValueError, MemoryError):
+            too_large = f"{rows} x {d} {what}"
+            break
     # a valid label is a malformed pair, so its index is 0: the first index of
     # its row must exceed it.  A label's failure replaces what its pair check says.
     index = index_of[codes]
@@ -102,8 +106,8 @@ def parse_libsvm(stream):
                        f"(saw {index[at]} after {before[at]})")
         raise ParseError(line_of(at), message)
     if too_large:
-        raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: "
-                         f"numpy cannot allocate {lengths.size} x {d} features")
+        raise ParseError(line_of(np.argmax(index)),
+                         f"feature index {d} is too large: numpy cannot allocate {too_large}")
     # the nonzero pairs, in row order: row r's pairs begin at pair starts[r] - r, past
     # the r labels before its own, and `kept` counts the nonzero pairs before each pair
     values = value_of[pair_codes]

@@ -149,14 +149,6 @@ def _expit(x):
     return 1.0 / (1.0 + e)
 
 
-def _csr(features, row_nonzeros):
-    """The CSR matrix of dense features whose rows hold row_nonzeros nonzeros each."""
-    entries = np.flatnonzero(features != 0)     # row-major: by row, then by column
-    return sparse.csr_matrix((features.ravel()[entries], entries % features.shape[1],
-                              np.concatenate(([0], np.cumsum(row_nonzeros)))),
-                             shape=features.shape)
-
-
 def regularization_for_kappa(dataset, kappa_target):
     """Regularization weight mu giving condition number kappa_target on the whole dataset."""
     return mu_for_kappa(max_eigenvalue_gram(dataset.features), dataset.m, kappa_target)
@@ -173,25 +165,23 @@ class _BatchedLogistic:
     """The logistic losses of n clients with m rows each, as one batch.
 
     Client i's rows are features[rows[i]] with labels labels[rows[i]], for an
-    (n, m) array of dataset row indices such as `data.partition` returns; the
-    features are a dense array or a CSR matrix.  They are stored once.  Dense
-    data are the (n, m, d) stack of the selected rows.  Sparse data (typical
-    for one-hot encodings) are one block-diagonal CSR matrix, so that one
-    sparse matvec computes every client's margins against its own model; A^T c
-    goes through the block's transpose, a CSC view of the same arrays.  The
-    density is decided from the selected rows' nonzero counts (a CSR's row
-    pointers), and a sparse batch never forms the stack: it selects the rows
-    from the dataset's CSR (the flat (n*m, d) matrix) and shifts client i's
-    column indices by i*d for the block, which shares the flat matrix's values
-    and row pointers.  The flat matrix serves a common (d,) point and the
-    Hessian.  `lo` and `hi` are each client's curvature bounds, 0 and
+    (n, m) array of dataset row indices such as `data.partition` returns.
+    The batch keeps the representation its features arrive in, and stores
+    them once.  Dense features give the (n, m, d) stack of the selected rows.
+    CSR features (a LibSVM file's) give one block-diagonal CSR matrix, so that
+    one sparse matvec computes every client's margins against its own model;
+    A^T c goes through the block's transpose, a CSC view of the same arrays.
+    A CSR batch never forms the stack: it selects the rows from the dataset's
+    CSR (the flat (n*m, d) matrix) and shifts client i's column indices by
+    i*d for the block, which shares the flat matrix's values and row
+    pointers.  The flat matrix serves a common (d,) point and the Hessian.
+    `lo` and `hi` are each client's curvature bounds, 0 and
     lam_max(A_i^T A_i) / (4m); that lam_max is exact for the clients that
     could hold the largest (`_client_gram_bounds`), so `hi.max()`, and with
     it L, is exact.  `value_terms`, the n*m margins of one point, sizes
     `mean_value`'s work per point.
     """
 
-    _SPARSE_DENSITY = 0.25
     # exp(700) ~ 1e304 is finite, so capped margins never overflow and the
     # coefficient needs no errstate; past the cap the true value is below 1e-304
     _LOGIT_CAP = 700.0
@@ -203,27 +193,25 @@ class _BatchedLogistic:
         self.value_terms = self.b.size
         self.lo = np.zeros(self.n)
         self._block = None
-        size = self.b.size * self.d
-        is_csr = sparse.issparse(features)
-        # a dense batch too small for the sparse path is not scanned for nonzeros
-        row_nonzeros = (np.diff(features.indptr) if is_csr
-                        else np.count_nonzero(features, axis=1) if size > 1 << 16 else None)
-        if size > 1 << 16 and row_nonzeros[rows].sum() < self._SPARSE_DENSITY * size:
+        if sparse.issparse(features):
             self.A = None
-            self._flat = (features if is_csr else _csr(features, row_nonzeros))[rows.ravel()]
+            self._flat = features[rows.ravel()]
             # client i's rows are the flat matrix's rows i*m .. (i+1)*m - 1
             self.hi = _client_gram_bounds(self._flat, [slice(i * self.m, (i + 1) * self.m)
                                                        for i in range(self.n)]) / (4.0 * self.m)
-            # client i's entries come in its rows' order, m rows a client; its columns move i*d
-            shifts = np.repeat(np.arange(self.n) * self.d, np.diff(self._flat.indptr[::self.m]))
-            self._block = sparse.csr_matrix((self._flat.data, shifts + self._flat.indices,
-                                             self._flat.indptr),
+            # client i's entries come in its rows' order, m rows a client; its columns move
+            # i*d.  The shifted indices are built in the block's index dtype, the flat
+            # indices' unless n*d passes int32, so that the block shares them
+            dtype = self._flat.indices.dtype if self.n * self.d < 2**31 else np.int64
+            indices = np.repeat(np.arange(self.n, dtype=dtype) * self.d,
+                                np.diff(self._flat.indptr[::self.m]))
+            indices += self._flat.indices
+            self._block = sparse.csr_matrix((self._flat.data, indices, self._flat.indptr),
                                             shape=(self.b.size, self.n * self.d))
             # a CSC view of the block's arrays, built once: scipy's .T costs tens of us per call
             self._block_t = self._block.T
         else:
-            self.A = (features[rows.ravel()].toarray().reshape(*rows.shape, self.d) if is_csr
-                      else features[rows])     # (n, m, d)
+            self.A = features[rows]     # (n, m, d)
             self.hi = _client_gram_bounds(self.A, range(self.n)) / (4.0 * self.m)
         self._coef = -self.b / self.m
 
@@ -264,9 +252,8 @@ class _BatchedLogistic:
         flat = self.A.reshape(-1, self.d)
         return (flat.T * w) @ flat
 
-    @_point_or_stack
     def mean_value(self, X):
-        """The mean loss at a common point, or at each row of a stack of them."""
+        """The mean loss at each row of an (R, d) stack of common points."""
         if self._block is not None:
             # one sparse product for all rows; its (rows, R) result is transposed to
             # C order, so each row's losses are summed as one contiguous run
@@ -306,9 +293,8 @@ class _BatchedQuadratic:
         """Hessian of `mean_value`, the same at every point."""
         return self.A_bar.copy()
 
-    @_point_or_stack
     def mean_value(self, X):
-        """The mean loss at a common point, or at each row of a stack of them."""
+        """The mean loss at each row of an (R, d) stack of common points."""
         AX = np.matmul(self.A_bar, X[:, :, None])[:, :, 0]    # one gemv per row, as A_bar @ x
         return row_dots(0.5 * X, AX) - row_dots(X, self.b_bar)
 

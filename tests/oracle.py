@@ -16,9 +16,11 @@ state, with `observe`, the one-state `lyapunov` and the one-point
 chunked columns to, byte for byte.  `state_stacks` and `lyapunov_of` give
 the library's stacked `lyapunov` one state.  `render` draws an SVG from one
 (x, y) tuple per point, the reference that the tests hold `svgplot.render`
-to, byte for byte.  `stack_batch` builds a logistic batch's sparse arrays
-and curvature bounds from the (n, m, d) stack of its clients' rows, the
-reference that the tests hold the stack-free build to; `unstack` gives a stack as the (features, labels, rows) the library takes.
+to, byte for byte.  `stack_batch` builds a logistic batch's curvature
+bounds and, for CSR data, its sparse arrays from the (n, m, d) stack of its
+clients' rows, the reference that the tests hold the stack-free build to;
+`unstack` gives a stack as the (features, labels, rows) the library takes, dense
+or CSR.
 """
 
 import math
@@ -123,6 +125,11 @@ def parse_lines(lines):
     except (ValueError, MemoryError):
         raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
                                  f"{len(labels)} x {d} features") from None
+    try:
+        np.empty((d, d))    # the Gram, unfilled: none of its pages is written
+    except (ValueError, MemoryError):
+        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
+                                 f"{d} x {d} Gram entries") from None
     features[rows, cols] = vals
     return labels, features
 
@@ -329,15 +336,19 @@ def render(series, x_label="x", y_label="y"):
     return "\n".join(out) + "\n"
 
 
-def unstack(A, b):
-    """(features, labels, rows) whose client i is the stack's A[i], b[i], row for row."""
+def unstack(A, b, csr=False):
+    """(features, labels, rows) whose client i is the stack's A[i], b[i], row for row; the
+    features are dense, or with csr their `sparse.csr_matrix`, which a batch keeps as a block."""
     n, m, d = A.shape
-    return A.reshape(n * m, d), b.reshape(n * m), np.arange(n * m).reshape(n, m)
+    features = A.reshape(n * m, d)
+    return (sparse.csr_matrix(features) if csr else features), b.reshape(n * m), \
+        np.arange(n * m).reshape(n, m)
 
 
-def stack_batch(A, b):
-    """`hi`, `lo`, `b` and, for sparse data, `_flat` and `_block` of a logistic batch,
-    built from the (n, m, d) stack of its clients' rows."""
+def stack_batch(dataset, rows):
+    """`hi`, `lo`, `b` and, for CSR features, `_flat` and `_block` of a logistic batch
+    of the dataset's rows[i] for client i, built from the (n, m, d) stack of those rows."""
+    A, b = stack(dataset, rows), dataset.labels[rows]
     n, m, d = A.shape
     # each client's Gram bound, solved in falling order while it could be the largest
     bounds = np.array([np.linalg.norm(a.T @ a) for a in A]) * _BOUND_MARGIN
@@ -348,7 +359,7 @@ def stack_batch(A, b):
         bounds[i] = max_eigenvalue_gram(A[i])
         top = max(top, bounds[i])
     batch = SimpleNamespace(b=b, lo=np.zeros(n), hi=bounds / (4.0 * m), _flat=None, _block=None)
-    if A.size > 1 << 16 and np.count_nonzero(A) < 0.25 * A.size:
+    if sparse.issparse(dataset.features):
         nonzero = A != 0
         entries = np.flatnonzero(nonzero)   # row-major: by row, then by column
         indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=2).ravel())))

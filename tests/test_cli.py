@@ -8,6 +8,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from conftest import NEEDS_COMMIT_CHECKS
 from locodl import cli, compressors, harness, svgplot
 from locodl.errors import InputError
 
@@ -378,6 +379,21 @@ class TestRun:
         assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert (f"{data_path}: line 5: feature index 99999999999999999999 is too large"
                 in capsys.readouterr().err)
+
+    @NEEDS_COMMIT_CHECKS
+    def test_libsvm_index_too_large_for_its_gram_exits_2_and_names_the_line(self, tmp_path,
+                                                                             capsys):
+        # 4 rows of a million columns fit; the d x d Gram that sets mu (7.28 TiB) does not
+        data_path = tmp_path / "wide.libsvm"
+        data_path.write_text("-1 1:1\n1 1:1 1000000:1\n-1 2:1\n1 3:1\n")
+        config = tmp_path / "wide.ini"
+        config.write_text(f"[problem]\nsource = libsvm\npath = {data_path}\nn = 2\n"
+                          "kappa = 10\n\n[run]\nstop_metric = sqdist\n\n"
+                          "[algo:gd]\nalgorithm = gd\n")
+        assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {data_path}: line 2: feature index 1000000 is too large: "
+            "numpy cannot allocate 1000000 x 1000000 Gram entries\n")
 
     def test_libsvm_label_error_names_the_file(self, tmp_path, capsys):
         data_path = tmp_path / "labels.libsvm"

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from conftest import NEEDS_COMMIT_CHECKS
 from locodl import data
 from locodl.errors import InputError, ParseError
-from locodl.objectives import Shard, _csr
+from locodl.objectives import Shard
 
 import oracle
 
@@ -96,7 +98,7 @@ def assert_same_arrays(shard, by_line):
     features hold the arrays, dtypes included, of the CSR of the oracle's dense features."""
     assert shard.features.shape == by_line[1].shape
     assert np.array_equal(shard.features.toarray(), by_line[1])
-    expected = _csr(by_line[1], np.count_nonzero(by_line[1], axis=1))
+    expected = sparse.csr_matrix(by_line[1])
     for name in ("data", "indices", "indptr"):
         got, want = getattr(shard.features, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
@@ -223,9 +225,14 @@ class TestBulkParse:
         # the one ordering case whose earlier index is past int64
         ("+1 99999999999999999999:1 5:1", 1,
          "feature indices must be strictly increasing (saw 5 after 99999999999999999999)"),
+        # 4 rows of a million columns fit, but their 7.28 TiB Gram does not
+        pytest.param("-1 1:1\n+1 1:1 1000000:1\n-1 2:1\n+1 3:1", 2, "feature index 1000000 "
+                     "is too large: numpy cannot allocate 1000000 x 1000000 Gram entries",
+                     marks=NEEDS_COMMIT_CHECKS),
     ], ids=["label", "missing_colon", "two_colons", "balanced_colons", "value", "index_zero",
             "repeated_index", "decreasing_index", "nan", "inf", "overflow", "index_past_int64",
-            "index_past_array_size", "decreasing_after_index_past_int64"])
+            "index_past_array_size", "decreasing_after_index_past_int64",
+            "index_past_gram_size"])
     def test_each_error_names_the_line_of_the_line_by_line_parse(self, text, line, message):
         _, by_line = both_paths(text)
         assert isinstance(by_line, ParseError)

@@ -35,12 +35,12 @@ def refused_in_prepare(error, message, **overrides):
 
 def logistic_problem(sparse):
     rng = np.random.default_rng(61)
-    n, m, d = 6, 120, 100   # n*m*d > 2^16, so sparse features take the sparse path
+    n, m, d = 6, 120, 100
     A, b = np.zeros((n, m, d)), np.zeros((n, m))
     for i in range(n):
         A[i] = (rng.random((m, d)) < 0.05) * 1.0 if sparse else rng.standard_normal((m, d))
         b[i] = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-    problem = obj.logistic_problem(*oracle.unstack(A, b), 0.05)
+    problem = obj.logistic_problem(*oracle.unstack(A, b, csr=sparse), 0.05)
     assert (problem.batch._block is not None) == sparse
     return problem
 

@@ -338,7 +338,7 @@ class TestProblem:
 class TestBatchedLogistic:
     def _stack(self, sparse):
         rng = np.random.default_rng(41)
-        n, m, d = 8, 70, 122   # n*m*d > 2^16 so the sparse path can trigger
+        n, m, d = 8, 70, 122
         A, b = np.zeros((n, m, d)), np.zeros((n, m))
         for i in range(n):
             if sparse:
@@ -350,12 +350,12 @@ class TestBatchedLogistic:
         return A, b
 
     def _problem(self, sparse):
-        return obj.logistic_problem(*oracle.unstack(*self._stack(sparse)), 0.01)
+        return obj.logistic_problem(*oracle.unstack(*self._stack(sparse), csr=sparse), 0.01)
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_matches_per_client_gradients(self, sparse):
         A, b = self._stack(sparse)
-        problem = obj.logistic_problem(*oracle.unstack(A, b), 0.01)
+        problem = self._problem(sparse)
         rng = np.random.default_rng(42)
         X = rng.standard_normal((problem.n, problem.d))
         manual = np.stack([oracle.logistic_grad(a, y, 0.01, X[i])
@@ -410,50 +410,53 @@ class TestStackedValue:
                     point = problem.value_mean(X[r])
                     assert type(point) is float
                     assert point == values[r] == oracle.value_mean(problem, X[r]), name
-                    assert problem.batch.mean_value(X[r]) == losses[r], name
+                    assert problem.batch.mean_value(X[r:r + 1])[0] == losses[r], name
 
 
 class TestLogisticCoefficient:
     """The coefficient (-b/m) / (1 + exp(min(b t, 700))) of the gradient at margins t.
 
     A batch whose one client has the m x m identity as features has margins X
-    and gradient exactly the coefficient vector; m = 200 takes the dense
-    branch and m = 400 the sparse one.
+    and gradient exactly the coefficient vector; dense features take the
+    stack and CSR features the block.
     """
 
+    m = 300
+
     @staticmethod
-    def _coefficients(t, b):
-        m = t.size
-        batch = obj._BatchedLogistic(*oracle.unstack(np.eye(m)[None], b[None]))
-        assert (batch._block is not None) == (m > 256)
+    def _coefficients(t, b, csr):
+        batch = obj._BatchedLogistic(*oracle.unstack(np.eye(t.size)[None], b[None], csr=csr))
+        assert (batch._block is not None) == csr
         return batch.grads(t[None])[0]
 
-    @pytest.mark.parametrize("m", [200, 400])
+    @pytest.mark.parametrize("csr", [False, True])
     @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e2])
-    def test_within_a_few_ulp_of_the_expit_form(self, scale, m):
+    def test_within_a_few_ulp_of_the_expit_form(self, scale, csr):
+        m = self.m
         rng = np.random.default_rng(int(scale * 1e3))
         t = scale * rng.standard_normal(m)
         b = np.where(rng.random(m) < 0.5, -1.0, 1.0)
         reference = -b * expit(-b * t) / m
-        ulps = np.abs(self._coefficients(t, b) - reference) / np.spacing(np.abs(reference))
+        ulps = np.abs(self._coefficients(t, b, csr) - reference) / np.spacing(np.abs(reference))
         assert ulps.max() <= 4
 
-    @pytest.mark.parametrize("m", [200, 400])
-    def test_huge_margins_raise_no_warning(self, m):
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_huge_margins_raise_no_warning(self, csr):
+        m = self.m
         t = np.resize([1e3, -1e3, 1e300, -1e300], m)
         b = np.resize([1.0, 1.0, -1.0, -1.0], m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c = self._coefficients(t, b)
+            c = self._coefficients(t, b, csr)
         saturated = b * t < 0
         assert np.array_equal(c[saturated], -b[saturated] / m)
         assert np.all(np.abs(c[~saturated]) < 1e-300)
 
-    @pytest.mark.parametrize("m", [200, 400])
-    def test_nan_margin_gives_nan_gradient(self, m):
-        t = np.zeros(m)
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_nan_margin_gives_nan_gradient(self, csr):
+        t = np.zeros(self.m)
         t[3] = np.nan
-        assert np.isnan(self._coefficients(t, np.ones(m))[3])
+        assert np.isnan(self._coefficients(t, np.ones(self.m), csr)[3])
 
 
 class TestExpit:
@@ -490,7 +493,7 @@ class TestSparseLogisticGradient:
     def _stack(seed):
         """(A, b) of a block-sparse (n, m, d) stack with empty rows and columns."""
         rng = np.random.default_rng(seed)
-        n, m, d = 6, 90, 140     # n*m*d > 2^16 and density < 1/4: the sparse path
+        n, m, d = 6, 90, 140
         A = np.zeros((n, m, d))
         for i in range(n):
             for r in range(m):
@@ -507,7 +510,7 @@ class TestSparseLogisticGradient:
 
     @staticmethod
     def _problem_of(A, b):
-        problem = obj.Problem(obj._BatchedLogistic(*oracle.unstack(A, b)), 0.01, 0.0)
+        problem = obj.Problem(obj._BatchedLogistic(*oracle.unstack(A, b, csr=True)), 0.01, 0.0)
         assert problem.batch._block is not None
         return problem
 
@@ -589,7 +592,7 @@ class TestStackFreeBuild:
 
     @staticmethod
     def _assert_equals_the_stack_built(batch, dataset, rows):
-        expected = oracle.stack_batch(oracle.stack(dataset, rows), dataset.labels[rows])
+        expected = oracle.stack_batch(dataset, rows)
         assert (batch._block is None) == (expected._block is None)
         for name in ("hi", "lo", "b"):
             assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
@@ -621,19 +624,28 @@ class TestStackFreeBuild:
         assert batch._block is not None
         self._assert_equals_the_stack_built(batch, dataset, rows)
 
-    def test_small_csr_data_take_the_dense_path(self, sparse_libsvm_path):
-        # 500 rows of 60 features: at most 2^16 entries, so the selected rows are densified
+    def test_small_csr_data_take_the_block_path(self, sparse_libsvm_path):
+        # 500 rows of 60 features: CSR data take the block path however few their entries
         full = data.load_libsvm(sparse_libsvm_path)
         dataset = obj.Shard(full.features[:500], full.labels[:500])
         rows = data.partition(dataset, 5, 1)
         batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
-        assert batch._block is None
+        assert batch._block is not None
         self._assert_equals_the_stack_built(batch, dataset, rows)
 
     def test_dense_data(self):
         dataset = data.dirichlet_synthetic(25, 50, 1.0, 7)
         rows = data.partition(dataset, 25, 7)
         batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
+        self._assert_equals_the_stack_built(batch, dataset, rows)
+
+    def test_dense_data_with_90_percent_zeros_keep_the_stack(self):
+        rng = np.random.default_rng(8)
+        features = rng.standard_normal((1000, 70)) * (rng.random((1000, 70)) < 0.1)
+        dataset = obj.Shard(features, np.where(rng.random(1000) < 0.5, -1.0, 1.0))
+        rows = data.partition(dataset, 10, 8)
+        batch = obj._BatchedLogistic(dataset.features, dataset.labels, rows)
+        assert batch._block is None
         self._assert_equals_the_stack_built(batch, dataset, rows)
 
 
@@ -683,11 +695,11 @@ class TestQuadraticHelpers:
     def test_hessian_mean_leaves_the_cached_means(self, quad_problem):
         batch = quad_problem.batch
         x = np.linspace(-1.0, 1.0, quad_problem.d)
-        value = batch.mean_value(x)
+        value = batch.mean_value(x[None])
         first = batch.hessian_mean(x)
         second = batch.hessian_mean(x)
         assert np.array_equal(first, second)
-        assert batch.mean_value(x) == value
+        assert np.array_equal(batch.mean_value(x[None]), value)
         assert np.array_equal(batch.A_bar, np.mean(batch.A, axis=0))
 
     @pytest.mark.parametrize("d", [10, 50])
