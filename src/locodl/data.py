@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from collections import defaultdict
 
 import numpy as np
@@ -28,6 +29,11 @@ def _normalize_labels(labels):
     raise InputError(f"unsupported label alphabet {sorted(alphabet)}; need binary labels")
 
 
+# a d x d Gram past physical memory is refused unallocated: under overcommit mode 1
+# np.empty grants any reservation, and forming the Gram would then write its pages
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def parse_libsvm(stream):
     """Parse LibSVM text: one 'label idx:val idx:val ...' sample per line.
 
@@ -38,7 +44,8 @@ def parse_libsvm(stream):
     finds the first bad token, and the ParseError names its line.  The
     features are a CSR matrix of the nonzero pairs: an explicit 'j:0' stores
     nothing, so its arrays are those of `scipy.sparse.csr_matrix` of the dense
-    rows.  An index too large for a dense (rows, d) or (d, d) array fails.
+    rows.  An index too large for a dense (rows, d) array, or for a d x d Gram
+    that numpy cannot allocate or physical memory cannot hold, fails.
     """
     if isinstance(stream, str):     # split as a file is: at \n, \r\n and \r only
         stream = io.StringIO(stream, newline=None)
@@ -71,16 +78,19 @@ def parse_libsvm(stream):
         index_of = np.array([index for index, _ in pair_of], dtype=object)
     value_of = np.array([value for _, value in pair_of], dtype=np.float64)
     # d, the largest index if no token fails.  The probes write no page of the dense
-    # (rows, d) features or of the d x d Gram that `objectives.max_eigenvalue_gram`
-    # forms, but allocate them, so they run before the per-token arrays exist; a
-    # failure they find is reported after the token checks
+    # (rows, d) features or of the d x d Gram that sets mu, but allocate them, so they
+    # run before the per-token arrays exist; a failure is reported after the token checks
     d = int(index_of.max(initial=0))
     too_large = None
-    for rows, what in ((lengths.size, "features"), (d, "Gram entries")):
+    for rows, limit, what in (
+            (lengths.size, math.inf, "numpy cannot allocate {} x {} features"),
+            (d, _PHYSICAL_MEMORY, "its {} x {} Gram entries do not fit in memory")):
         try:
+            if 8 * rows * d > limit:
+                raise MemoryError
             np.empty((rows, d))
         except (ValueError, MemoryError):
-            too_large = f"{rows} x {d} {what}"
+            too_large = what.format(rows, d)
             break
     # a valid label is a malformed pair, so its index is 0: the first index of
     # its row must exceed it.  A label's failure replaces what its pair check says.
@@ -106,8 +116,7 @@ def parse_libsvm(stream):
                        f"(saw {index[at]} after {before[at]})")
         raise ParseError(line_of(at), message)
     if too_large:
-        raise ParseError(line_of(np.argmax(index)),
-                         f"feature index {d} is too large: numpy cannot allocate {too_large}")
+        raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: {too_large}")
     # the nonzero pairs, in row order: row r's pairs begin at pair starts[r] - r, past
     # the r labels before its own, and `kept` counts the nonzero pairs before each pair
     values = value_of[pair_codes]

@@ -18,21 +18,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from locodl import data
 from locodl import objectives as obj
 
 
-def _overcommit_mode():
-    try:
-        with open("/proc/sys/vm/overcommit_memory", encoding="ascii") as fh:
-            return fh.read().strip()
-    except OSError:
-        return None
-
-
-# numpy refuses a TiB allocation only where the kernel checks commits (mode 0 or 2); under
-# mode 1, or where the mode is unknown, a test that feeds it a TiB Gram could write its pages
-NEEDS_COMMIT_CHECKS = pytest.mark.skipif(_overcommit_mode() not in ("0", "2"),
-                                         reason="the kernel may grant a TiB allocation")
+# the Gram-size tests parse an index of 1e6, whose Gram (8e12 bytes) the parse refuses
+# without allocating it where physical memory is smaller; on a larger machine numpy
+# might grant it and the run write its pages
+GRAM_PAST_MEMORY = pytest.mark.skipif(data._PHYSICAL_MEMORY >= 8e12,
+                                      reason="a 1e6 x 1e6 Gram may fit in this machine's memory")
 
 A5A_ENV_VAR = "LOCODL_A5A"
 A5A_ROWS = 6414
@@ -90,7 +84,7 @@ def gram_solves(monkeypatch):
     """Counts `max_eigenvalue_gram` calls: a list of the address of each solved matrix.
 
     A dense batch solves views of its stack, so a client solved twice repeats an
-    address.  A sparse batch solves a fresh copy of each client's rows; every solved
+    address.  A CSR batch solves a fresh dense copy of each client's rows; every solved
     matrix is kept alive here, so that no copy takes the address of a freed one.  A
     CSR matrix's address is that of its values.
     """

@@ -32,6 +32,7 @@ from scipy.special import expit
 
 from locodl.algorithms import lyapunov as alg_lyapunov
 from locodl.compressors import _natural_round, _rand_subsets
+from locodl.data import _PHYSICAL_MEMORY
 from locodl.errors import InputError, ParseError
 from locodl.harness import CONSTANT_COLUMNS, VARYING_COLUMNS, ExperimentTrace
 from locodl.objectives import _BOUND_MARGIN, _BatchedQuadratic, max_eigenvalue_gram
@@ -126,10 +127,12 @@ def parse_lines(lines):
         raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
                                  f"{len(labels)} x {d} features") from None
     try:
+        if 8 * d * d > _PHYSICAL_MEMORY:
+            raise MemoryError
         np.empty((d, d))    # the Gram, unfilled: none of its pages is written
     except (ValueError, MemoryError):
-        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
-                                 f"{d} x {d} Gram entries") from None
+        raise ParseError(d_line, f"feature index {d} is too large: its {d} x {d} Gram "
+                                 "entries do not fit in memory") from None
     features[rows, cols] = vals
     return labels, features
 

@@ -8,7 +8,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from conftest import NEEDS_COMMIT_CHECKS
+from conftest import GRAM_PAST_MEMORY
 from locodl import cli, compressors, harness, svgplot
 from locodl.errors import InputError
 
@@ -380,7 +380,7 @@ class TestRun:
         assert (f"{data_path}: line 5: feature index 99999999999999999999 is too large"
                 in capsys.readouterr().err)
 
-    @NEEDS_COMMIT_CHECKS
+    @GRAM_PAST_MEMORY
     def test_libsvm_index_too_large_for_its_gram_exits_2_and_names_the_line(self, tmp_path,
                                                                              capsys):
         # 4 rows of a million columns fit; the d x d Gram that sets mu (7.28 TiB) does not
@@ -393,7 +393,7 @@ class TestRun:
         assert run_cli(["run", str(config), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
         assert capsys.readouterr().err == (
             f"input error: {data_path}: line 2: feature index 1000000 is too large: "
-            "numpy cannot allocate 1000000 x 1000000 Gram entries\n")
+            "its 1000000 x 1000000 Gram entries do not fit in memory\n")
 
     def test_libsvm_label_error_names_the_file(self, tmp_path, capsys):
         data_path = tmp_path / "labels.libsvm"

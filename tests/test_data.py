@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import NEEDS_COMMIT_CHECKS
+from conftest import GRAM_PAST_MEMORY
 from locodl import data
 from locodl.errors import InputError, ParseError
 from locodl.objectives import Shard
@@ -227,8 +227,8 @@ class TestBulkParse:
          "feature indices must be strictly increasing (saw 5 after 99999999999999999999)"),
         # 4 rows of a million columns fit, but their 7.28 TiB Gram does not
         pytest.param("-1 1:1\n+1 1:1 1000000:1\n-1 2:1\n+1 3:1", 2, "feature index 1000000 "
-                     "is too large: numpy cannot allocate 1000000 x 1000000 Gram entries",
-                     marks=NEEDS_COMMIT_CHECKS),
+                     "is too large: its 1000000 x 1000000 Gram entries do not fit in memory",
+                     marks=GRAM_PAST_MEMORY),
     ], ids=["label", "missing_colon", "two_colons", "balanced_colons", "value", "index_zero",
             "repeated_index", "decreasing_index", "nan", "inf", "overflow", "index_past_int64",
             "index_past_array_size", "decreasing_after_index_past_int64",
@@ -240,6 +240,19 @@ class TestBulkParse:
             data.parse_libsvm(text)
         assert str(raised.value) == str(by_line) == f"line {line}: {message}"
         assert raised.value.lineno == by_line.lineno == line
+
+    def test_a_gram_past_physical_memory_is_refused(self, monkeypatch):
+        # numpy allocates a 10 x 10 Gram under any overcommit policy: only the limit refuses it
+        text = "+1 1:1\n-1 2:1 10:1\n+1 3:1"
+        for module in (data, oracle):
+            monkeypatch.setattr(module, "_PHYSICAL_MEMORY", 8 * 10 * 10)
+        assert data.parse_libsvm(text).d == 10
+        for module in (data, oracle):
+            monkeypatch.setattr(module, "_PHYSICAL_MEMORY", 8 * 10 * 10 - 1)
+        parsed, by_line = both_paths(text)
+        assert isinstance(parsed, ParseError) and parsed.lineno == 2
+        assert str(parsed) == str(by_line) == (
+            "line 2: feature index 10 is too large: its 10 x 10 Gram entries do not fit in memory")
 
     @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
     def test_empty_input_gives_the_line_by_line_error(self, text):

@@ -114,58 +114,67 @@ class TestSmoothness:
             obj.max_eigenvalue_gram(dense), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("csr", [False, True], ids=["stack", "block"])
 class TestGramBoundRule:
-    """`hi` solves a client's Gram only if its Frobenius bound could reach the largest lam_max."""
+    """`hi` solves a client's Gram only if its Frobenius bound could reach the largest lam_max.
+
+    Each case runs on both batch paths: dense features (the stack's views) and their
+    CSR (the block batch, which densifies one client's rows at a time)."""
 
     @staticmethod
-    def check(A, gram_solves):
+    def check(A, gram_solves, csr):
         """Exact maximum, an upper bound on every client; returns the number of solves."""
         A = np.asarray(A, dtype=np.float64)
         m = A.shape[1]
         exact = np.array([obj.max_eigenvalue_gram(a) for a in A])
         gram_solves.clear()
-        hi = obj._BatchedLogistic(*oracle.unstack(A, np.ones(A.shape[:2]))).hi
+        batch = obj._BatchedLogistic(*oracle.unstack(A, np.ones(A.shape[:2]), csr=csr))
+        assert (batch._block is not None) == csr
+        hi = batch.hi
         assert hi.max() == exact.max() / (4.0 * m)
         assert np.all(hi >= exact / (4.0 * m))
         # no client is solved twice
         assert 1 <= len(gram_solves) == len(set(gram_solves)) <= len(A)
         return len(gram_solves)
 
-    def test_dense(self, gram_solves):
-        self.check(np.random.default_rng(0).standard_normal((5, 6, 4)), gram_solves)
+    def test_dense(self, gram_solves, csr):
+        self.check(np.random.default_rng(0).standard_normal((5, 6, 4)), gram_solves, csr)
 
-    def test_rank_one_clients_need_one_solve(self, gram_solves):
+    def test_rank_one_clients_need_one_solve(self, gram_solves, csr):
         # a one-row Gram's Frobenius norm is its lam_max, so no other bound can exceed the top
         A = np.random.default_rng(1).standard_normal((8, 1, 5))
-        assert self.check(A, gram_solves) == 1
+        assert self.check(A, gram_solves, csr) == 1
 
-    def test_all_zero_client(self, gram_solves):
+    def test_all_zero_client(self, gram_solves, csr):
         A = np.random.default_rng(2).standard_normal((4, 6, 4))
         A[2] = 0.0
-        self.check(A, gram_solves)
-        assert self.check(np.zeros((3, 2, 4)), gram_solves) == 1
+        self.check(A, gram_solves, csr)
+        assert self.check(np.zeros((3, 2, 4)), gram_solves, csr) == 1
 
-    def test_identical_clients(self, gram_solves):
+    def test_identical_clients(self, gram_solves, csr):
         a = np.random.default_rng(3).standard_normal((6, 4))
-        self.check(np.stack([a, a, 0.5 * a]), gram_solves)
+        self.check(np.stack([a, a, 0.5 * a]), gram_solves, csr)
 
-    def test_one_client(self, gram_solves):
-        assert self.check(np.random.default_rng(4).standard_normal((1, 6, 4)), gram_solves) == 1
+    def test_one_client(self, gram_solves, csr):
+        A = np.random.default_rng(4).standard_normal((1, 6, 4))
+        assert self.check(A, gram_solves, csr) == 1
 
-    def test_order_of_clients(self, gram_solves):
+    def test_order_of_clients(self, gram_solves, csr):
         A = np.random.default_rng(5).standard_normal((6, 3, 4))
         A[1] *= 1.0 + 1e-12      # near-ties
-        hi = obj._BatchedLogistic(*oracle.unstack(A, np.ones(A.shape[:2]))).hi.max()
+        labels = np.ones(A.shape[:2])
+        hi = obj._BatchedLogistic(*oracle.unstack(A, labels, csr=csr)).hi.max()
         for order in ([5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4]):
-            self.check(A[order], gram_solves)
-            reordered = obj._BatchedLogistic(*oracle.unstack(A[order], np.ones(A.shape[:2])))
+            self.check(A[order], gram_solves, csr)
+            reordered = obj._BatchedLogistic(*oracle.unstack(A[order], labels, csr=csr))
             assert reordered.hi.max() == hi
 
     @pytest.mark.parametrize("seed", [0, 42])
-    def test_a5a_stand_in(self, a5a_path, gram_solves, seed):
+    def test_a5a_stand_in(self, a5a_path, gram_solves, csr, seed):
+        # with csr, the stand-in's rows as the CSR that a5a_triple's batch is built from
         dataset = data.load_libsvm(a5a_path)
         A = oracle.stack(dataset, data.partition(dataset, 87, seed))
-        assert self.check(A, gram_solves) < 87
+        assert self.check(A, gram_solves, csr) < 87
 
 
 class TestRegularizationForKappa:
