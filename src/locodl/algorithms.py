@@ -110,7 +110,10 @@ class LoCoDLState:
 
     def dual_residual(self):
         """||mean(u) + v||_inf, zero in exact arithmetic."""
-        return float(np.max(np.abs(self.u.sum(axis=0) / len(self.u) + self.v)))
+        residual = np.add.reduce(self.u, 0)
+        residual /= len(self.u)
+        residual += self.v
+        return float(np.maximum.reduce(np.abs(residual, out=residual)))
 
 
 @dataclass(frozen=True)
@@ -130,21 +133,43 @@ class ReferenceSolution:
 
 
 def locodl_step(state, problem, spec, params, rng):
-    """One iteration of `state`, in place; returns whether it was a communication round."""
+    """One iteration of `state`, in place; returns whether it was a communication round.
+
+    The arithmetic runs in place, but only in arrays the step has just
+    created (the gradients, the round's payloads and d_bar): the arrays the
+    state held before the step are replaced, never written.
+    """
     gamma = params.gamma
-    gx = problem.grads_locals(state.x)
-    x_hat = state.x - gamma * gx + gamma * state.u
-    y_hat = state.y - gamma * problem.grad_g(state.y) + gamma * state.v
+    # x_hat = x - gamma*grad + gamma*u and y_hat = y - gamma*grad_g(y) + gamma*v
+    x_hat = problem.grads_locals(state.x)
+    x_hat *= gamma
+    np.subtract(state.x, x_hat, out=x_hat)
+    x_hat += gamma * state.u
+    y_hat = problem.grad_g(state.y)
+    y_hat *= gamma
+    np.subtract(state.y, y_hat, out=y_hat)
+    y_hat += gamma * state.v
 
     if rng.coin.random() < params.p:
-        msgs, sat = compress_round(spec, x_hat - y_hat[None, :], rng.rounds)
+        msgs, sat = compress_round(spec, x_hat - y_hat, rng.rounds)
         state.saturation_events += sat
-        d_bar = msgs.sum(axis=0) / (2.0 * len(state.x))
-        lam = params.dual_step
-        state.x = (1.0 - params.rho) * x_hat + params.rho * (y_hat + d_bar)[None, :]
-        state.u = state.u + lam * (d_bar[None, :] - msgs)
-        state.y = y_hat + params.rho * d_bar
+        d_bar = np.add.reduce(msgs, 0)
+        d_bar /= 2.0 * len(x_hat)
+        rho, lam = params.rho, params.dual_step
+        # x = (1 - rho)*x_hat + rho*(y_hat + d_bar)
+        x_hat *= 1.0 - rho
+        anchor = y_hat + d_bar
+        anchor *= rho
+        x_hat += anchor
+        # u = u + lam*(d_bar - msgs), in the payloads
+        np.subtract(d_bar, msgs, out=msgs)
+        msgs *= lam
+        msgs += state.u
         state.v = state.v + lam * d_bar
+        # y = y_hat + rho*d_bar
+        d_bar *= rho
+        y_hat += d_bar
+        state.x, state.y, state.u = x_hat, y_hat, msgs
         # u and v move only on rounds, so the residual can only change here
         state.max_dual_residual = max(state.max_dual_residual, state.dual_residual())
         return True
@@ -157,9 +182,10 @@ def lyapunov(xu, yv, ref, params):
     """Weighted squared distance of (x, y, u, v) to the saddle point, per iterate of a stack.
 
     `xu` is an (R, 2n, d) stack of (x; u) and `yv` an (R, 2, d) stack of
-    (y; v), one row per iterate; returns the (R,) values.
+    (y; v), one row per iterate; returns the (R,) values.  One iterate's
+    (2n, d) and (2, d) arrays give its value, as a numpy float.
     """
-    n = xu.shape[1] // 2
+    n = xu.shape[-2] // 2
     # one subtract, square and sum for (x; u) and one for (y; v): each row sum of
     # the (R, 2, size) view is the same pairwise sum as that block's own sum
     xu_star, yv_star = ref.stacked
@@ -167,8 +193,8 @@ def lyapunov(xu, yv, ref, params):
     dxu *= dxu
     dyv = yv - yv_star
     dyv *= dyv
-    sq_x, sq_u = np.add.reduce(dxu.reshape(len(xu), 2, -1), 2).T
-    sq_y, sq_v = np.add.reduce(dyv.reshape(len(yv), 2, -1), 2).T
+    sq_x, sq_u = np.add.reduce(dxu.reshape(*xu.shape[:-2], 2, -1), -1).T
+    sq_y, sq_v = np.add.reduce(dyv.reshape(*yv.shape[:-2], 2, -1), -1).T
     primal = sq_x + n * sq_y
     dual = sq_u + n * sq_v
     return primal / params.gamma \

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NonFiniteError
 
 CERTIFY_BATCH = 500     # trials compressed per round by `certification`
 
@@ -124,7 +124,7 @@ def compress_round(spec, X, rng):
     if X.ndim != 2 or X.shape[1] != spec.d:
         raise InputError(f"X has shape {X.shape}, spec dimension is {spec.d}")
     if not np.isfinite(X).all():
-        raise InputError("input coordinates must be finite")
+        raise NonFiniteError("input coordinates must be finite")
     n, d = X.shape
 
     if spec.kind == "identity":
@@ -147,16 +147,18 @@ def compress_round(spec, X, rng):
     # the rest is a pipeline: rand-k selection, then natural rounding of what it sends
     sent, saturated = X, 0
     if spec.kind in K_KINDS:
+        # each client's k coordinates, as flat indices into the (n, d) rows
         idx = _rand_subsets(rng, n, d, spec.k)
-        rows = np.arange(n)[:, None]
-        sent = X[rows, idx] * (d / spec.k)
+        idx += np.arange(0, n * d, d)[:, None]
+        sent = X.take(idx)
+        sent *= d / spec.k
     if spec.kind in NATURAL_KINDS:
         sent, sat = _natural_round(sent, rng)
         saturated = int(sat.sum())
     if spec.kind not in K_KINDS:
         return sent, saturated
     payload = np.zeros(X.shape)
-    payload[rows, idx] = sent
+    payload.put(idx, sent)
     return payload, saturated
 
 

@@ -44,8 +44,8 @@ def parse_libsvm(stream):
     finds the first bad token, and the ParseError names its line.  The
     features are a CSR matrix of the nonzero pairs: an explicit 'j:0' stores
     nothing, so its arrays are those of `scipy.sparse.csr_matrix` of the dense
-    rows.  An index too large for a dense (rows, d) array, or for a d x d Gram
-    that numpy cannot allocate or physical memory cannot hold, fails.
+    rows, and no dense (rows, d) array is formed.  An index too large for a
+    d x d Gram that numpy cannot allocate or physical memory cannot hold fails.
     """
     if isinstance(stream, str):     # split as a file is: at \n, \r\n and \r only
         stream = io.StringIO(stream, newline=None)
@@ -77,21 +77,18 @@ def parse_libsvm(stream):
     except OverflowError:   # an index past int64: it fails below, as out of order or too large
         index_of = np.array([index for index, _ in pair_of], dtype=object)
     value_of = np.array([value for _, value in pair_of], dtype=np.float64)
-    # d, the largest index if no token fails.  The probes write no page of the dense
-    # (rows, d) features or of the d x d Gram that sets mu, but allocate them, so they
-    # run before the per-token arrays exist; a failure is reported after the token checks
+    # d, the largest index if no token fails.  The probe writes no page of the d x d Gram
+    # that sets mu, the one dense array of d columns the library forms besides a client's
+    # rows, but allocates it, so it runs before the per-token arrays exist; a failure is
+    # reported after the token checks
     d = int(index_of.max(initial=0))
-    too_large = None
-    for rows, limit, what in (
-            (lengths.size, math.inf, "numpy cannot allocate {} x {} features"),
-            (d, _PHYSICAL_MEMORY, "its {} x {} Gram entries do not fit in memory")):
-        try:
-            if 8 * rows * d > limit:
-                raise MemoryError
-            np.empty((rows, d))
-        except (ValueError, MemoryError):
-            too_large = what.format(rows, d)
-            break
+    too_large = False
+    try:
+        if 8 * d * d > _PHYSICAL_MEMORY:
+            raise MemoryError
+        np.empty((d, d))
+    except (ValueError, MemoryError):
+        too_large = True
     # a valid label is a malformed pair, so its index is 0: the first index of
     # its row must exceed it.  A label's failure replaces what its pair check says.
     index = index_of[codes]
@@ -116,7 +113,8 @@ def parse_libsvm(stream):
                        f"(saw {index[at]} after {before[at]})")
         raise ParseError(line_of(at), message)
     if too_large:
-        raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: {too_large}")
+        raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: its "
+                                                    f"{d} x {d} Gram entries do not fit in memory")
     # the nonzero pairs, in row order: row r's pairs begin at pair starts[r] - r, past
     # the r labels before its own, and `kept` counts the nonzero pairs before each pair
     values = value_of[pair_codes]

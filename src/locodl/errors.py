@@ -5,6 +5,10 @@ class InputError(ValueError):
     """Malformed or out-of-range input (CLI exit code 2)."""
 
 
+class NonFiniteError(InputError):
+    """An array holds a NaN or an infinity; inside a run, an iterate has overflowed."""
+
+
 class ParseError(InputError):
     """LibSVM text could not be parsed; carries the offending line number."""
 

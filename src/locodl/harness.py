@@ -22,7 +22,7 @@ from . import algorithms as alg
 from . import objectives as obj
 from .compressors import make_spec
 from .data import dirichlet_synthetic, load_libsvm, partition
-from .errors import ConfigurationError, ConvergenceError, InputError
+from .errors import ConfigurationError, ConvergenceError, InputError, NonFiniteError
 
 CSV_COLUMNS = ["algorithm", "dataset", "n", "d", "kappa", "compressor", "seed",
                "t", "rounds", "bits_per_client", "sqdist_mean", "sqdist_ybar",
@@ -230,48 +230,55 @@ class _Recorder:
             self.flush()
             i = 0
         state = self.state
+        xu = self.xu[i]
         if self.yv is None:
-            self.xu[i] = state.x
+            xu[:] = state.x
+            yv = None
         else:
-            np.concatenate((state.x, state.u), out=self.xu[i])
+            np.concatenate((state.x, state.u), out=xu)
             yv = self.yv[i]
             yv[0] = state.y
             yv[1] = state.v
         self.filled = i + 1
-        [value] = self._COLUMNS[self.stop_column](self, slice(i, i + 1)).tolist()
+        # the stop column of the one saved row, through the column's own arithmetic
+        value = float(self._COLUMNS[self.stop_column](self, xu, yv))
         self.online.append((t, rounds, bits, value))
         return value
 
     def flush(self):
         """Computes every deferred column at the buffered rows, and empties the buffers."""
-        rows = slice(0, self.filled)
+        xu = self.xu[:self.filled]
+        yv = None if self.yv is None else self.yv[:self.filled]
         for name, column in self.flushed.items():
-            column.extend(self._COLUMNS[name](self, rows).tolist())
+            column.extend(self._COLUMNS[name](self, xu, yv).tolist())
         self.filled = 0
 
-    def _sqdist_mean(self, rows):
-        dx = self.xu[rows, :self.clients] - self.ref.x_star
+    # each derived column of (R, rows, d) and (R, 2, d) stacks of the saved (x; u) and (y; v),
+    # yv None for a baseline; the stop columns, sqdist_mean and lyapunov, also take one record
+    # point's (rows, d) and (2, d) arrays
+
+    def _sqdist_mean(self, xu, yv):
+        dx = xu[..., :self.clients, :] - self.ref.x_star
         dx *= dx
-        return np.add.reduce(np.add.reduce(dx, 2), 1) / self.clients
+        return np.add.reduce(np.add.reduce(dx, -1), -1) / self.clients
 
-    def _mean_model(self, rows):
-        return np.add.reduce(self.xu[rows, :self.clients], 1) / self.clients
+    def _mean_model(self, xu):
+        return np.add.reduce(xu[..., :self.clients, :], -2) / self.clients
 
-    def _sqdist_ybar(self, rows):
+    def _sqdist_ybar(self, xu, yv):
         # a baseline's anchor is its mean model
-        dy = (self._mean_model(rows) if self.yv is None else self.yv[rows, 0]) - self.ref.x_star
+        dy = (self._mean_model(xu) if yv is None else yv[..., 0, :]) - self.ref.x_star
         return obj.row_dots(dy, dy)
 
-    def _obj_gap(self, rows):
-        return self.problem.value_mean(self._mean_model(rows)) - self.ref.f_star
+    def _obj_gap(self, xu, yv):
+        return self.problem.value_mean(self._mean_model(xu)) - self.ref.f_star
 
-    def _lyapunov(self, rows):
-        if self.yv is None:
-            return np.full(rows.stop - rows.start, math.nan)
-        return alg.lyapunov(self.xu[rows], self.yv[rows], self.ref, self.params)
+    def _lyapunov(self, xu, yv):
+        if yv is None:
+            return np.full(xu.shape[:-2], math.nan)
+        return alg.lyapunov(xu, yv, self.ref, self.params)
 
-    # each derived column as a function of the recorder and a slice of its buffered rows; plain
-    # functions, so that a recorder holds no bound method of itself and is freed by refcount
+    # plain functions, so that a recorder holds no bound method of itself and is freed by refcount
     _COLUMNS = {"sqdist_mean": _sqdist_mean, "sqdist_ybar": _sqdist_ybar, "obj_gap": _obj_gap,
                 "lyapunov": _lyapunov}
 
@@ -345,7 +352,12 @@ def run_single(config, problem, baseline, ref, seed):
     max_iters, cadence, round_cadence = config.max_iters, config.cadence, config.round_cadence
     t = rounds = 0
     while t < max_iters:
-        new_round = step()
+        try:
+            new_round = step()
+        except NonFiniteError:
+            # the data are finite, so a non-finite message to compress is an overflowed iterate
+            raise ConvergenceError(f"{config.algorithm} run diverged: a message to compress is "
+                                   f"not finite at iteration {t + 1}") from None
         t += 1
         rounds += new_round
         # the state a run stops at is always recorded, also when it stops on max_iters

@@ -234,6 +234,12 @@ class _BatchedLogistic:
         np.divide(self._coef, c, out=c)
         if self._block is not None:
             return (self._block_t @ c.ravel()).reshape(self.n, self.d)
+        if self.m == 1:
+            # matmul's one-term sum c_i a_i starts from +0.0; adding it turns the -0.0 of a
+            # negative c_i times a zero feature into +0.0, so the product equals matmul's bits
+            grads = c * self.A[:, 0]
+            grads += 0.0
+            return grads
         return np.matmul(c[:, None, :], self.A)[:, 0, :]
 
     def hessian_mean(self, x):
@@ -344,7 +350,9 @@ class Problem:
     def grads_locals(self, X):
         """Per-client gradients.  X is (n, d) for distinct points or (d,) for a common one."""
         X = np.asarray(X, dtype=np.float64)
-        return self.batch.grads(X) + self.reg * X
+        grads = self.batch.grads(X)
+        grads += self.reg * X
+        return grads
 
     def grad_g(self, y):
         return self.g_weight * y

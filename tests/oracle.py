@@ -10,6 +10,11 @@ dataset back as LibSVM text, the inverse the parser's round trips check.
 the tests hold `data.parse_libsvm`'s arrays and errors to.  `compress_round`
 spells out each compressor kind as its own branch, the reference that the
 tests hold `compressors.compress_round`'s pipeline to, bit for bit.
+`locodl_step` and `dual_residual` are LoCoDL's iteration and dual residual
+with every update a fresh array, the gradient from `grads_locals` (a dense
+logistic batch's A_i^T c_i by one matmul, `logistic_grads`, at every m) and
+the round from `compress_round`: the reference that the tests hold
+`algorithms.locodl_step`'s in-place arithmetic to, bit for bit.
 `Recorder` computes every trace column at each record point from the
 state, with `observe`, the one-state `lyapunov` and the one-point
 `value_mean`: the reference that the tests hold `harness._Recorder`'s
@@ -35,7 +40,8 @@ from locodl.compressors import _natural_round, _rand_subsets
 from locodl.data import _PHYSICAL_MEMORY
 from locodl.errors import InputError, ParseError
 from locodl.harness import CONSTANT_COLUMNS, VARYING_COLUMNS, ExperimentTrace
-from locodl.objectives import _BOUND_MARGIN, _BatchedQuadratic, max_eigenvalue_gram
+from locodl.objectives import (_BOUND_MARGIN, _BatchedLogistic, _BatchedQuadratic,
+                               max_eigenvalue_gram)
 from locodl.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
                             WIDTH, _TEXT_ESCAPES, _decades)
 
@@ -122,17 +128,13 @@ def parse_lines(lines):
             d, d_line = prev, lineno
         labels.append(label)
     try:
-        features = np.zeros((len(labels), d))
-    except (ValueError, MemoryError):
-        raise ParseError(d_line, f"feature index {d} is too large: numpy cannot allocate "
-                                 f"{len(labels)} x {d} features") from None
-    try:
         if 8 * d * d > _PHYSICAL_MEMORY:
             raise MemoryError
         np.empty((d, d))    # the Gram, unfilled: none of its pages is written
     except (ValueError, MemoryError):
         raise ParseError(d_line, f"feature index {d} is too large: its {d} x {d} Gram "
                                  "entries do not fit in memory") from None
+    features = np.zeros((len(labels), d))
     features[rows, cols] = vals
     return labels, features
 
@@ -181,6 +183,57 @@ def compress_round(spec, X, rng):
         return payload, 0
 
     raise ValueError(f"unknown compressor kind {spec.kind!r}")
+
+
+def logistic_coefficients(batch, X):
+    """The (n, m) coefficients c of a dense logistic batch at X, whose A_i^T c_i are its
+    gradients; the margins come from one matmul of the (n, m, d) stack."""
+    A = batch.A
+    margins = (A.reshape(-1, A.shape[-1]) @ X).reshape(batch.b.shape) if X.ndim == 1 \
+        else np.matmul(A, X[..., None])[..., 0]
+    return (-batch.b / batch.m) / (1.0 + np.exp(np.minimum(batch.b * margins, batch._LOGIT_CAP)))
+
+
+def logistic_grads(batch, X):
+    """A dense logistic batch's loss gradients at X, A_i^T c_i by one matmul at every m."""
+    return np.matmul(logistic_coefficients(batch, X)[:, None, :], batch.A)[:, 0, :]
+
+
+def grads_locals(problem, X):
+    """`Problem.grads_locals` as one sum of fresh arrays; a dense logistic batch's loss
+    gradients come from `logistic_grads`, any other batch's from its own `grads`."""
+    batch = problem.batch
+    dense_logistic = isinstance(batch, _BatchedLogistic) and batch.A is not None
+    return (logistic_grads(batch, X) if dense_logistic else batch.grads(X)) + problem.reg * X
+
+
+def dual_residual(state):
+    """||mean(u) + v||_inf of a LoCoDL state, as one expression."""
+    return float(np.max(np.abs(state.u.sum(axis=0) / len(state.u) + state.v)))
+
+
+def locodl_step(state, problem, spec, params, rng):
+    """One LoCoDL iteration of `state`, each update a fresh array; returns whether it was
+    a round.  Draws from rng as the library does: the coin, then the round's compression."""
+    gamma = params.gamma
+    gx = grads_locals(problem, state.x)
+    x_hat = state.x - gamma * gx + gamma * state.u
+    y_hat = state.y - gamma * problem.grad_g(state.y) + gamma * state.v
+
+    if rng.coin.random() < params.p:
+        msgs, sat = compress_round(spec, x_hat - y_hat[None, :], rng.rounds)
+        state.saturation_events += sat
+        d_bar = msgs.sum(axis=0) / (2.0 * len(state.x))
+        lam = params.dual_step
+        state.x = (1.0 - params.rho) * x_hat + params.rho * (y_hat + d_bar)[None, :]
+        state.u = state.u + lam * (d_bar[None, :] - msgs)
+        state.y = y_hat + params.rho * d_bar
+        state.v = state.v + lam * d_bar
+        state.max_dual_residual = max(state.max_dual_residual, dual_residual(state))
+        return True
+    state.x = x_hat
+    state.y = y_hat
+    return False
 
 
 def state_stacks(state):

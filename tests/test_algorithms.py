@@ -6,7 +6,7 @@ import pytest
 from locodl import algorithms as alg
 from locodl import harness
 from locodl import objectives as obj
-from locodl.compressors import make_spec
+from locodl.compressors import K_KINDS, KINDS, NATURAL_KINDS, make_spec
 from locodl.errors import ConfigurationError
 
 import oracle
@@ -157,6 +157,89 @@ class TestLoCoDLStep:
             alg.rate_bound(bad, problem.L, problem.mu)
 
 
+class StubCoin:
+    """A coin that always draws `value`: 0.0 forces a round, 0.9999999 forbids one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.fixture(scope="module")
+def step_problems(quad_problem, a5a_path):
+    """The quadratic fixture, a Dirichlet problem (one row per client, the dense stack)
+    and the a5a stand-in (CSR, the block batch)."""
+    def logistic(source, n):
+        config = harness.ExperimentConfig(problem=source, n=n, kappa=1e3, data_seed=7)
+        return harness.build_problem(config)[0]
+
+    problems = {"quadratic": quad_problem,
+                "dirichlet": logistic({"source": "dirichlet", "d": 20, "alpha": 1.0}, 10),
+                "a5a": logistic({"source": "libsvm", "path": a5a_path}, 87)}
+    assert problems["dirichlet"].batch.m == 1 and problems["dirichlet"].batch.A is not None
+    assert problems["a5a"].batch._block is not None
+    return problems
+
+
+class TestLeanStep:
+    """`locodl_step` against `oracle.locodl_step`, which makes every update a fresh array."""
+
+    # the last scale overflows the natural exponent range once scaled by d/k
+    SCALES = (1e-3, 1.0, 1e2, 1e39)
+
+    @staticmethod
+    def _random_state(draw, n, d, scale):
+        return alg.LoCoDLState(scale * draw.standard_normal((n, d)), scale * draw.standard_normal(d),
+                               scale * draw.standard_normal((n, d)), scale * draw.standard_normal(d),
+                               int(draw.integers(0, 3)), float(draw.choice([0.0, draw.random()])))
+
+    @pytest.mark.parametrize("heads", [True, False], ids=["round", "no_round"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ["quadratic", "dirichlet", "a5a"])
+    def test_equals_the_fresh_array_reference_bit_for_bit(self, step_problems, name, kind,
+                                                           heads):
+        problem = step_problems[name]
+        n, d = problem.n, problem.d
+        spec = make_spec(kind, d, k=2 if kind in K_KINDS else None)
+        schedules = (alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / n),
+                     alg.AlgoParams(0.3 / problem.L, 0.4, 0.6, 0.5, spec.omega, spec.omega / n))
+        draw = np.random.default_rng(KINDS.index(kind))
+        saturated = False
+        for trial, (params, scale) in enumerate((p, s) for p in schedules for s in self.SCALES):
+            state = self._random_state(draw, n, d, scale)
+            ref = alg.LoCoDLState(*(a.copy() for a in (state.x, state.y, state.u, state.v)),
+                                  state.saturation_events, state.max_dual_residual)
+            held = (state.x, state.y, state.u, state.v)
+            before, events = [a.copy() for a in held], state.saturation_events
+            rngs = [alg.RngBundle.from_seed(trial) for _ in range(2)]
+            for rng in rngs:
+                rng.coin = StubCoin(0.0 if heads else 0.9999999)
+            assert alg.locodl_step(state, problem, spec, params, rngs[0]) is heads
+            assert oracle.locodl_step(ref, problem, spec, params, rngs[1]) is heads
+            for field in ("x", "y", "u", "v"):
+                got, want = getattr(state, field), getattr(ref, field)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), field
+            assert state.saturation_events == ref.saturation_events
+            assert state.max_dual_residual == ref.max_dual_residual
+            assert rngs[0].rounds.bit_generator.state == rngs[1].rounds.bit_generator.state
+            saturated |= state.saturation_events > events
+            # the step replaces the state's arrays and writes into none of them
+            for array, copy in zip(held, before):
+                assert np.array_equal(array.view(np.uint64), copy.view(np.uint64))
+        if heads and kind in NATURAL_KINDS:
+            assert saturated
+
+    def test_dual_residual_equals_the_reference(self):
+        draw = np.random.default_rng(3)
+        for n, d in ((1, 1), (5, 10), (87, 122)):
+            for scale in (1e-9, 1.0, 1e30):
+                state = self._random_state(draw, n, d, scale)
+                assert state.dual_residual() == oracle.dual_residual(state)
+
+
 class TestLyapunov:
     def test_zero_at_fixed_point(self, quad_setup):
         problem, ref, _, params = quad_setup
@@ -184,6 +267,7 @@ class TestLyapunov:
         assert values.shape == (9,)
         for r, state in enumerate(states):
             assert alg.lyapunov(xu[r:r + 1], yv[r:r + 1], ref, params)[0] == values[r]
+            assert alg.lyapunov(xu[r], yv[r], ref, params) == values[r]     # one iterate
             assert oracle.lyapunov(state, ref, params) == values[r]
 
     def test_nonnegative(self, quad_setup):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from array import array
 from xml.etree import ElementTree
 
@@ -344,16 +345,24 @@ class TestRun:
         assert "2*rho - rho^2*(1+omega_av) - chi >= 0" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the iterates overflow by design
-    @pytest.mark.parametrize("algo", ["algorithm = gd\n",
-                                      "algorithm = diana\ncompressor = rand_k\nk = 2\n"])
-    def test_diverging_run_exits_4(self, tmp_path, capsys, algo):
+    @pytest.mark.parametrize("algo, cadence", [
+        ("algorithm = gd\n", "cadence = 50\n"),
+        ("algorithm = diana\ncompressor = rand_k\nk = 2\n", "cadence = 50\n"),
+        # no record falls before the overflowed gradient difference reaches the compressor
+        ("algorithm = diana\ncompressor = rand_k\nk = 2\n",
+         "cadence = 5000\nround_cadence = 5000\n"),
+    ], ids=["gd", "diana", "diana_unrecorded"])
+    def test_diverging_run_exits_4(self, tmp_path, capsys, algo, cadence):
         path = tmp_path / "diverge.ini"
         path.write_text(QUAD_CONFIG.replace("stop_metric = psi", "stop_metric = sqdist")
+                        .replace("cadence = 50\n", cadence)
                         .replace("algorithm = locodl\ncompressor = rand_k\nk = 2\n",
                                  algo + "gamma = 5\n"))
         assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) \
             == cli.EXIT_CONVERGENCE
-        assert "diverged" in capsys.readouterr().err
+        name = algo.split("\n")[0].split(" = ")[1]
+        assert re.search(rf"{name} run diverged: .* at iteration \d+$",
+                         capsys.readouterr().err.strip())
 
     def test_non_finite_libsvm_value_exits_2_and_names_the_line(self, tmp_path, capsys):
         data_path = tmp_path / "nan.libsvm"

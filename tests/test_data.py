@@ -218,10 +218,12 @@ class TestBulkParse:
         ("+1 1:1\n+1 2:1\n-1 1:1e999", 3, "non-finite feature value '1:1e999'"),
         # past int64, so no array has that many columns
         ("+1 1:1 99999999999999999999:1\n-1 1:2", 1, "feature index 99999999999999999999 is "
-         "too large: numpy cannot allocate 2 x 99999999999999999999 features"),
-        # an int64, but 2 rows of that many float64 columns pass numpy's array size limit
+         "too large: its 99999999999999999999 x 99999999999999999999 Gram entries do not fit "
+         "in memory"),
+        # an int64, but a Gram of that many float64 columns passes numpy's array size limit
         ("-1 1:2\n+1 1:1 9000000000000000000:1\n+1 3:1", 2, "feature index 9000000000000000000 "
-         "is too large: numpy cannot allocate 3 x 9000000000000000000 features"),
+         "is too large: its 9000000000000000000 x 9000000000000000000 Gram entries do not fit "
+         "in memory"),
         # the one ordering case whose earlier index is past int64
         ("+1 99999999999999999999:1 5:1", 1,
          "feature indices must be strictly increasing (saw 5 after 99999999999999999999)"),
@@ -376,3 +378,17 @@ class TestLargeFixture:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * ds.m * ds.d * 8
+
+    def test_a_tall_file_parses_far_below_its_dense_size(self):
+        # 20,000 rows of 1,000 columns: nothing the parse forms is (rows, d), not even
+        # unfilled; the d x d Gram probe (8 MB) and the token arrays stay under a tenth
+        rows, d = 20_000, 1_000
+        text = "".join(f"{1 if i % 2 else -1} {1 + i % (d - 1)}:1 {d}:0.5\n" for i in range(rows))
+        tracemalloc.start()
+        try:
+            ds = data.parse_libsvm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ds.m, ds.d, ds.features.nnz) == (rows, d, 2 * rows)
+        assert peak < rows * d * 8 / 10

@@ -393,6 +393,28 @@ class TestBatchedLogistic:
         dense = self._problem(sparse=False)
         assert dense.batch._block is None
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_dense_gradients_equal_the_matmul_bit_for_bit(self, m):
+        # zero features meet negative coefficients (label +1): the plain one-row product
+        # c_i a_i gives -0.0 there, where matmul's sum gives +0.0
+        rng = np.random.default_rng(44)
+        n, d = 12, 9
+        A = rng.dirichlet(np.ones(d), size=(n, m))
+        A[:, :, ::3] = 0.0
+        b = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+        b[0] = 1.0
+        batch = obj._BatchedLogistic(*oracle.unstack(A, b))
+        assert batch.A is not None
+        problem = obj.Problem(batch, 0.01, 0.01)
+        for X in (np.zeros((n, d)), rng.standard_normal((n, d)), rng.standard_normal(d)):
+            want = oracle.logistic_grads(batch, X)
+            assert np.array_equal(batch.grads(X).view(np.uint64), want.view(np.uint64))
+            got = problem.grads_locals(X)
+            assert np.array_equal(got.view(np.uint64),
+                                  oracle.grads_locals(problem, X).view(np.uint64))
+            # the signed zeros that the one-row path must not pass on
+            assert np.signbit(oracle.logistic_coefficients(batch, X)[:, :, None] * A).any()
+
 
 class TestStackedValue:
     """`value_mean` and `mean_value` of an (R, d) stack equal one call per row, and the

@@ -2,9 +2,12 @@
 
 `perfbench/tracer.py` wraps module functions and methods of the program from
 outside it.  A rename or deletion of one of them would break every traced
-benchmark run; this installs and uninstalls both probes in-process.
+benchmark run; this installs and uninstalls both probes in-process.  A call
+that reached a layer around its wrapped attribute would leave that layer's
+per-layer metric short; a traced run's counts are checked against its traces.
 """
 
+import csv
 import os
 
 import pytest
@@ -83,6 +86,33 @@ def test_layer_tracer_times_every_step_of_a_run(tracer, tmp_path):
 
     traced = written("traced")
     assert len(traced) == 8 and traced == written("plain")
+
+
+def test_layer_tracer_charges_each_layer_call_to_its_algorithm(tracer, tmp_path):
+    # a step that reaches a layer around its wrapped attribute (say, the batch's own
+    # gradients, or a residual inlined into the step) would leave that layer's metric short
+    from locodl import cli
+    config = tmp_path / "four.ini"
+    config.write_text(FOUR_BLOCKS)
+    out = tmp_path / "traced"
+    layers = tracer.LayerTracer().install()
+    try:
+        assert cli.main(["run", str(config), "--out", str(out)]) == 0
+    finally:
+        layers.uninstall()
+    last = {}
+    for path in out.glob("*.csv"):
+        with open(path, newline="") as fh:
+            row = list(csv.DictReader(fh))[-1]
+        last[row["algorithm"]] = (int(row["t"]), int(row["rounds"]))
+    assert sorted(last) == sorted(tracer.STEP_FNS)
+    metrics = layers.metrics()
+    assert metrics["algorithms.rounds"][0] == sum(rounds for _, rounds in last.values())
+    assert metrics["objectives.grads_calls.points"][0] == last["locodl"][0] + last["scaffnew"][0]
+    assert len(layers.samples["dual_residual"]) == last["locodl"][1] > 0
+    assert metrics["harness.reference_grad_evals"][0] > 0
+    assert metrics["objectives.grads_calls.common"][0] == \
+        last["diana"][0] + last["gd"][0] + metrics["harness.reference_grad_evals"][0]
 
 
 def test_setup_probe_sees_every_trajectory_of_a_run(tracer, tmp_path):
