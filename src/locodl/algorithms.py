@@ -19,7 +19,7 @@ iterations and rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -97,12 +97,22 @@ def rate_bound(params, L, mu):
 
 @dataclass
 class LoCoDLState:
+    """LoCoDL's iterate.  A step replaces its arrays and never writes into them.
+
+    Between rounds u and v stay the same arrays, so `locodl_step` keeps
+    gamma*u and gamma*v for the arrays it last scaled and reuses them while
+    u, v and gamma are unchanged; code that edits a state's arrays must
+    assign new ones, not write into the old.
+    """
+
     x: np.ndarray          # (n, d) local models
     y: np.ndarray          # (d,) shared anchor model
     u: np.ndarray          # (n, d) local duals
     v: np.ndarray          # (d,) shared dual
     saturation_events: int = 0
     max_dual_residual: float = 0.0
+    # (u, v, gamma, gamma*u, gamma*v) as the last step scaled them
+    _scaled_duals: tuple = field(default=(None,) * 5, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n, d):
@@ -137,18 +147,23 @@ def locodl_step(state, problem, spec, params, rng):
 
     The arithmetic runs in place, but only in arrays the step has just
     created (the gradients, the round's payloads and d_bar): the arrays the
-    state held before the step are replaced, never written.
+    state held before the step are replaced, never written.  gamma*u and
+    gamma*v are computed again only when u, v or gamma have changed.
     """
     gamma = params.gamma
+    u, v, scaled_by, gamma_u, gamma_v = state._scaled_duals
+    if u is not state.u or v is not state.v or scaled_by != gamma:
+        gamma_u, gamma_v = gamma * state.u, gamma * state.v
+        state._scaled_duals = (state.u, state.v, gamma, gamma_u, gamma_v)
     # x_hat = x - gamma*grad + gamma*u and y_hat = y - gamma*grad_g(y) + gamma*v
     x_hat = problem.grads_locals(state.x)
     x_hat *= gamma
     np.subtract(state.x, x_hat, out=x_hat)
-    x_hat += gamma * state.u
+    x_hat += gamma_u
     y_hat = problem.grad_g(state.y)
     y_hat *= gamma
     np.subtract(state.y, y_hat, out=y_hat)
-    y_hat += gamma * state.v
+    y_hat += gamma_v
 
     if rng.coin.random() < params.p:
         msgs, sat = compress_round(spec, x_hat - y_hat, rng.rounds)

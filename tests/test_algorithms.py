@@ -1,5 +1,7 @@
 """Algorithm steps: schedules, contraction diagnostics, invariants, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,36 @@ class TestLeanStep:
                 assert np.array_equal(array.view(np.uint64), copy.view(np.uint64))
         if heads and kind in NATURAL_KINDS:
             assert saturated
+
+    @pytest.mark.parametrize("kind", ["identity", "rand_k"])
+    @pytest.mark.parametrize("name", ["quadratic", "dirichlet"])
+    def test_a_trajectory_equals_the_reference_step_by_step(self, step_problems, name, kind):
+        """Steps that reuse gamma*u and gamma*v match the reference: across rounds, a
+        gamma that changes between rounds, and a u or a v replaced from outside."""
+        problem = step_problems[name]
+        n, d = problem.n, problem.d
+        spec = make_spec(kind, d, k=2 if kind in K_KINDS else None)
+        default = alg.default_params(problem.L, problem.mu, spec.omega, spec.omega / n)
+        slower = replace(default, gamma=0.5 * default.gamma)
+        state, ref = alg.LoCoDLState.zeros(n, d), alg.LoCoDLState.zeros(n, d)
+        rngs = [alg.RngBundle.from_seed(11) for _ in range(2)]
+        for t in range(120):
+            # a round every 7th step; each change below follows a step without one
+            heads = t % 7 == 0
+            for rng in rngs:
+                rng.coin = StubCoin(0.0 if heads else 0.9999999)
+            params = default if (t // 30) % 2 == 0 else slower
+            if t in (75, 95):   # new duals, as a caller that edits a state must give them
+                field = "u" if t == 75 else "v"
+                shift = np.random.default_rng(t).standard_normal(getattr(state, field).shape)
+                setattr(state, field, getattr(state, field) + shift)
+                setattr(ref, field, getattr(ref, field) + shift)
+            assert alg.locodl_step(state, problem, spec, params, rngs[0]) is heads
+            assert oracle.locodl_step(ref, problem, spec, params, rngs[1]) is heads
+            for field in ("x", "y", "u", "v"):
+                got, want = getattr(state, field), getattr(ref, field)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (t, field)
+            assert state.max_dual_residual == ref.max_dual_residual
 
     def test_dual_residual_equals_the_reference(self):
         draw = np.random.default_rng(3)
