@@ -92,8 +92,9 @@ def parse_libsvm(stream):
     # a valid label is a malformed pair, so its index is 0: the first index of
     # its row must exceed it.  A label's failure replaces what its pair check says.
     index = index_of[codes]
-    before = np.roll(index, 1)
-    fails = (bad_pair | ~np.isfinite(value_of))[codes] | (index <= before)
+    del index_of
+    fails = (bad_pair | ~np.isfinite(value_of))[codes]
+    fails[1:] |= index[1:] <= index[:-1]
     fails[starts] = bad_label[label_codes]
 
     def line_of(at):
@@ -110,20 +111,28 @@ def parse_libsvm(stream):
             message = f"non-finite feature value {token!r}"
         else:
             message = (f"feature indices must be strictly increasing "
-                       f"(saw {index[at]} after {before[at]})")
+                       f"(saw {index[at]} after {index[at - 1]})")
         raise ParseError(line_of(at), message)
     if too_large:
         raise ParseError(line_of(np.argmax(index)), f"feature index {d} is too large: its "
                                                     f"{d} x {d} Gram entries do not fit in memory")
-    # the nonzero pairs, in row order: row r's pairs begin at pair starts[r] - r, past
-    # the r labels before its own, and `kept` counts the nonzero pairs before each pair
+    # the pairs in row order, each token array dropped after its last use: row r's
+    # pairs begin at pair starts[r] - r, past the r labels before its own
+    indptr = np.append(starts, codes.size) - np.arange(lengths.size + 1)
+    del fails, codes
+    indices = index[pairs]
+    indices -= 1
+    del index, pairs
     values = value_of[pair_codes]
+    del pair_codes
     nonzero = values != 0.0
-    kept = np.concatenate(([0], np.cumsum(nonzero)))
-    features = sparse.csr_matrix(
-        (values[nonzero], (index[pairs] - 1)[nonzero],
-         kept[np.append(starts, codes.size) - np.arange(lengths.size + 1)]),
-        shape=(lengths.size, d))
+    if not nonzero.all():
+        # an explicit 'j:0' stores nothing: `kept` counts the nonzero pairs before each pair
+        kept = np.concatenate(([0], np.cumsum(nonzero)))
+        values, indices, indptr = values[nonzero], indices[nonzero], kept[indptr]
+        del kept
+    del nonzero
+    features = sparse.csr_matrix((values, indices, indptr), shape=(lengths.size, d))
     labels = np.array(label_of, dtype=np.float64)[label_codes]
     return Shard(features, _normalize_labels(labels))
 

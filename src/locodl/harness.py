@@ -4,7 +4,8 @@ A run builds the problem, validates the schedule against the convergence
 conditions, iterates the chosen algorithm, and records a metric trace at a
 configurable cadence (every communication round plus every `cadence`-th
 iteration by default).  Traces serialize to CSV with a fixed column order and
-a key=value metadata sidecar; identical seeds give byte-identical files.
+a key=value metadata sidecar; identical seeds give byte-identical files on
+one numpy/scipy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -147,11 +149,17 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentTrace:
-    columns: dict              # column name -> list, keys follow CSV_COLUMNS
+    # column name -> values, keys follow CSV_COLUMNS: a recorded trace holds each varying
+    # column as an `array.array` ('q' for the counters, 'd' for the metrics) and each
+    # constant column as a list of one repeated value
+    columns: dict
     metadata: dict
 
     def array(self, name):
-        return np.asarray(self.columns[name])
+        """The column as a read-only numpy array: a view of an `array.array` column."""
+        values = np.asarray(self.columns[name])
+        values.flags.writeable = False
+        return values
 
 
 def build_problem(config, cache=None):
@@ -200,7 +208,10 @@ class _Recorder:
     A chunk holds at least one row, and as many as fit RECORD_BUDGET bytes of
     saved state plus `obj_gap`'s objective terms (a logistic batch's n*m
     margins per row); no other column's temporaries outgrow the saved state.
-    The constant columns (algorithm .. seed) are filled once, in `trace()`.
+    The flush appends the chunk's rows to `flushed`, one typed array per
+    varying column (8 bytes a record each), so no per-record Python object
+    outlives its chunk.  The constant columns (algorithm .. seed) are filled
+    once, in `trace()`.
     """
 
     def __init__(self, meta_common, ref, problem, state, params, stop_column):
@@ -220,8 +231,10 @@ class _Recorder:
         self.yv = None if params is None else np.empty((size, 2, d))
         self.filled = 0
         self.stop_column = stop_column
-        self.online = []              # (t, rounds, bits, stop value) per record point
-        self.flushed = {name: [] for name in VARYING_COLUMNS[3:] if name != stop_column}
+        self.online = []              # (t, rounds, bits, stop value) per record point of the chunk
+        self.deferred = [name for name in VARYING_COLUMNS[3:] if name != stop_column]
+        self.flushed = {name: array("q" if name in VARYING_COLUMNS[:3] else "d")
+                        for name in VARYING_COLUMNS}
 
     def record(self, t, rounds, bits):
         """Saves the state as the next record point; returns its stop column's value."""
@@ -246,11 +259,15 @@ class _Recorder:
         return value
 
     def flush(self):
-        """Computes every deferred column at the buffered rows, and empties the buffers."""
+        """Appends the buffered rows to the columns, the deferred ones computed now, and
+        empties the buffers."""
         xu = self.xu[:self.filled]
         yv = None if self.yv is None else self.yv[:self.filled]
-        for name, column in self.flushed.items():
-            column.extend(self._COLUMNS[name](self, xu, yv).tolist())
+        for name in self.deferred:
+            self.flushed[name].frombytes(self._COLUMNS[name](self, xu, yv).tobytes())
+        for name, values in zip((*VARYING_COLUMNS[:3], self.stop_column), zip(*self.online)):
+            self.flushed[name].extend(values)
+        self.online.clear()
         self.filled = 0
 
     # each derived column of (R, rows, d) and (R, 2, d) stacks of the saved (x; u) and (y; v),
@@ -284,12 +301,12 @@ class _Recorder:
 
     def trace(self, extra_meta):
         self.flush()
-        columns = {name: [self.meta[name]] * len(self.online) for name in CONSTANT_COLUMNS}
-        columns.update(zip((*VARYING_COLUMNS[:3], self.stop_column), map(list, zip(*self.online))))
+        rows = len(self.flushed["t"])
+        columns = {name: [self.meta[name]] * rows for name in CONSTANT_COLUMNS}
         columns.update(self.flushed)
         meta = dict(self.meta)
         meta.update(extra_meta)
-        return ExperimentTrace({name: columns[name] for name in CSV_COLUMNS}, meta)
+        return ExperimentTrace(columns, meta)
 
 
 def _stepper(config, problem, baseline, spec, rng):

@@ -379,6 +379,18 @@ class TestLargeFixture:
             tracemalloc.stop()
         assert peak < 1.5 * ds.m * ds.d * 8
 
+    def test_the_parse_peaks_under_three_times_its_csr(self, a5a_path):
+        # each token array is dropped after its last use: the stand-in peaks at 2.57 times the
+        # bytes of its CSR, where holding every token array to the end peaked at 6.46 times
+        tracemalloc.start()
+        try:
+            features = data.load_libsvm(a5a_path).features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr = features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
+        assert peak < 3 * csr
+
     def test_a_tall_file_parses_far_below_its_dense_size(self):
         # 20,000 rows of 1,000 columns: nothing the parse forms is (rows, d), not even
         # unfilled; the d x d Gram probe (8 MB) and the token arrays stay under a tenth

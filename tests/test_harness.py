@@ -1,5 +1,6 @@
 """Harness: reference solves, trace recording, stop rules, serialization."""
 
+import gc
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -236,8 +237,8 @@ class TestRunSingle:
         problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
         trace = harness.run_single(config, problem, baseline, ref, 0)
-        assert trace.columns["t"] == [0]
-        assert trace.columns["bits_per_client"] == [0]
+        assert list(trace.columns["t"]) == [0]
+        assert list(trace.columns["bits_per_client"]) == [0]
 
     @pytest.mark.parametrize("max_iters, cadence, t", [(10, 100, [0, 10]),
                                                       (100, 50, [0, 50, 100])])
@@ -245,7 +246,7 @@ class TestRunSingle:
         config = quad_config(max_iters=max_iters, cadence=cadence, round_cadence=1000)
         problem, baseline = harness.build_problem(config)
         ref = harness.solve_reference(problem)
-        assert harness.run_single(config, problem, baseline, ref, 0).columns["t"] == t
+        assert list(harness.run_single(config, problem, baseline, ref, 0).columns["t"]) == t
 
     def test_same_seed_byte_identical_csv(self, quad_run):
         config, problem, baseline, ref, trace = quad_run
@@ -425,9 +426,29 @@ class TestChunkedRecorder:
                                  stop_metric="sqdist", stop_ratio=1e-2, max_iters=400)
             columns = harness.run_single(config, *setup, 0).columns
             for name in harness.VARYING_COLUMNS:
-                assert type(columns[name]) is list
-                kind_of = int if name in ("t", "rounds", "bits_per_client") else float
+                exact = name in ("t", "rounds", "bits_per_client")
+                assert columns[name].typecode == ("q" if exact else "d"), (algorithm, name)
+                # iteration yields Python ints and floats, so no numpy scalar reaches `repr`
+                kind_of = int if exact else float
                 assert {type(value) for value in columns[name]} == {kind_of}, (algorithm, name)
+
+    def test_a_finished_trace_keeps_under_130_bytes_a_record(self):
+        # seven 8-byte typed columns and seven list slots of one shared value a record; the
+        # varying columns as lists of Python ints and floats kept about 290 bytes
+        config = quad_config(stop_metric="sqdist", stop_ratio=1e-8, cadence=1)
+        setup = harness.prepare(config, {})
+        harness.run_single(config, *setup, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = harness.run_single(config, *setup, 0)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows = len(trace.columns["t"])
+        assert rows > 1000
+        assert kept <= 130 * rows
 
 
 class TestRunExperiments:
@@ -480,6 +501,17 @@ class TestBitsToTarget:
             {"sqdist_mean": [1.0, 0.5], "bits_per_client": [0, 10]}, {})
         with pytest.raises(ConvergenceError):
             harness.bits_to_target(trace, 1e-6)
+
+    def test_a_column_array_is_a_read_only_view(self):
+        config = quad_config(stop_metric="sqdist")
+        trace = harness.run_single(config, *harness.prepare(config, {}), 0)
+        bits = harness.bits_to_target(trace, 1e-6)
+        for name in ("sqdist_mean", "bits_per_client"):
+            values = trace.array(name)
+            assert np.shares_memory(values, trace.array(name))
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0
+        assert harness.bits_to_target(trace, 1e-6) == bits > 0
 
 
 class TestExponentFit:
@@ -538,7 +570,7 @@ class TestSerialization:
         rows = len(trace.columns["t"])
         assert rows > 1
         assert all(len(column) == rows for column in trace.columns.values())
-        assert trace.columns["seed"] == [0] * rows
+        assert list(trace.columns["seed"]) == [0] * rows
 
     def test_write_trace_creates_sidecar(self, quad_run, tmp_path):
         _, _, _, _, trace = quad_run
